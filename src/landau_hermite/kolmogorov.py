@@ -229,8 +229,8 @@ def smoothing_norm(state: FourierGridState, c: float) -> float:
         sh[d + ax] = -1
         w = w + t * (xi_axis.reshape(sh) ** 2)
     amp2 = np.abs(state.values) ** 2
-    with np.errstate(divide="ignore"):
-        log_terms = np.where(amp2 > 0, np.log(amp2, where=amp2 > 0), -np.inf) + 2.0 * c * w
+    log_amp2 = np.log(amp2, out=np.full_like(amp2, -np.inf), where=amp2 > 0)
+    log_terms = log_amp2 + 2.0 * c * w
     if np.max(log_terms) > _OVERFLOW_LOG:
         return math.inf
     total = np.sum(np.exp(log_terms)) * state.xi_step**d

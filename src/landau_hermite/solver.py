@@ -10,10 +10,9 @@ integer Fourier modes eta in {-K..K}^d_x for the periodic spatial variable
 is marched with a first-order IMEX scheme: the stiff symmetric part L goes
 implicitly (it is level preserving, so the solve splits into small dense
 blocks shared by all Fourier modes), transport and the bilinear term go
-explicitly.  The bilinear term in x becomes a convolution over modes; since
-it touches its first argument only through ten moments, the convolution is
-ten scalar-sequence convolutions followed by ten sparse operator
-applications.
+explicitly.  The bilinear term touches its first argument only through ten
+moments; `_bilinear` evaluates its mode convolutions pseudo-spectrally on a
+dealiased grid, in O(n_modes * M) memory for M Hermite coefficients per mode.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
@@ -26,6 +25,7 @@ External formats owned by this module: flat key=value config files, the
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -146,33 +146,22 @@ class _Workspace:
         self.N, self.K, self.d_x, self.r = N, K, d_x, r
         self.basis = get_basis(N)
         self.ops = get_operators(N)
-        if d_x == 0:
-            self.modes = [()]
-        else:
-            axis = range(-K, K + 1)
-            self.modes = sorted(itertools.product(axis, repeat=d_x))
+        self.modes = sorted(itertools.product(range(-K, K + 1), repeat=d_x))  # d_x=0: [()]
         self.n_modes = len(self.modes)
         self.mode_index = {m: i for i, m in enumerate(self.modes)}
-        if d_x == 0:
-            eta = np.zeros((1, 1))
-        else:
-            eta = np.array(self.modes, dtype=np.float64).reshape(self.n_modes, d_x)
-        self.eta = eta
-        self.eta_sq = np.sum(eta**2, axis=1)
+        self.eta = np.array(self.modes, dtype=np.float64).reshape(self.n_modes, d_x)
+        self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
-        self.neg_index = np.array(
-            [self.mode_index[tuple(-c for c in m)] for m in self.modes], dtype=np.int64
-        )
-        # difference table for the mode convolution: diff[a, b] = index of
-        # modes[a] - modes[b], or -1 when it falls off the lattice
-        diff = np.full((self.n_modes, self.n_modes), -1, dtype=np.int64)
-        for a, ma in enumerate(self.modes):
-            for b, mb in enumerate(self.modes):
-                d = tuple(x - y for x, y in zip(ma, mb))
-                idx = self.mode_index.get(d)
-                if idx is not None:
-                    diff[a, b] = idx
-        self.diff = diff
+        self.neg_index = np.arange(self.n_modes)[::-1]  # eta -> -eta reverses the order
+        # the grid of _bilinear, L >= 3K+1 points per axis: mode eta sits at
+        # the flat index of (eta mod L)
+        L = _fast_len(3 * K + 1)
+        self.grid_shape, self.grid_axes = (L,) * d_x, tuple(range(1, d_x + 1))
+        axis = np.arange(-K, K + 1) % L
+        self.grid_index = np.zeros(1, dtype=np.int64)
+        for _ in range(d_x):
+            self.grid_index = (self.grid_index[:, None] * L + axis).ravel()
+        self.moment_stack = sp.hstack(self.ops.moment_operators, format="csr")
         b = self.basis
         self.V = [b.coordinate(ax) for ax in range(3)]
         self.D = [b.derivative(ax) for ax in range(3)]
@@ -198,22 +187,36 @@ class _Workspace:
             self._solve_cache[key] = inv
         return self._solve_cache[key]
 
+    @functools.cached_property
+    def dissipation_form(self) -> sp.csr_matrix:
+        """Quadratic form Q of the dissipation seminorm of `triple_norm`, as
+        the operator sum (exact at the cap)."""
+        Q = sp.csr_matrix((self.basis.size, self.basis.size))
+        for ax in range(3):
+            D, V = self.D[ax], self.V[ax]
+            Q = Q + 2.0 * (D.T @ D) + 0.5 * (V.T @ V)
+        for A in self.rot_pairs:
+            Q = Q + 0.5 * (A.T @ A)
+        return Q.tocsr()
+
+    @functools.cached_property
+    def moment_stack_adjoint(self) -> sp.csr_matrix:
+        """[G_0^T | ... | G_9^T], the stack of the g-slot adjoint."""
+        return sp.hstack([G.T for G in self.ops.moment_operators], format="csr")
+
+    @functools.cached_property
     def dissipation_metric_inverses(self) -> list[np.ndarray]:
-        """Per-level inverses of (Q + I) where Q is the quadratic form of the
-        dissipation seminorm (operator-sum version, exact at the cap)."""
-        if not hasattr(self, "_metric_inv"):
-            Q = sp.csr_matrix((self.basis.size, self.basis.size))
-            for ax in range(3):
-                D, V = self.D[ax], self.V[ax]
-                Q = Q + 2.0 * (D.T @ D) + 0.5 * (V.T @ V)
-            for A in self.rot_pairs:
-                Q = Q + 0.5 * (A.T @ A)
-            inv = []
-            for sl in self.basis.level_slices:
-                dim = sl.stop - sl.start
-                inv.append(np.linalg.inv(Q[sl, sl].toarray() + np.eye(dim)))
-            self._metric_inv = inv
-        return self._metric_inv
+        """Per-level inverses of (Q + I), Q the dissipation quadratic form."""
+        Q = self.dissipation_form
+        return [
+            np.linalg.inv(Q[sl, sl].toarray() + np.eye(sl.stop - sl.start))
+            for sl in self.basis.level_slices
+        ]
+
+    def dissipation_sq(self, c: np.ndarray) -> float:
+        """Squared dissipation seminorm: sum_eta <eta>^(2r) Re <c_eta, Q c_eta>."""
+        qc = _sparse_right(c, self.dissipation_form)
+        return float(np.dot(self.h_weight, np.sum((np.conj(c) * qc).real, axis=1)))
 
     def trilinear_constant(self, n_starts: int = 2, n_iters: int = 30) -> float:
         """Empirical constant C0 in the trilinear bound
@@ -229,81 +232,49 @@ class _Workspace:
             return self._c0_hat
         rng = np.random.default_rng(12345)
         w = self.h_weight
-        valid = self.diff >= 0
-        diff_c = np.clip(self.diff, 0, None)
+        slots = self.ops.moment_slots
 
-        def metric_inv(x):
+        def ascent(x):  # metric-preconditioned direction, normalized
             out = np.empty_like(x)
-            for sl, inv in zip(self.basis.level_slices, self.dissipation_metric_inverses()):
+            for sl, inv in zip(self.basis.level_slices, self.dissipation_metric_inverses):
                 out[:, sl] = x[:, sl] @ inv
-            return out / w[:, None]
-
-        def seminorm_plus_norm(c):
-            total = np.zeros(self.n_modes)
-            for ax in range(3):
-                total += 2.0 * np.sum(np.abs((self.D[ax] @ c.T).T) ** 2, axis=1)
-                total += 0.5 * np.sum(np.abs((self.V[ax] @ c.T).T) ** 2, axis=1)
-            for A in self.rot_pairs:
-                total += 0.5 * np.sum(np.abs((A @ c.T).T) ** 2, axis=1)
-            semi = math.sqrt(float(np.sum(w * total)))
-            plain = math.sqrt(float(np.sum(w[:, None] * np.abs(c) ** 2)))
-            return semi + plain
+            out = out / w[:, None]
+            return out / np.linalg.norm(out)
 
         def weighted_norm(c):
             return math.sqrt(float(np.sum(w[:, None] * np.abs(c) ** 2)))
 
-        def pairing(fc, gc, hc):
-            mom = fc[:, self.ops.moment_slots]
-            coefs = [np.where(valid, mom[diff_c, m], 0.0) for m in range(10)]
-            total = 0.0 + 0.0j
-            for m, G in enumerate(self.ops.moment_operators):
-                conv = coefs[m] @ gc
-                total += np.sum(w[:, None] * ((G @ conv.T).T) * np.conj(hc))
-            return total
+        def seminorm_plus_norm(c):
+            return math.sqrt(self.dissipation_sq(c)) + weighted_norm(c)
 
         def f_optimum(gc, hc):
             fc = np.zeros_like(gc)
-            wh = w[:, None] * hc
-            for m, G in enumerate(self.ops.moment_operators):
-                P = np.conj(wh) @ ((G @ gc.T).T).T  # P[a, b] = w_a <h_a, G g_b>
-                Wm = np.zeros(self.n_modes, dtype=np.complex128)
-                np.add.at(Wm, diff_c[valid], P[valid])
-                fc[:, self.ops.moment_slots[m]] = np.conj(Wm) / w
+            W = _bilinear_adjoint_f(self, gc, w[:, None] * hc)
+            fc[:, slots] = np.conj(W) / w[:, None]
             n = np.linalg.norm(fc)
             return fc / n if n > 0 else fc
 
         best = 0.0
         mask = (self.basis.levels <= min(4, self.N))[None, :]
+        shape = (self.n_modes, self.basis.size)
+
+        def draw():
+            c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
+            return c / np.linalg.norm(c)
+
         for _ in range(n_starts):
-            gc = (
-                rng.standard_normal((self.n_modes, self.basis.size))
-                + 1j * rng.standard_normal((self.n_modes, self.basis.size))
-            ) * mask
-            hc = (
-                rng.standard_normal((self.n_modes, self.basis.size))
-                + 1j * rng.standard_normal((self.n_modes, self.basis.size))
-            ) * mask
-            gc /= np.linalg.norm(gc)
-            hc /= np.linalg.norm(hc)
+            gc = draw()
+            hc = draw()
             fc = f_optimum(gc, hc)
             for _ in range(n_iters):
-                mom = fc[:, self.ops.moment_slots]
-                coefs = [np.where(valid, mom[diff_c, m], 0.0) for m in range(10)]
+                mom = fc[:, slots]
                 # h-gradient of the pairing
-                V = np.zeros_like(hc)
-                for m, G in enumerate(self.ops.moment_operators):
-                    V += (G @ (coefs[m] @ gc).T).T
-                hc = metric_inv(w[:, None] * V)
-                hc /= np.linalg.norm(hc)
-                # g-gradient: adjoint of the mode convolution
-                U = np.zeros_like(gc)
-                for m, G in enumerate(self.ops.moment_operators):
-                    Hm = (G.T @ hc.T).T
-                    U += (np.conj(coefs[m]) * w[:, None]).T @ Hm
-                gc = metric_inv(U)
-                gc /= np.linalg.norm(gc)
+                hc = ascent(w[:, None] * _bilinear(self, mom, gc))
+                # g-gradient
+                gc = ascent(_bilinear_adjoint_g(self, mom, w[:, None] * hc))
                 fc = f_optimum(gc, hc)
-            val = abs(pairing(fc, gc, hc)) / (
+            pairing = np.sum(w[:, None] * _bilinear(self, fc[:, slots], gc) * np.conj(hc))
+            val = abs(pairing) / (
                 weighted_norm(fc) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc)
             )
             best = max(best, float(val))
@@ -365,63 +336,95 @@ def apply_transport(state: PhaseState) -> PhaseState:
     return PhaseState(state.config, out, state.time)
 
 
-def _conv_moment_fields(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Mode convolutions sum_b mom[a-b, m] g[b, :] for the ten moments.
+def _fast_len(n: int) -> int:
+    """Smallest 2,3,5-smooth integer >= n: an FFT-friendly grid length."""
+    k = n
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return n if k == 1 else _fast_len(n + 1)
 
-    Returns array of shape (10, n_modes, M).  Direct summation via the
-    difference table (the lattice is small at desk scale).
+
+def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
+    """Grid values (P, L**d_x) of the lattice polynomials whose mode
+    coefficients are the columns of c (n_modes, P)."""
+    grid = np.zeros((c.shape[1],) + ws.grid_shape, dtype=np.complex128)
+    grid.reshape(c.shape[1], -1)[:, ws.grid_index] = c.T
+    return np.fft.ifftn(grid, axes=ws.grid_axes, norm="forward").reshape(c.shape[1], -1)
+
+
+def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
+    """Lattice coefficients (n_modes, P) of grid values x (P, L**d_x); modes
+    off the lattice are dropped."""
+    P = x.shape[0]
+    x = np.fft.fftn(x.reshape((P,) + ws.grid_shape), axes=ws.grid_axes, norm="forward")
+    return np.ascontiguousarray(x.reshape(P, -1)[:, ws.grid_index].T)
+
+
+# bytes of the work array of _grid_product, two blocks at the desk grid
+# (d_x = 1, N = 16): larger blocks save little time but add their size to RSS
+_BLOCK_BYTES = 2 << 20
+
+
+def _grid_product(stack: sp.csr_matrix, ax: np.ndarray, bx: np.ndarray) -> np.ndarray:
+    """sum_m A_m (ax[m] * bx) for stack = [A_0 | ... | A_9] real (M, 10 M) and
+    grid values ax (10, n), bx (M, n); overwrites and returns bx.  Works on
+    blocks of grid points; the stack acts on each block's float64 view."""
+    M, n = bx.shape
+    width = min(n, max(1, _BLOCK_BYTES // (160 * M)))
+    work = np.empty(10 * M * width, dtype=np.complex128)
+    for start in range(0, n, width):
+        s = slice(start, min(start + width, n))
+        prod = work[: 10 * M * (s.stop - s.start)].reshape(10, M, -1)
+        np.multiply(ax[:, None, s], bx[None, :, s], out=prod)
+        bx[:, s] = (stack @ prod.reshape(10 * M, -1).view(np.float64)).view(np.complex128)
+    return bx
+
+
+def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_m G_m (mom[:, m] * g), * the mode convolution truncated to the
+    lattice: the bilinear term with its first argument given by its ten
+    moment fields mom (n_modes, 10).
+
+    Both factors are multiplied on a grid of L >= 3K+1 points per axis; the
+    product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
+    there, so the truncated convolution is exact (Orszag's 3/2 rule).
     """
-    valid = ws.diff >= 0
-    out = np.empty((10, ws.n_modes, g.shape[1]), dtype=np.complex128)
-    for m in range(10):
-        coef = np.where(valid, mom[np.clip(ws.diff, 0, None), m], 0.0)
-        out[m] = coef @ g
-    return out
+    product = _grid_product(ws.moment_stack, _to_grid(ws, mom), _to_grid(ws, g))
+    return _from_grid(ws, product)
 
 
-def _conv_moment_fields_fft(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """FFT evaluation of the same convolutions (zero-padded, exact)."""
-    d = ws.d_x
-    if d == 0:
-        return _conv_moment_fields(ws, mom, g)
-    n = 2 * ws.K + 1
-    full = 2 * n - 1
-    lat = (n,) * d
-    g_lat = g.reshape(lat + (g.shape[1],))
-    mom_lat = mom.reshape(lat + (10,))
-    axes = tuple(range(d))
-    G = np.fft.fftn(g_lat, s=(full,) * d, axes=axes)
-    out = np.empty((10, ws.n_modes, g.shape[1]), dtype=np.complex128)
-    for m in range(10):
-        A = np.fft.fftn(mom_lat[..., m], s=(full,) * d, axes=axes)
-        prod = np.fft.ifftn(A[..., None] * G, axes=axes)
-        # the difference index (a-b) + K plus the summation index b lands the
-        # output mode a at linear-convolution offset a + K per axis
-        sel = tuple(slice(ws.K, ws.K + n) for _ in range(d))
-        out[m] = prod[sel].reshape(ws.n_modes, g.shape[1])
-    return out
+def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """U with sum(conj(h) * _bilinear(ws, mom, g)) == vdot(U, g) for every g:
+    the transposed stack's grid product with the conjugated moment fields."""
+    mx = np.conj(_to_grid(ws, mom))
+    return _from_grid(ws, _grid_product(ws.moment_stack_adjoint, mx, _to_grid(ws, h)))
 
 
-def gamma_conv(f_state: PhaseState, g_state: PhaseState, use_fft: bool = False) -> PhaseState:
+def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """W (n_modes, 10) with sum(conj(h) * _bilinear(ws, mom, g)) ==
+    sum(mom * W) for every mom: W[c, m] is the coefficient at mode -c of
+    sum_alpha conj(h) (G_m g) on the grid."""
+    gx = _to_grid(ws, g).view(np.float64)
+    hx = np.conj(_to_grid(ws, h))
+    out = np.empty((10, hx.shape[1]), dtype=np.complex128)
+    for m, G in enumerate(ws.ops.moment_operators):
+        out[m] = np.einsum("ax,ax->x", hx, (G @ gx).view(np.complex128))
+    return _from_grid(ws, out)[ws.neg_index]
+
+
+def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     """Bilinear collision term lifted to x-dependence: per output mode the
     sum over mode pairs of the velocity-space bilinear term, with the
     f-dependence entering only through per-mode moments.
 
-    Out-of-lattice convolution terms are dropped.  The optional FFT path must
-    agree with direct summation to 1e-12.
+    Out-of-lattice terms are dropped; `_bilinear` evaluates it on a grid of
+    >= 3K+1 points per axis, in O(n_modes M) memory.
     """
     if f_state.config is not g_state.config and f_state.config != g_state.config:
         raise ValueError("states must share a config")
     ws = f_state.workspace
-    mom = f_state.c[:, ws.ops.moment_slots]
-    fields10 = (
-        _conv_moment_fields_fft(ws, mom, g_state.c)
-        if use_fft
-        else _conv_moment_fields(ws, mom, g_state.c)
-    )
-    out = np.zeros_like(g_state.c)
-    for m, G in enumerate(ws.ops.moment_operators):
-        out += _sparse_right(fields10[m], G)
+    out = _bilinear(ws, f_state.c[:, ws.ops.moment_slots], g_state.c)
     return PhaseState(f_state.config, out, g_state.time)
 
 
@@ -437,27 +440,23 @@ def step_imex(
 
     `frozen_moment_fields` (shape (n_modes, 10)) substitutes the moments of a
     frozen first argument in the bilinear term (Picard mode).  The divergence
-    guard aborts when the weighted norm exceeds twice `guard_norm`.
+    guard aborts unless the weighted norm is at most twice `guard_norm`.
     """
     ws = state.workspace
     rhs = state.c.copy()
     for j in range(state.config.d_x):
         rhs -= (1j * dt) * ws.eta[:, j : j + 1] * _sparse_right(state.c, ws.V[j])
     if gamma_on:
-        mom = (
-            frozen_moment_fields
-            if frozen_moment_fields is not None
-            else state.c[:, ws.ops.moment_slots]
-        )
-        fields10 = _conv_moment_fields(ws, mom, state.c)
-        for m, G in enumerate(ws.ops.moment_operators):
-            rhs += dt * _sparse_right(fields10[m], G)
+        mom = frozen_moment_fields
+        if mom is None:
+            mom = state.c[:, ws.ops.moment_slots]
+        rhs += dt * _bilinear(ws, mom, state.c)
     out = np.empty_like(rhs)
     for n, inv in enumerate(ws.implicit_inverses(dt)):
         sl = ws.basis.level_slices[n]
         out[:, sl] = rhs[:, sl] @ inv  # inv is symmetric
     new = PhaseState(state.config, out, state.time + dt)
-    if guard_norm is not None and h_r_norm(new) > 2.0 * guard_norm:
+    if guard_norm is not None and not h_r_norm(new) <= 2.0 * guard_norm:
         raise SolverDivergenceError(
             f"weighted norm doubled at t = {new.time:.6g}; the datum left the "
             "perturbative regime"
@@ -468,19 +467,13 @@ def step_imex(
 def triple_norm(state: PhaseState) -> float:
     """Dissipation seminorm: per mode
     2 sum_j (|d_j g|^2 + |v_j g|^2 / 4) + (1/2) sum_{j!=k} |L_{k,j} g|^2,
-    weighted by <eta>^(2r) and summed over modes, square-rooted.
+    weighted by <eta>^(2r) and summed over modes, square-rooted.  Evaluated
+    as the single quadratic form Re <g, Q g> of `_Workspace.dissipation_form`.
 
     For states of degree <= N-1 this satisfies
     triple_norm^2 = Re(L1 g, g) + 3 ||g||^2 per mode.
     """
-    ws = state.workspace
-    total = np.zeros(ws.n_modes)
-    for ax in range(3):
-        total += 2.0 * np.sum(np.abs(_sparse_right(state.c, ws.D[ax])) ** 2, axis=1)
-        total += 0.5 * np.sum(np.abs(_sparse_right(state.c, ws.V[ax])) ** 2, axis=1)
-    for A in ws.rot_pairs:
-        total += 0.5 * np.sum(np.abs(_sparse_right(state.c, A)) ** 2, axis=1)
-    return math.sqrt(float(np.sum(ws.h_weight * total)))
+    return math.sqrt(state.workspace.dissipation_sq(state.c))
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +575,20 @@ class RunResult:
     energy_constant: float
 
 
+def _divergence_guard(datum: PhaseState) -> float | None:
+    """Guard norm of a march from datum (None if zero); rejects non-finite."""
+    norm = h_r_norm(datum)
+    if not math.isfinite(norm):
+        raise ValueError(f"initial datum has non-finite weighted norm {norm}")
+    return norm if norm > 0 else None
+
+
 def run(config: SolverConfig, initial: PhaseState | None = None, gamma_on: bool = True) -> RunResult:
     """March the configured scheme from the recipe (or a provided datum) to
     time T, recording the energy ledger every step and state snapshots at the
     record_every cadence."""
     state = initial.copy() if initial is not None else build_initial_state(config)
-    guard = h_r_norm(state)
-    guard = guard if guard > 0 else None
+    guard = _divergence_guard(state)
     n_steps = int(round(config.T / config.dt))
     ledger = EnergyLedger()
     tn = triple_norm(state)
@@ -675,8 +675,7 @@ def picard_solve(
     max_iter = config.picard_max_iter if max_iter is None else max_iter
     n_steps = int(round(T / config.dt))
     ws = g0.workspace
-    guard = h_r_norm(g0)
-    guard = guard if guard > 0 else None
+    guard = _divergence_guard(g0)
     weights = np.sqrt(ws.h_weight)
     c0_hat = ws.trilinear_constant()
 

@@ -1,6 +1,7 @@
 """Exact kinetic-transport propagator and the splitting march against it."""
 
 import math
+import warnings
 
 import numpy as np
 
@@ -74,6 +75,15 @@ def test_smoothing_norm_limits():
     assert abs(smoothing_norm(s, 0.7) - math.sqrt(s.total_mass())) < 1e-12
     out = exact_propagate(s, 0.3)
     assert abs(smoothing_norm(out, 0.0) - math.sqrt(out.total_mass())) < 1e-12
+
+
+def test_smoothing_norm_warning_free_with_zero_amplitudes():
+    s = gaussian_state(dims=1, eta_max=4)
+    s.values[0] = 0.0  # exact zeros take the log(0) = -inf branch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = smoothing_norm(s, 0.7)
+    assert abs(val - math.sqrt(s.total_mass())) < 1e-12
 
 
 def test_smoothing_norm_finite_and_decreasing_at_half_floor():

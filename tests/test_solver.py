@@ -163,15 +163,60 @@ def test_gamma_conv_bilinear():
     assert np.max(np.abs(lhs2.c - rhs2)) < 1e-12
 
 
-def test_gamma_conv_fft_path_agrees():
+def test_gamma_conv_matches_direct_sum():
+    # brute force over mode pairs (a, b) with a - b on the lattice, each pair
+    # through the velocity-space bilinear term; non-Hermitian states
+    from landau_hermite.solver import _Workspace
+
     rng = np.random.default_rng(55)
-    for d_x, K in ((1, 3), (2, 2)):
+    for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
         cfg = small_config(d_x=d_x, K=K)
+        ws = _Workspace.for_config(cfg)
         f = random_state(cfg, rng)
         g = random_state(cfg, rng)
-        direct = gamma_conv(f, g, use_fft=False)
-        fast = gamma_conv(f, g, use_fft=True)
-        assert np.max(np.abs(direct.c - fast.c)) < 1e-12
+        mom = f.c[:, ws.ops.moment_slots]
+        direct = np.zeros_like(g.c)
+        for a, eta in enumerate(ws.modes):
+            for b, zeta in enumerate(ws.modes):
+                diff = tuple(x - y for x, y in zip(eta, zeta))
+                if diff in ws.mode_index:
+                    direct[a] += ws.ops.apply_gamma_coeffs(mom[ws.mode_index[diff]], g.c[b])
+        fast = gamma_conv(f, g)
+        assert np.max(np.abs(direct - fast.c)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_trilinear_adjoints_match_weighted_pairing():
+    # the g-slot and f-slot contractions of trilinear_constant are adjoints
+    # of the kernel in the weighted pairing (B(f, g), h)_w
+    from landau_hermite.solver import (
+        _Workspace,
+        _bilinear_adjoint_f,
+        _bilinear_adjoint_g,
+    )
+
+    rng = np.random.default_rng(60)
+    for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
+        cfg = small_config(d_x=d_x, K=K)
+        ws = _Workspace.for_config(cfg)
+        f, g, h = (random_state(cfg, rng) for _ in range(3))
+        mom = f.c[:, ws.ops.moment_slots]
+        wh = ws.h_weight[:, None] * h.c
+        pairing = np.sum(gamma_conv(f, g).c * np.conj(wh))
+        g_slot = np.vdot(_bilinear_adjoint_g(ws, mom, wh), g.c)
+        f_slot = np.sum(mom * _bilinear_adjoint_f(ws, g.c, wh))
+        assert abs(g_slot - pairing) <= 1e-12 * abs(pairing)
+        assert abs(f_slot - pairing) <= 1e-12 * abs(pairing)
+
+
+def test_workspace_memory_is_linear_in_modes():
+    # no table over mode pairs: the d_x = 3, K = 8 grid builds in O(n_modes)
+    from landau_hermite.solver import _Workspace
+
+    ws = _Workspace(8, 8, 3, 2.0)
+    assert ws.n_modes == 17**3
+    for name, value in vars(ws).items():
+        if isinstance(value, np.ndarray):
+            assert value.size < ws.n_modes**2, name
 
 
 def test_gamma_conv_conservation_per_mode():
@@ -255,6 +300,27 @@ def test_divergence_guard_fires():
             state.c *= 1.05  # inject growth the guard must catch
 
 
+def test_divergence_guard_fires_on_non_finite_state():
+    cfg = small_config(d_x=0, K=0)
+    s = PhaseState(cfg, np.zeros((1, get_basis(8).size)), 0.0)
+    put_slice(s, (), unit_spectrum(8, (0, 0, 0)))
+    s.c[0, 3] = np.nan
+    with pytest.raises(SolverDivergenceError):
+        step_imex(s, cfg.dt, guard_norm=1.0)
+
+
+def test_non_finite_datum_rejected():
+    cfg = small_config(T=0.05)
+    rng = np.random.default_rng(61)
+    for bad in (np.inf, np.nan):
+        g0 = random_state(cfg, rng, scale=1e-3)
+        g0.c[2, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run(cfg, initial=g0)
+        with pytest.raises(ValueError, match="non-finite"):
+            picard_solve(g0)
+
+
 def test_triple_norm_examples():
     cfg = small_config(d_x=0, K=0)
     zero = PhaseState(cfg, np.zeros((1, get_basis(8).size)), 0.0)
@@ -277,6 +343,25 @@ def test_triple_norm_coercivity_identity():
         quad = np.sum(ws.h_weight[:, None] * l1 * np.conj(s.c)).real
         norm_sq = h_r_norm(s) ** 2
         assert abs(lhs - (quad + 3.0 * norm_sq)) < 1e-10
+
+
+def test_triple_norm_matches_operator_sum():
+    # the quadratic form against the explicit sum over the twelve operators
+    from landau_hermite.solver import _Workspace
+
+    rng = np.random.default_rng(62)
+    for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
+        cfg = small_config(d_x=d_x, K=K)
+        ws = _Workspace.for_config(cfg)
+        s = random_state(cfg, rng)
+        total = np.zeros(ws.n_modes)
+        for ax in range(3):
+            total += 2.0 * np.sum(np.abs((ws.D[ax] @ s.c.T).T) ** 2, axis=1)
+            total += 0.5 * np.sum(np.abs((ws.V[ax] @ s.c.T).T) ** 2, axis=1)
+        for A in ws.rot_pairs:
+            total += 0.5 * np.sum(np.abs((A @ s.c.T).T) ** 2, axis=1)
+        expected = math.sqrt(float(np.sum(ws.h_weight * total)))
+        assert abs(triple_norm(s) - expected) <= 1e-13 * expected
 
 
 def test_linear_flow_norm_decay():
