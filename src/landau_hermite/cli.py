@@ -34,22 +34,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     cfg = sv.load_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
     if cfg.scheme == "picard":
-        g0 = sv.build_initial_state(cfg)
-        trajectory, report = sv.picard_solve(g0)
-        ledger = sv.EnergyLedger()
-        dissipation = 0.0
-        tn_prev = None
-        snapshots = []
-        for k, state in enumerate(trajectory):
-            tn = sv.triple_norm(state)
-            if tn_prev is not None:
-                dissipation += cfg.dt * tn_prev**2
-            ledger.append(state.time, sv.h_r_norm(state), tn, dissipation)
-            tn_prev = tn
-            if cfg.record_every and (
-                k % cfg.record_every == 0 or k == len(trajectory) - 1
-            ):
-                snapshots.append((state.time, state))
+        trajectory, report = sv.picard_solve(sv.build_initial_state(cfg))
+        result = sv.record_states(trajectory, cfg.dt, cfg.record_every)
         rep = {
             "converged": report.converged,
             "non_contraction": report.non_contraction,
@@ -72,9 +58,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
         )
     else:
         result = sv.run(cfg)
-        ledger = result.ledger
-        snapshots = result.snapshots
-    _write(os.path.join(out_dir, "ledger.csv"), ledger.to_csv())
+    snapshots = result.snapshots
+    _write(os.path.join(out_dir, "ledger.csv"), result.ledger.to_csv())
     series = dg.series_from_snapshots(snapshots)
     _write(os.path.join(out_dir, "spectra.csv"), dg.write_spectra_csv(series))
     for t, state in snapshots:

@@ -53,6 +53,7 @@ __all__ = [
     "gamma_conv",
     "step_imex",
     "run",
+    "record_states",
     "picard_solve",
     "write_snapshot",
     "read_snapshot",
@@ -87,10 +88,23 @@ class SolverConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
+        for name in ("dt", "T", "r", "picard_tol", "c0", "g0_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.r <= 1.5:
             raise ValueError("r must exceed 3/2")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.T < 0:
+            raise ValueError("T must be >= 0")
+        if self.picard_tol < 0:
+            raise ValueError("picard_tol must be >= 0")
+        if self.picard_max_iter < 1:
+            raise ValueError("picard_max_iter must be at least 1")
+        if self.g0_norm < 0:
+            raise ValueError("g0_norm must be >= 0")
+        if self.record_every < 0 or self.snapshot_every < 0:
+            raise ValueError("record_every and snapshot_every must be >= 0")
         if self.N < 4:
             raise ValueError("N must be at least 4")
         if self.d_x not in (0, 1, 2, 3):
@@ -110,6 +124,7 @@ def parse_config_text(text: str) -> SolverConfig:
     """Flat key=value lines, UTF-8, '#' comments; keys are the SolverConfig
     field names."""
     values: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,6 +136,12 @@ def parse_config_text(text: str) -> SolverConfig:
         val = val.strip()
         if key not in _CONFIG_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"line {lineno}: duplicate config key {key!r} "
+                f"(first set on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         kind = _CONFIG_TYPES[key]
         if kind in ("int", int):
             values[key] = int(val)
@@ -575,6 +596,26 @@ class RunResult:
     energy_constant: float
 
 
+def record_states(states, dt: float, record_every: int) -> RunResult:
+    """Energy ledger and snapshots of a march given as its states, one per
+    step of size dt: the ledger gets every state, the snapshots every
+    record_every-th one plus the first and the last (only those two when
+    record_every is 0).  The states are kept, not copied."""
+    ledger = EnergyLedger()
+    snapshots = []
+    dissipation = 0.0
+    for k, state in enumerate(states):
+        if k:
+            dissipation += dt * tn**2
+        tn = triple_norm(state)
+        ledger.append(state.time, h_r_norm(state), tn, dissipation)
+        if k == 0 or (record_every and k % record_every == 0):
+            snapshots.append((state.time, state))
+    if snapshots[-1][1] is not state:
+        snapshots.append((state.time, state))
+    return RunResult(ledger, snapshots, ledger.energy_constant())
+
+
 def _divergence_guard(datum: PhaseState) -> float | None:
     """Guard norm of a march from datum (None if zero); rejects non-finite."""
     norm = h_r_norm(datum)
@@ -590,19 +631,14 @@ def run(config: SolverConfig, initial: PhaseState | None = None, gamma_on: bool 
     state = initial.copy() if initial is not None else build_initial_state(config)
     guard = _divergence_guard(state)
     n_steps = int(round(config.T / config.dt))
-    ledger = EnergyLedger()
-    tn = triple_norm(state)
-    ledger.append(state.time, h_r_norm(state), tn, 0.0)
-    snapshots = [(state.time, state.copy())]
-    dissipation = 0.0
-    for k in range(1, n_steps + 1):
-        dissipation += config.dt * tn**2
-        state = step_imex(state, config.dt, gamma_on=gamma_on, guard_norm=guard)
-        tn = triple_norm(state)
-        ledger.append(state.time, h_r_norm(state), tn, dissipation)
-        if config.record_every and (k % config.record_every == 0 or k == n_steps):
-            snapshots.append((state.time, state.copy()))
-    return RunResult(ledger, snapshots, ledger.energy_constant())
+
+    def march(state):
+        yield state
+        for _ in range(n_steps):
+            state = step_imex(state, config.dt, gamma_on=gamma_on, guard_norm=guard)
+            yield state
+
+    return record_states(march(state), config.dt, config.record_every)
 
 
 @dataclass
@@ -624,29 +660,37 @@ class PicardReport:
 
 
 def _march_linear(
-    config: SolverConfig,
     g0: PhaseState,
-    n_steps: int,
+    traj: np.ndarray,
     frozen: np.ndarray | None,
     guard: float | None,
-) -> np.ndarray:
-    """March the linear equation with a frozen bilinear argument; returns the
-    whole trajectory stacked as (n_steps+1, n_modes, M)."""
-    ws = g0.workspace
-    traj = np.empty((n_steps + 1,) + g0.c.shape, dtype=np.complex128)
-    traj[0] = g0.c
-    state = g0.copy()
-    for k in range(1, n_steps + 1):
-        fmf = None if frozen is None else frozen[k - 1]
+) -> tuple[float, float]:
+    """March the linear equation with a frozen bilinear argument (the step
+    leaving time step k uses the moment fields frozen[k]; None drops the
+    bilinear term) from g0, whose coefficients traj[0] holds, overwriting
+    traj[1:] step by step.
+
+    Returns the sup-in-time weighted distance between the new trajectory and
+    the one it overwrote, and the new trajectory's sup-in-time weighted norm.
+    If a step trips the divergence guard, the steps before it are already
+    overwritten.
+    """
+    weights = np.sqrt(g0.workspace.h_weight)[:, None]
+    state = g0
+    sup_distance, sup_norm = 0.0, h_r_norm(g0)
+    for k in range(1, traj.shape[0]):
         state = step_imex(
             state,
-            config.dt,
+            g0.config.dt,
             gamma_on=frozen is not None,
-            frozen_moment_fields=fmf,
+            frozen_moment_fields=None if frozen is None else frozen[k - 1],
             guard_norm=guard,
         )
+        diff = np.abs(state.c - traj[k]) * weights
+        sup_distance = max(sup_distance, math.sqrt(float(np.sum(diff**2))))
+        sup_norm = max(sup_norm, h_r_norm(state))
         traj[k] = state.c
-    return traj
+    return sup_distance, sup_norm
 
 
 def picard_solve(
@@ -668,6 +712,12 @@ def picard_solve(
       with C0 the workspace's measured trilinear constant (the contraction
       argument carries no warrant beyond it), or
     * an iterate trips the norm-doubling divergence guard.
+
+    Memory: one complex trajectory buffer of (n_steps+1) * n_modes * M
+    coefficients, which each iterate overwrites step by step while its
+    distance and norm are taken, plus the frozen moment fields of two
+    iterates, O(n_steps * n_modes) each.  The returned states are views of
+    that buffer.
     """
     config = g0.config
     T = config.T if T is None else T
@@ -676,44 +726,42 @@ def picard_solve(
     n_steps = int(round(T / config.dt))
     ws = g0.workspace
     guard = _divergence_guard(g0)
-    weights = np.sqrt(ws.h_weight)
     c0_hat = ws.trilinear_constant()
 
-    def sup_distance(a: np.ndarray, b: np.ndarray) -> float:
-        diff = np.abs(a - b) * weights[None, :, None]
-        return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
-
-    def sup_norm(traj: np.ndarray) -> float:
-        amp = np.abs(traj) ** 2 * ws.h_weight[None, :, None]
-        return float(np.max(np.sqrt(np.sum(amp, axis=(1, 2)))))
-
-    prev = _march_linear(config, g0, n_steps, frozen=None, guard=guard)
+    # zeros, not empty: the seed march's distance (discarded) reads the buffer
+    traj = np.zeros((n_steps + 1,) + g0.c.shape, dtype=np.complex128)
+    traj[0] = g0.c
+    frozen = None  # the moment fields that produced the iterate in traj
+    _, sup_norm = _march_linear(g0, traj, frozen, guard)
     distances: list = []
     lambdas: list = []
     converged = False
     non_contraction = False
     failed_iterate = None
     reason = None
-    smallness = 16.0 * sup_norm(prev) * c0_hat
+    smallness = 16.0 * sup_norm * c0_hat
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        smallness = max(smallness, 16.0 * sup_norm(prev) * c0_hat)
+        smallness = max(smallness, 16.0 * sup_norm * c0_hat)
         if smallness >= 1.0:
             non_contraction = True
             failed_iterate = it
             reason = "smallness"
             break
-        frozen = prev[:, :, ws.ops.moment_slots]
+        prev_frozen, frozen = frozen, traj[:, :, ws.ops.moment_slots]
         try:
-            cur = _march_linear(config, g0, n_steps, frozen=frozen, guard=guard)
+            d, sup_norm = _march_linear(g0, traj, frozen, guard)
         except SolverDivergenceError:
+            # traj is partly overwritten; the march is deterministic, so
+            # marching again from the frozen fields that produced the
+            # previous iterate restores it bit for bit
+            _march_linear(g0, traj, prev_frozen, guard)
             non_contraction = True
             failed_iterate = it
             reason = "divergence"
             lambdas.append(math.inf)
             break
-        d = sup_distance(cur, prev)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
             lam = distances[-1] / distances[-2]
@@ -722,14 +770,12 @@ def picard_solve(
                 non_contraction = True
                 failed_iterate = it
                 reason = "lambda"
-                prev = cur
                 break
-        prev = cur
         if d <= tol:
             converged = True
             break
     trajectory = [
-        PhaseState(config, prev[k], g0.time + k * config.dt)
+        PhaseState(config, traj[k], g0.time + k * config.dt)
         for k in range(n_steps + 1)
     ]
     report = PicardReport(
@@ -783,7 +829,7 @@ def read_snapshot(path, config: SolverConfig | None = None) -> PhaseState:
         r, time = struct.unpack("<dd", fh.read(16))
         if config is None:
             config = SolverConfig(N=N, K=K, d_x=d_x, r=r)
-        elif (config.N, config.K, config.d_x) != (N, K, d_x):
+        elif (config.N, config.K, config.d_x, config.r) != (N, K, d_x, r):
             raise ValueError("snapshot header does not match the given config")
         ws = _Workspace.for_config(config)
         raw = np.frombuffer(fh.read(), dtype="<f8")

@@ -4,6 +4,7 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ def test_snapshot_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         read_snapshot(p)
+
+
+def test_snapshot_rejects_header_of_another_config(tmp_path):
+    cfg = small_config()
+    path = tmp_path / "state.lnsp"
+    write_snapshot(path, build_initial_state(cfg))
+    assert read_snapshot(path, cfg).config is cfg
+    for other in (replace(cfg, r=2.5), replace(cfg, K=2)):
+        with pytest.raises(ValueError, match="header"):
+            read_snapshot(path, other)
 
 
 def run_cli(*args, cwd=None):

@@ -1,9 +1,15 @@
 """Phase-space march: transport, mode convolution, IMEX stepping, Picard."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from landau_hermite import solver
 
 from landau_hermite.hermite_core import get_basis, unit_spectrum
 from landau_hermite.landau_ops import gamma_apply
@@ -83,6 +89,47 @@ def test_config_parse_roundtrip():
     assert cfg.recipe == "gaussian" and abs(cfg.g0_norm - 1e-3) < 1e-18
     with pytest.raises(ValueError):
         parse_config_text("unknown_key = 3")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("dt", math.nan),
+        ("dt", math.inf),
+        ("r", math.nan),
+        ("T", math.inf),
+        ("T", -0.1),
+        ("picard_tol", math.nan),
+        ("picard_tol", -1e-9),
+        ("c0", math.inf),
+        ("g0_norm", -1.0),
+        ("g0_norm", math.nan),
+        ("record_every", -3),
+        ("snapshot_every", -1),
+        ("picard_max_iter", 0),
+    ],
+)
+def test_config_rejects_bad_value(name, value):
+    with pytest.raises(ValueError, match=name):
+        small_config(**{name: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["dt", "T", "r", "picard_tol", "c0", "g0_norm"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+def test_config_text_float_fields_are_finite(name, value):
+    try:
+        cfg = parse_config_text(f"N = 8\nK = 3\n{name} = {value!r}\n")
+    except ValueError:
+        return
+    assert math.isfinite(getattr(cfg, name))
+
+
+def test_config_duplicate_key_names_its_line():
+    with pytest.raises(ValueError, match=r"line 3: duplicate config key 'N' \(first set on line 1\)"):
+        parse_config_text("N = 8\nK = 3\nN = 12\n")
 
 
 def test_transport_zero_when_homogeneous():
@@ -406,6 +453,61 @@ def test_picard_contracts_and_matches_direct_march():
     final = traj[-1]
     diff = np.linalg.norm(final.c - state.c)
     assert diff <= 10.0 * cfg.picard_tol
+
+
+def test_record_states_cadence():
+    # every record_every-th state plus the first and the last
+    cfg = small_config(T=0.06, record_every=5)
+    for record_every, expected in ((5, [0, 5, 10, 12]), (0, [0, 12])):
+        res = run(replace(cfg, record_every=record_every), gamma_on=False)
+        assert [round(t / cfg.dt) for t, _ in res.snapshots] == expected
+        assert len(res.ledger.t) == 13
+
+
+def test_picard_memory_is_one_trajectory():
+    # one (n_steps+1, n_modes, M) buffer; the frozen moment fields and the
+    # per-step temporaries stay within a quarter of it
+    cfg = small_config(N=12, K=3, T=1.5, recipe="rough", g0_norm=1e-3, seed=5)
+    g0 = build_initial_state(cfg)
+    tracemalloc.start()
+    try:
+        traj, report = picard_solve(g0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged
+    assert peak <= 1.25 * len(traj) * g0.c.nbytes
+
+
+def test_picard_divergence_returns_previous_iterate(monkeypatch):
+    # a divergence halfway through the first frozen-moment march leaves the
+    # buffer partly overwritten; the report must name it and the returned
+    # trajectory must be the previous iterate, the free linear flow
+    cfg = small_config(T=0.1, recipe="rough", g0_norm=1e-3, seed=5)
+    g0 = build_initial_state(cfg)
+    n_steps = int(round(cfg.T / cfg.dt))
+    free = [g0.c]
+    state = g0
+    for _ in range(n_steps):
+        state = step_imex(state, cfg.dt, gamma_on=False)
+        free.append(state.c)
+    calls = []
+
+    def failing_step(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n_steps + n_steps // 2:
+            raise SolverDivergenceError("injected")
+        return step_imex(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_imex", failing_step)
+    traj, report = picard_solve(g0)
+    assert report.reason == "divergence" and report.non_contraction
+    assert report.failed_iterate == 1 and report.lambdas == [math.inf]
+    assert not report.converged and report.distances == []
+    assert len(traj) == n_steps + 1
+    for k, s in enumerate(traj):
+        assert np.array_equal(s.c, free[k]), k
+        assert s.time == g0.time + k * cfg.dt
 
 
 def test_linear_flow_contracts_to_invariants():
