@@ -9,7 +9,6 @@ fit recorded spectra.
 scheme it also writes picard_report.json.  `verify` prints one JSON record
 per check and exits nonzero if any fails.  `fit` turns a spectra CSV into a
 fitted-rates CSV.  Identical config and seed give byte-identical outputs.
-The LANDAU_THREADS environment variable caps suite parallelism.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ The smoothing signature is measured on two abscissas:
   harmonic-oscillator scale of level n.  Exponential decay on this axis is
   the Hermite-side analyticity gauge (a surrogate for the half-Laplacian
   functional, which is not diagonal on Hermite levels).
-* space side: log R_m against the shell radius m (analytic gauge), with a
-  quadratic-abscissa variant (m^2) for Gaussian profiles such as the exact
-  kinetic-transport oracle.
+* space side: log R_m against the shell radius m (analytic gauge).  A
+  Gaussian profile, such as the exact kinetic-transport oracle's, is fitted
+  on m^2 by passing that abscissa to `fit_decay_rate`.
 
 A fit on fewer than five resolved points is under-resolved: flagged, no
 values.  Each fit also runs an algebraic competitor (log-abscissa) and flags
@@ -90,18 +90,17 @@ def fit_decay_rate(
     abscissa: np.ndarray,
     values: np.ndarray,
     alt_abscissa: np.ndarray | None = None,
-    floor: float = RESOLVED_FLOOR,
     min_points: int = MIN_RESOLVED,
 ) -> FitResult | None:
     """Fit log(values) = intercept - rate * abscissa over resolved entries.
 
-    Returns None when fewer than min_points entries clear the floor.  When
+    Returns None when fewer than min_points entries clear RESOLVED_FLOOR.  When
     alt_abscissa is given, the same data are fitted against it and
     `exponential` records whether the primary (linear-in-abscissa) model wins.
     """
     abscissa = np.asarray(abscissa, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    mask = values > floor
+    mask = values > RESOLVED_FLOOR
     if int(np.sum(mask)) < min_points:
         return None
     x = abscissa[mask]
@@ -133,21 +132,18 @@ class RatePoint:
     x_exponential: bool
 
 
-def fit_rates(
-    t: float, hermite: np.ndarray, fourier: np.ndarray, gaussian_x: bool = False
-) -> RatePoint:
+def fit_rates(t: float, hermite: np.ndarray, fourier: np.ndarray) -> RatePoint:
     """Fit both spectra at one time.
 
     hermite: S_n for n = 0..N, fitted on sqrt(2n+3) with the algebraic
-    competitor log(2n+3).  fourier: R_m for m = 0..M, fitted on m (or m^2
-    when gaussian_x) with competitor log(1+m).
+    competitor log(2n+3).  fourier: R_m for m = 0..M, fitted on m with
+    competitor log(1+m).
     """
     n = np.arange(len(hermite))
     uv = np.sqrt(2.0 * n + 3.0)
     fit_v = fit_decay_rate(uv, hermite, alt_abscissa=np.log(2.0 * n + 3.0))
     m = np.arange(len(fourier))
-    ux = m.astype(np.float64) ** 2 if gaussian_x else m.astype(np.float64)
-    fit_x = fit_decay_rate(ux, fourier, alt_abscissa=np.log(1.0 + m))
+    fit_x = fit_decay_rate(m.astype(np.float64), fourier, alt_abscissa=np.log(1.0 + m))
     return RatePoint(
         t=t,
         c_v=None if fit_v is None else fit_v.rate,
@@ -167,10 +163,9 @@ class DiagnosticsSeries:
     hermite: list  # arrays S_n per time
     fourier: list  # arrays R_m per time
 
-    def rate_points(self, gaussian_x: bool = False) -> list[RatePoint]:
+    def rate_points(self) -> list[RatePoint]:
         return [
-            fit_rates(t, S, R, gaussian_x=gaussian_x)
-            for t, S, R in zip(self.times, self.hermite, self.fourier)
+            fit_rates(t, S, R) for t, S, R in zip(self.times, self.hermite, self.fourier)
         ]
 
 

@@ -245,13 +245,11 @@ def random_spectrum(
     N: int,
     rng: np.random.Generator,
     max_level: int | None = None,
-    complex_valued: bool = True,
 ) -> HermiteSpectrum:
-    """Random unit-norm spectrum supported on levels <= max_level (default N)."""
+    """Random unit-norm complex spectrum supported on levels <= max_level
+    (default N)."""
     basis = get_basis(N)
-    c = rng.standard_normal(basis.size)
-    if complex_valued:
-        c = c + 1j * rng.standard_normal(basis.size)
+    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     if max_level is not None:
         c = np.where(basis.levels <= max_level, c, 0.0)
     c = c / np.linalg.norm(c)

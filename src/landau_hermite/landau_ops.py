@@ -342,8 +342,9 @@ def _eval_poly_grids(
     dP: np.ndarray,
     n1d: int,
 ):
-    """Pointwise polynomial parts of s, of (d_j - v_j) s, and of d_k s on the
-    tensor grid, for a spectrum with index table `indices` (rows of alpha)."""
+    """Polynomial part p of a spectrum and its three partial derivatives
+    d_k p on the tensor grid, plus the per-basis-function tables of d_k p_alpha
+    (one row per alpha of the index table `indices`)."""
     npts = n1d**3
     # per-basis-function tensor values, assembled axis by axis
     V = (
@@ -364,57 +365,55 @@ def _eval_poly_grids(
         )
     val = coeffs @ V
     dval = [coeffs @ D[ax] for ax in range(3)]
-    return val, dval, V, D
+    return val, dval, D
 
 
-_A_TERMS: dict[tuple[int, int], list[tuple[float, tuple, tuple]]] = {}
-
-
-def _a_matrix_terms(k: int, j: int):
+@lru_cache(maxsize=None)
+def _a_matrix_terms(k: int, j: int) -> tuple:
     """Separated monomial expansion of the collision matrix entry
     a_kj(v - v*) = delta_kj |v - v*|^2 - (v_k - v*_k)(v_j - v*_j), as
     (coefficient, v-exponents, v*-exponents) triples.  0-based axes."""
-    key = (k, j)
-    if key not in _A_TERMS:
-        terms = []
-        if k == j:
-            for axis in range(3):
-                if axis == k:
-                    continue
-                ev = [0, 0, 0]
-                ev[axis] = 2
-                e1 = [0, 0, 0]
-                e1[axis] = 1
-                terms.append((1.0, tuple(ev), (0, 0, 0)))
-                terms.append((-2.0, tuple(e1), tuple(e1)))
-                terms.append((1.0, (0, 0, 0), tuple(ev)))
-        else:
-            ek = [0, 0, 0]
-            ek[k] = 1
-            ej = [0, 0, 0]
-            ej[j] = 1
-            ekj = [0, 0, 0]
-            ekj[k] += 1
-            ekj[j] += 1
-            terms.append((-1.0, tuple(ekj), (0, 0, 0)))
-            terms.append((1.0, tuple(ek), tuple(ej)))
-            terms.append((1.0, tuple(ej), tuple(ek)))
-            terms.append((-1.0, (0, 0, 0), tuple(ekj)))
-        _A_TERMS[key] = terms
-    return _A_TERMS[key]
+    terms = []
+    if k == j:
+        for axis in range(3):
+            if axis == k:
+                continue
+            ev = [0, 0, 0]
+            ev[axis] = 2
+            e1 = [0, 0, 0]
+            e1[axis] = 1
+            terms.append((1.0, tuple(ev), (0, 0, 0)))
+            terms.append((-2.0, tuple(e1), tuple(e1)))
+            terms.append((1.0, (0, 0, 0), tuple(ev)))
+    else:
+        ek = [0, 0, 0]
+        ek[k] = 1
+        ej = [0, 0, 0]
+        ej[j] = 1
+        ekj = [0, 0, 0]
+        ekj[k] += 1
+        ekj[j] += 1
+        terms.append((-1.0, tuple(ekj), (0, 0, 0)))
+        terms.append((1.0, tuple(ek), tuple(ej)))
+        terms.append((1.0, tuple(ej), tuple(ek)))
+        terms.append((-1.0, (0, 0, 0), tuple(ekj)))
+    return tuple(terms)
 
 
-def _oracle_at_order(
-    f: HermiteSpectrum, g: HermiteSpectrum, order: int
-) -> np.ndarray:
-    N = f.degree_cap
-    basis = get_basis(N)
-    indices = np.array(basis.indices, dtype=np.int64)
-    max_deg = N
+def _oracle_profiles(f: HermiteSpectrum, g: HermiteSpectrum, order: int):
+    """The tensor Gauss-Hermite grid of `order` points per axis and the
+    pointwise profiles both oracle bodies integrate on it.
 
+    Returns (w3, grid, star_f, star_df, g_plain, g_ladder, test_k): the
+    weights and the three coordinate arrays of the n^3 points, the v*-side
+    profiles sqrt(mu) f and sqrt(mu) (d_j - v*_j/2) f, the v-side profiles g
+    and (d_j - v_j) g (polynomial parts), and the polynomial parts of the
+    test functions (-d_k - v_k/2) Phi_beta, one row per beta.
+    """
+    indices = np.array(get_basis(f.degree_cap).indices, dtype=np.int64)
     nodes, wts = np.polynomial.hermite.hermgauss(order)
     x = math.sqrt(2.0) * nodes  # points where the e^{-v^2/2} weight lives
-    P, dP = _hermite_value_tables(max_deg, x)
+    P, dP = _hermite_value_tables(f.degree_cap, x)
 
     n1 = order
     w3 = (math.sqrt(2.0) ** 3) * (
@@ -425,6 +424,22 @@ def _oracle_at_order(
         np.broadcast_to(x[None, :, None], (n1, n1, n1)).reshape(-1),
         np.broadcast_to(x[None, None, :], (n1, n1, n1)).reshape(-1),
     ]
+    fval, fder, _ = _eval_poly_grids(f.coeffs, indices, P, dP, n1)
+    gval, gder, D = _eval_poly_grids(g.coeffs, indices, P, dP, n1)
+
+    mu_fac = (2.0 * math.pi) ** (-0.75)
+    star_f = mu_fac * fval
+    star_df = [mu_fac * (fder[ax] - grid[ax] * fval) for ax in range(3)]
+    g_ladder = [gder[ax] - grid[ax] * gval for ax in range(3)]
+    # test-side: polynomial part of (-d_k - v_k/2) Phi_beta is -d_k p_beta
+    test_k = [-D[ax] for ax in range(3)]
+    return w3, grid, star_f, star_df, gval, g_ladder, test_k
+
+
+def _oracle_at_order(
+    f: HermiteSpectrum, g: HermiteSpectrum, order: int
+) -> np.ndarray:
+    w3, grid, star_f, star_df, g_plain, g_ladder, test_k = _oracle_profiles(f, g, order)
 
     def monomial(exps):
         m = np.ones_like(grid[0])
@@ -433,20 +448,7 @@ def _oracle_at_order(
                 m = m * grid[ax] ** e
         return m
 
-    fval, fder, _, _ = _eval_poly_grids(f.coeffs, indices, P, dP, n1)
-    gval, gder, V, D = _eval_poly_grids(g.coeffs, indices, P, dP, n1)
-
-    mu_fac = (2.0 * math.pi) ** (-0.75)
-    # v*-side profiles: sqrt(mu) f  and  sqrt(mu) (d_j - v*_j/2) f
-    star_f = mu_fac * fval
-    star_df = [mu_fac * (fder[ax] - grid[ax] * fval) for ax in range(3)]
-    # v-side profiles of g
-    g_plain = gval
-    g_ladder = [gder[ax] - grid[ax] * gval for ax in range(3)]
-    # test-side: polynomial part of (-d_k - v_k/2) Phi_beta is -d_k p_beta
-    test_k = [-D[ax] for ax in range(3)]
-
-    out = np.zeros(basis.size, dtype=np.complex128)
+    out = np.zeros(test_k[0].shape[0], dtype=np.complex128)
     for k in range(3):
         for j in range(3):
             for coef, pexp, qexp in _a_matrix_terms(k, j):
@@ -498,31 +500,8 @@ def gamma_quadrature_oracle(
 def _oracle_full6d(f: HermiteSpectrum, g: HermiteSpectrum, order: int = 6) -> np.ndarray:
     """Literal 6-D tensor quadrature over (v, v*) pairs, for cross-checking
     the factored path in tests.  Cost grows like order^6; keep order small."""
-    N = f.degree_cap
-    basis = get_basis(N)
-    indices = np.array(basis.indices, dtype=np.int64)
-    nodes, wts = np.polynomial.hermite.hermgauss(order)
-    x = math.sqrt(2.0) * nodes
-    P, dP = _hermite_value_tables(N, x)
-    n1 = order
-    w3 = (math.sqrt(2.0) ** 3) * (
-        wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
-    ).reshape(-1)
-    grid = [
-        np.broadcast_to(x[:, None, None], (n1, n1, n1)).reshape(-1),
-        np.broadcast_to(x[None, :, None], (n1, n1, n1)).reshape(-1),
-        np.broadcast_to(x[None, None, :], (n1, n1, n1)).reshape(-1),
-    ]
-    fval, fder, _, _ = _eval_poly_grids(f.coeffs, indices, P, dP, n1)
-    gval, gder, V, D = _eval_poly_grids(g.coeffs, indices, P, dP, n1)
-    mu_fac = (2.0 * math.pi) ** (-0.75)
-    star_f = mu_fac * fval
-    star_df = [mu_fac * (fder[ax] - grid[ax] * fval) for ax in range(3)]
-    g_ladder = [gder[ax] - grid[ax] * gval for ax in range(3)]
-    test_k = [-D[ax] for ax in range(3)]
-
-    npts = n1**3
-    out = np.zeros(basis.size, dtype=np.complex128)
+    w3, grid, star_f, star_df, g_plain, g_ladder, test_k = _oracle_profiles(f, g, order)
+    out = np.zeros(test_k[0].shape[0], dtype=np.complex128)
     # pairwise collision matrix on the product grid, one (k, j) at a time
     dz = [grid[ax][:, None] - grid[ax][None, :] for ax in range(3)]  # v - v*
     z2 = dz[0] ** 2 + dz[1] ** 2 + dz[2] ** 2
@@ -532,6 +511,6 @@ def _oracle_full6d(f: HermiteSpectrum, g: HermiteSpectrum, order: int = 6) -> np
             # sum over v* for both f profiles
             inner1 = akj @ (w3 * star_f)  # (npts,)
             inner2 = akj @ (w3 * star_df[j])
-            integrand = inner1 * g_ladder[j] - inner2 * gval
+            integrand = inner1 * g_ladder[j] - inner2 * g_plain
             out += test_k[k] @ (w3 * integrand)
     return out

@@ -97,6 +97,12 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.T < 0:
             raise ValueError("T must be >= 0")
+        steps = self.T / self.dt  # inf when dt is tiny against T
+        if not (
+            math.isfinite(steps)
+            and abs(round(steps) * self.dt - self.T) <= 1e-12 * max(self.T, 1.0)
+        ):
+            raise ValueError("T must be an integer multiple of dt")
         if self.picard_tol < 0:
             raise ValueError("picard_tol must be >= 0")
         if self.picard_max_iter < 1:
@@ -239,15 +245,16 @@ class _Workspace:
         qc = _sparse_right(c, self.dissipation_form)
         return float(np.dot(self.h_weight, np.sum((np.conj(c) * qc).real, axis=1)))
 
-    def trilinear_constant(self, n_starts: int = 2, n_iters: int = 30) -> float:
+    def trilinear_constant(self) -> float:
         """Empirical constant C0 in the trilinear bound
 
             |(B(f,g), h)_weighted| <= C0 ||f|| (|||g||| + ||g||)(|||h||| + ||h||),
 
-        found by alternating maximization (the f slot has a closed-form
-        optimum because f enters through its ten moments per mode).  The
-        value is a certified lower bound on the true constant: it is the
-        exact ratio at an explicit triple.  Cached per workspace.
+        found by alternating maximization from two seeded random starts, 30
+        sweeps each (the f slot has a closed-form optimum because f enters
+        through its ten moments per mode).  The value is a certified lower
+        bound on the true constant: it is the exact ratio at an explicit
+        triple.  Cached per workspace.
         """
         if hasattr(self, "_c0_hat"):
             return self._c0_hat
@@ -283,11 +290,11 @@ class _Workspace:
             c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
             return c / np.linalg.norm(c)
 
-        for _ in range(n_starts):
+        for _ in range(2):
             gc = draw()
             hc = draw()
             fc = f_optimum(gc, hc)
-            for _ in range(n_iters):
+            for _ in range(30):
                 mom = fc[:, slots]
                 # h-gradient of the pairing
                 hc = ascent(w[:, None] * _bilinear(self, mom, gc))
@@ -649,7 +656,8 @@ class PicardReport:
     non_contraction: bool
     failed_iterate: int | None
     iterations: int
-    reason: str | None = None  # "lambda" | "smallness" | "divergence"
+    # None when converged, else "lambda" | "smallness" | "divergence" | "max_iter"
+    reason: str | None = None
     c0_estimate: float = math.nan
     smallness_product: float = math.nan
 
@@ -693,19 +701,17 @@ def _march_linear(
     return sup_distance, sup_norm
 
 
-def picard_solve(
-    g0: PhaseState,
-    T: float | None = None,
-    tol: float | None = None,
-    max_iter: int | None = None,
-) -> tuple[list[PhaseState], PicardReport]:
+def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
     """Linearization sequence: iterate n+1 solves the linear equation whose
     bilinear term freezes the first argument on iterate n; the seed iterate
-    is the free linear flow of the datum.
+    is the free linear flow of the datum.  The horizon T, the tolerance
+    picard_tol and the iterate cap picard_max_iter come from g0's config.
 
     Returns the final iterate's trajectory (states at every step) and a
     contraction report with the sup-in-time distances of successive
-    iterates.  The non-contraction guard fires (data too large) when
+    iterates.  A sequence that uses up picard_max_iter iterates without a
+    distance <= picard_tol and without a guard firing reports reason
+    "max_iter".  The non-contraction guard fires (data too large) when
 
     * an observed distance ratio reaches 1, or
     * the smallness condition 16 * sup_t ||iterate|| * C0 < 1 is violated,
@@ -720,10 +726,7 @@ def picard_solve(
     that buffer.
     """
     config = g0.config
-    T = config.T if T is None else T
-    tol = config.picard_tol if tol is None else tol
-    max_iter = config.picard_max_iter if max_iter is None else max_iter
-    n_steps = int(round(T / config.dt))
+    n_steps = int(round(config.T / config.dt))
     ws = g0.workspace
     guard = _divergence_guard(g0)
     c0_hat = ws.trilinear_constant()
@@ -741,7 +744,7 @@ def picard_solve(
     reason = None
     smallness = 16.0 * sup_norm * c0_hat
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, config.picard_max_iter + 1):
         iterations = it
         smallness = max(smallness, 16.0 * sup_norm * c0_hat)
         if smallness >= 1.0:
@@ -771,9 +774,11 @@ def picard_solve(
                 failed_iterate = it
                 reason = "lambda"
                 break
-        if d <= tol:
+        if d <= config.picard_tol:
             converged = True
             break
+    else:
+        reason = "max_iter"
     trajectory = [
         PhaseState(config, traj[k], g0.time + k * config.dt)
         for k in range(n_steps + 1)

@@ -2,16 +2,13 @@
 
 Each check yields a record {suite, check, status, worst_value, tolerance};
 a suite passes when every check does.  Suites: ladder, linear_op,
-gamma_oracle, weights, kolmogorov, plus "all".  Independent checks may run
-in parallel; the thread budget is capped by the LANDAU_THREADS environment
-variable.
+gamma_oracle, weights, kolmogorov, plus "all", which runs them in that
+order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,15 +17,7 @@ from . import landau_ops as lo
 from . import weights as wt
 from . import kolmogorov as kg
 
-__all__ = ["SUITES", "run_suite", "thread_count"]
-
-
-def thread_count() -> int:
-    raw = os.environ.get("LANDAU_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+__all__ = ["SUITES", "run_suite"]
 
 
 def _record(suite, check, ok, worst, tol):
@@ -309,13 +298,4 @@ def run_suite(name: str) -> list[dict]:
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
-    workers = thread_count()
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(lambda n: list(SUITES[n]()), names))
-    else:
-        groups = [list(SUITES[n]()) for n in names]
-    records: list[dict] = []
-    for group in groups:
-        records.extend(group)
-    return records
+    return [record for n in names for record in SUITES[n]()]

@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .landau_ops import QuadratureConvergenceError
+
 __all__ = [
     "WeightParams",
     "SampleGrid",
@@ -85,17 +87,18 @@ def _leggauss(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_01(fn, batch_shape, rtol: float = 1e-12, order: int = 16,
-                  max_doublings: int = 14) -> np.ndarray:
-    """Composite Gauss-Legendre quadrature of fn(u) over u in [0, 1].
+def _integrate_01(fn, rtol: float = 1e-12) -> np.ndarray:
+    """Composite 16-point Gauss-Legendre quadrature of fn(u) over u in [0, 1].
 
-    fn maps an array of nodes (m,) to values of shape batch_shape + (m,).
-    Panels double until the estimate stabilizes to relative tolerance rtol.
+    fn maps an array of nodes (m,) to values of shape batch + (m,).  Panels
+    double, from 1 up to 2^13, until the estimate stabilizes to relative
+    tolerance rtol; QuadratureConvergenceError if it never does.
     """
+    order = 16
     nodes, wts = _leggauss(order)
     prev = None
     panels = 1
-    for _ in range(max_doublings):
+    for _ in range(14):
         edges = np.linspace(0.0, 1.0, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 / panels
@@ -109,7 +112,10 @@ def _integrate_01(fn, batch_shape, rtol: float = 1e-12, order: int = 16,
                 return est
         prev = est
         panels *= 2
-    return prev
+    raise QuadratureConvergenceError(
+        f"{panels // 2} Gauss-Legendre panels still move the estimate by "
+        f"{err:.3e} relative (tolerance {rtol:g})"
+    )
 
 
 def _bracket(eta, xi):
@@ -118,7 +124,7 @@ def _bracket(eta, xi):
     return np.broadcast_arrays(eta, xi)
 
 
-def psi(t, eta, xi, c0: float, rtol: float = 1e-12) -> np.ndarray | float:
+def psi(t, eta, xi, c0: float) -> np.ndarray | float:
     """c0 * integral_0^t <xi + rho eta> d rho by adaptive Gauss-Legendre.
 
     eta and xi broadcast over a common batch of 3-vectors; t is a scalar or a
@@ -134,7 +140,7 @@ def psi(t, eta, xi, c0: float, rtol: float = 1e-12) -> np.ndarray | float:
         arg = xi[..., None, :] + (t_arr[..., None, None] * u[:, None]) * eta[..., None, :]
         return np.sqrt(1.0 + np.sum(arg**2, axis=-1))
 
-    val = c0 * t_arr * _integrate_01(fn, batch, rtol=rtol)
+    val = c0 * t_arr * _integrate_01(fn)
     if val.shape == ():
         return float(val)
     return val
@@ -170,7 +176,7 @@ def psi_closed(t, eta, xi, c0: float) -> np.ndarray | float:
     return val
 
 
-def psi_gradient_xi(t, eta, xi, c0: float, rtol: float = 1e-12) -> np.ndarray:
+def psi_gradient_xi(t, eta, xi, c0: float) -> np.ndarray:
     """grad_xi Psi = c0 * integral_0^t (xi + rho eta)/<xi + rho eta> d rho."""
     eta, xi = _bracket(eta, xi)
     batch = eta.shape[:-1]
@@ -181,11 +187,11 @@ def psi_gradient_xi(t, eta, xi, c0: float, rtol: float = 1e-12) -> np.ndarray:
             arg = xi[..., None, :] + (t_arr[..., None, None] * u[:, None]) * eta[..., None, :]
             return arg[..., comp] / np.sqrt(1.0 + np.sum(arg**2, axis=-1))
 
-        out[..., comp] = c0 * t_arr * _integrate_01(fn, batch, rtol=rtol)
+        out[..., comp] = c0 * t_arr * _integrate_01(fn)
     return out
 
 
-def psi_gradient_eta(t, eta, xi, c0: float, rtol: float = 1e-12) -> np.ndarray:
+def psi_gradient_eta(t, eta, xi, c0: float) -> np.ndarray:
     """grad_eta Psi = c0 * integral_0^t rho (xi + rho eta)/<xi + rho eta> d rho."""
     eta, xi = _bracket(eta, xi)
     batch = eta.shape[:-1]
@@ -197,7 +203,7 @@ def psi_gradient_eta(t, eta, xi, c0: float, rtol: float = 1e-12) -> np.ndarray:
             arg = xi[..., None, :] + rho * eta[..., None, :]
             return rho[..., 0] * arg[..., comp] / np.sqrt(1.0 + np.sum(arg**2, axis=-1))
 
-        out[..., comp] = c0 * t_arr * _integrate_01(fn, batch, rtol=rtol)
+        out[..., comp] = c0 * t_arr * _integrate_01(fn)
     return out
 
 
@@ -275,8 +281,9 @@ def report_jsonl(results: list["CheckResult"]) -> str:
     return "\n".join(json.dumps(r.as_record(), sort_keys=True) for r in results) + "\n"
 
 
-def transport_identity_residual(t, eta, xi, c0: float, step: float = 1e-5) -> float:
+def transport_identity_residual(t, eta, xi, c0: float) -> float:
     """|(d/dt - eta.grad_xi) Psi - c0 <xi>| by central differences."""
+    step = 1e-5
     eta = np.asarray(eta, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     dt_term = (psi(t + step, eta, xi, c0) - psi(t - step, eta, xi, c0)) / (2 * step)
@@ -291,9 +298,7 @@ def transport_identity_residual(t, eta, xi, c0: float, step: float = 1e-5) -> fl
     return abs(float(dt_term) - float(adv) - target)
 
 
-def weight_derivative_identity_residual(
-    params: WeightParams, eta, xi, direction, step: float = 1e-6
-) -> float:
+def weight_derivative_identity_residual(params: WeightParams, eta, xi, direction) -> float:
     """Relative residual of the first-order derivative identity for F.
 
     `direction` is a 7-vector (dt, d eta, d xi).  The directional derivative
@@ -301,6 +306,7 @@ def weight_derivative_identity_residual(
     bracket * (A Psi) * F where A Psi uses the exact t-derivative and
     quadrature for the gradients.  Also asserts |bracket| <= 1.
     """
+    step = 1e-6
     direction = np.asarray(direction, dtype=np.float64)
     direction = direction / np.linalg.norm(direction)
     eta = np.asarray(eta, dtype=np.float64)
@@ -328,12 +334,13 @@ def weight_derivative_identity_residual(
     return abs(dF - br * dpsi * F0) / scale
 
 
-def psi_derivative_bounds(params: WeightParams, eta, xi, step: float = 1e-4) -> dict:
+def psi_derivative_bounds(params: WeightParams, eta, xi) -> dict:
     """Sampled first- and second-derivative bounds of Psi in xi.
 
     Returns max |d Psi / d xi_j| / (c0 t)  (must be <= 1) and the largest
     second central difference over the sample, normalized by c0 t.
     """
+    step = 1e-4
     eta = np.atleast_2d(np.asarray(eta, dtype=np.float64))
     xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
     grad = psi_gradient_xi(params.t, eta, xi, params.c0)
@@ -394,12 +401,13 @@ class SampleGrid:
         return np.unique(np.round(pts, 12), axis=0)
 
 
-def _integral_bracket_power(alpha: float, t, eta, xi, rtol: float = 1e-9):
+def _integral_bracket_power(alpha: float, t, eta, xi):
     """integral_0^t <xi + rho eta>^alpha d rho.
 
     alpha = 1 and alpha = 2 use exact closed forms (the sweeps visit radii up
     to 1e6 where uniform panel refinement would be hopeless); other alpha
-    fall back to adaptive quadrature in batch chunks.
+    fall back to adaptive quadrature in batch chunks, to relative
+    tolerance 1e-9.
     """
     eta = np.asarray(eta, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
@@ -426,7 +434,7 @@ def _integral_bracket_power(alpha: float, t, eta, xi, rtol: float = 1e-9):
             arg = x[:, None, :] + (tt[:, None, None] * u[None, :, None]) * e[:, None, :]
             return (1.0 + np.sum(arg**2, axis=-1)) ** (alpha / 2.0)
 
-        out[sl] = tt * _integrate_01(fn, (len(e),), rtol=rtol)
+        out[sl] = tt * _integrate_01(fn, rtol=1e-9)
     return out.reshape(batch)
 
 
@@ -455,13 +463,13 @@ def time_integral_lower_ratio(alpha: float, grid: SampleGrid | None = None) -> C
     )
 
 
-def time_integral_upper_ratio(
-    alpha: float, grid: SampleGrid | None = None, times=(0.1, 0.25, 0.5, 1.0)
-) -> CheckResult:
+def time_integral_upper_ratio(alpha: float, grid: SampleGrid | None = None) -> CheckResult:
     """Empirical constant C_alpha in
 
         integral_0^t <xi + rho eta>^alpha d rho
-            <= C_alpha * t * (1 + |xi|^2 + t^2 |eta|^2)^(alpha/2).
+            <= C_alpha * t * (1 + |xi|^2 + t^2 |eta|^2)^(alpha/2),
+
+    the worst ratio over the sample grid at t = 0.1, 0.25, 0.5 and 1.
     """
     grid = grid or SampleGrid()
     pts = grid.vectors()
@@ -469,7 +477,7 @@ def time_integral_upper_ratio(
     eta = np.tile(pts, (len(pts), 1))
     worst = -np.inf
     worst_pt: dict = {}
-    for t in times:
+    for t in (0.1, 0.25, 0.5, 1.0):
         num = _integral_bracket_power(alpha, t, eta, xi)
         den = t * (
             1.0 + np.sum(xi**2, axis=-1) + t**2 * np.sum(eta**2, axis=-1)

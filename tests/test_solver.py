@@ -107,6 +107,8 @@ def test_config_parse_roundtrip():
         ("record_every", -3),
         ("snapshot_every", -1),
         ("picard_max_iter", 0),
+        ("T", 0.051),
+        ("dt", 0.03),
     ],
 )
 def test_config_rejects_bad_value(name, value):
@@ -453,6 +455,16 @@ def test_picard_contracts_and_matches_direct_march():
     final = traj[-1]
     diff = np.linalg.norm(final.c - state.c)
     assert diff <= 10.0 * cfg.picard_tol
+
+
+def test_picard_max_iter_is_a_named_reason():
+    # two contracting iterates, neither within a zero tolerance
+    cfg = small_config(seed=11, picard_tol=0.0, picard_max_iter=2)
+    _, report = picard_solve(build_initial_state(cfg))
+    assert report.reason == "max_iter"
+    assert not report.converged and not report.non_contraction
+    assert report.iterations == 2 and len(report.distances) == 2
+    assert report.failed_iterate is None
 
 
 def test_record_states_cadence():

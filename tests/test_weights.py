@@ -194,6 +194,15 @@ def test_time_integral_general_alpha_quadrature_path():
     assert 0.0 < res.worst_ratio <= 1.0 + 1e-9
 
 
+def test_quadrature_that_cannot_converge_raises():
+    # an endpoint singularity: every panel doubling still moves the estimate
+    from landau_hermite.landau_ops import QuadratureConvergenceError
+    from landau_hermite.weights import _integrate_01
+
+    with pytest.raises(QuadratureConvergenceError, match="8192 Gauss-Legendre panels"):
+        _integrate_01(lambda u: u**-0.5)
+
+
 def test_submultiplicativity_no_violations():
     res = submultiplicativity_check(0.37, n_samples=100_000, seed=5)
     assert res.passed
