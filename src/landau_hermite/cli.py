@@ -34,7 +34,8 @@ def cmd_run(config_path: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     if cfg.scheme == "picard":
         trajectory, report = sv.picard_solve(sv.build_initial_state(cfg))
-        result = sv.record_states(trajectory, cfg.dt, cfg.record_every)
+        march = ((state, sv.h_r_norm(state)) for state in trajectory)
+        result = sv.record_states(march, cfg.dt, cfg.record_every)
         rep = {
             "converged": report.converged,
             "non_contraction": report.non_contraction,

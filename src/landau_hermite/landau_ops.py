@@ -86,12 +86,6 @@ class CollisionMoments:
     m2d: np.ndarray
     m2o: np.ndarray
 
-    def as_vector(self) -> np.ndarray:
-        """Flat length-10 vector in the fixed slot order m0, m1, m2d, m2o."""
-        return np.concatenate(
-            ([self.m0], self.m1, self.m2d, self.m2o)
-        ).astype(np.complex128)
-
 
 class LandauOperators:
     """Sparse matrices of L1, L2, L and the ten bilinear moment operators.

@@ -29,6 +29,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -97,10 +98,9 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.T < 0:
             raise ValueError("T must be >= 0")
-        steps = self.T / self.dt  # inf when dt is tiny against T
         if not (
-            math.isfinite(steps)
-            and abs(round(steps) * self.dt - self.T) <= 1e-12 * max(self.T, 1.0)
+            math.isfinite(self.T / self.dt)  # inf when dt is tiny against T
+            and abs(self.n_steps * self.dt - self.T) <= 1e-12 * max(self.T, 1.0)
         ):
             raise ValueError("T must be an integer multiple of dt")
         if self.picard_tol < 0:
@@ -122,8 +122,14 @@ class SolverConfig:
         if self.recipe not in RECIPES:
             raise ValueError(f"recipe must be one of {RECIPES}")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps of size dt from 0 to T (T is a multiple of dt)."""
+        return round(self.T / self.dt)
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(SolverConfig)}
+
+_CONVERTERS = {"int": int, "float": float, "str": str}  # annotations are strings
+_CONFIG_TYPES = {f.name: _CONVERTERS[f.type] for f in fields(SolverConfig)}
 
 
 def parse_config_text(text: str) -> SolverConfig:
@@ -148,13 +154,13 @@ def parse_config_text(text: str) -> SolverConfig:
                 f"(first set on line {first_line[key]})"
             )
         first_line[key] = lineno
-        kind = _CONFIG_TYPES[key]
-        if kind in ("int", int):
-            values[key] = int(val)
-        elif kind in ("float", float):
-            values[key] = float(val)
-        else:
-            values[key] = val
+        convert = _CONFIG_TYPES[key]
+        try:
+            values[key] = convert(val)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: key {key!r} expects {convert.__name__}, got {val!r}"
+            ) from None
     return SolverConfig(**values)
 
 
@@ -352,15 +358,20 @@ def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
     return (M @ c.T).T
 
 
+def _add_transport(ws: _Workspace, c: np.ndarray, out: np.ndarray, scale: complex) -> np.ndarray:
+    """out += scale * sum_j eta_j * (v_j on the slice) for the modes of c;
+    returns out."""
+    for j in range(ws.d_x):
+        out += scale * ws.eta[:, j : j + 1] * _sparse_right(c, ws.V[j])
+    return out
+
+
 def apply_transport(state: PhaseState) -> PhaseState:
     """The term v . grad_x in Fourier: i * sum_j eta_j * (v_j on the slice).
 
     Skew-Hermitian in the weighted pairing, so it moves no norm.
     """
-    ws = state.workspace
-    out = np.zeros_like(state.c)
-    for j in range(state.config.d_x):
-        out += 1j * ws.eta[:, j : j + 1] * _sparse_right(state.c, ws.V[j])
+    out = _add_transport(state.workspace, state.c, np.zeros_like(state.c), 1j)
     return PhaseState(state.config, out, state.time)
 
 
@@ -461,19 +472,15 @@ def step_imex(
     dt: float,
     gamma_on: bool = True,
     frozen_moment_fields: np.ndarray | None = None,
-    guard_norm: float | None = None,
 ) -> PhaseState:
     """One IMEX Euler step: transport and the bilinear term explicit, L
     implicit through per-level dense solves shared by all modes.
 
     `frozen_moment_fields` (shape (n_modes, 10)) substitutes the moments of a
-    frozen first argument in the bilinear term (Picard mode).  The divergence
-    guard aborts unless the weighted norm is at most twice `guard_norm`.
+    frozen first argument in the bilinear term (Picard mode).
     """
     ws = state.workspace
-    rhs = state.c.copy()
-    for j in range(state.config.d_x):
-        rhs -= (1j * dt) * ws.eta[:, j : j + 1] * _sparse_right(state.c, ws.V[j])
+    rhs = _add_transport(ws, state.c, state.c.copy(), -1j * dt)
     if gamma_on:
         mom = frozen_moment_fields
         if mom is None:
@@ -483,13 +490,7 @@ def step_imex(
     for n, inv in enumerate(ws.implicit_inverses(dt)):
         sl = ws.basis.level_slices[n]
         out[:, sl] = rhs[:, sl] @ inv  # inv is symmetric
-    new = PhaseState(state.config, out, state.time + dt)
-    if guard_norm is not None and not h_r_norm(new) <= 2.0 * guard_norm:
-        raise SolverDivergenceError(
-            f"weighted norm doubled at t = {new.time:.6g}; the datum left the "
-            "perturbative regime"
-        )
-    return new
+    return PhaseState(state.config, out, state.time + dt)
 
 
 def triple_norm(state: PhaseState) -> float:
@@ -590,7 +591,10 @@ class EnergyLedger:
         return buf.getvalue()
 
     def energy_constant(self) -> float:
-        """Empirical C in sup ||g||^2 + (1/2) int |||g|||^2 ds <= C ||g0||^2."""
+        """Empirical C in sup ||g||^2 + (1/2) int |||g|||^2 ds <= C ||g0||^2;
+        nan for a zero datum, where the ratio is undefined."""
+        if self.h_r_norm[0] == 0:
+            return math.nan
         sup_sq = max(n**2 for n in self.h_r_norm)
         total = sup_sq + 0.5 * self.dissipation_integral[-1]
         return total / self.h_r_norm[0] ** 2
@@ -603,19 +607,49 @@ class RunResult:
     energy_constant: float
 
 
-def record_states(states, dt: float, record_every: int) -> RunResult:
-    """Energy ledger and snapshots of a march given as its states, one per
-    step of size dt: the ledger gets every state, the snapshots every
-    record_every-th one plus the first and the last (only those two when
-    record_every is 0).  The states are kept, not copied."""
+def _march(g0: PhaseState, gamma_on: bool, frozen: np.ndarray | None):
+    """The IMEX march of g0's config from g0: yields (state, h_r_norm(state))
+    for k = 0..n_steps, the k-th state at time g0.time + k*dt.  The step
+    leaving state k freezes the bilinear term's first argument on the moment
+    fields frozen[k] unless frozen is None.
+
+    Each state's norm is taken once.  A datum of non-finite norm raises
+    ValueError; a state whose norm is not at most twice the datum's (NaN
+    included) raises SolverDivergenceError.
+    """
+    config = g0.config
+    norm0 = h_r_norm(g0)
+    if not math.isfinite(norm0):
+        raise ValueError(f"initial datum has non-finite weighted norm {norm0}")
+    yield g0, norm0
+    state = g0
+    for k in range(1, config.n_steps + 1):
+        mom = None if frozen is None else frozen[k - 1]
+        state = step_imex(state, config.dt, gamma_on, mom)
+        state.time = g0.time + k * config.dt
+        norm = h_r_norm(state)
+        if not norm <= 2.0 * norm0:
+            raise SolverDivergenceError(
+                f"weighted norm doubled at t = {state.time:.6g}; the datum left "
+                "the perturbative regime"
+            )
+        yield state, norm
+
+
+def record_states(march, dt: float, record_every: int) -> RunResult:
+    """Energy ledger and snapshots of a march given as its (state,
+    h_r_norm(state)) pairs, one per step of size dt: the ledger gets every
+    state, the snapshots every record_every-th one plus the first and the
+    last (only those two when record_every is 0).  The states are kept, not
+    copied."""
     ledger = EnergyLedger()
     snapshots = []
     dissipation = 0.0
-    for k, state in enumerate(states):
+    for k, (state, norm) in enumerate(march):
         if k:
             dissipation += dt * tn**2
         tn = triple_norm(state)
-        ledger.append(state.time, h_r_norm(state), tn, dissipation)
+        ledger.append(state.time, norm, tn, dissipation)
         if k == 0 or (record_every and k % record_every == 0):
             snapshots.append((state.time, state))
     if snapshots[-1][1] is not state:
@@ -623,38 +657,21 @@ def record_states(states, dt: float, record_every: int) -> RunResult:
     return RunResult(ledger, snapshots, ledger.energy_constant())
 
 
-def _divergence_guard(datum: PhaseState) -> float | None:
-    """Guard norm of a march from datum (None if zero); rejects non-finite."""
-    norm = h_r_norm(datum)
-    if not math.isfinite(norm):
-        raise ValueError(f"initial datum has non-finite weighted norm {norm}")
-    return norm if norm > 0 else None
-
-
 def run(config: SolverConfig, initial: PhaseState | None = None, gamma_on: bool = True) -> RunResult:
-    """March the configured scheme from the recipe (or a provided datum) to
-    time T, recording the energy ledger every step and state snapshots at the
-    record_every cadence."""
-    state = initial.copy() if initial is not None else build_initial_state(config)
-    guard = _divergence_guard(state)
-    n_steps = int(round(config.T / config.dt))
-
-    def march(state):
-        yield state
-        for _ in range(n_steps):
-            state = step_imex(state, config.dt, gamma_on=gamma_on, guard_norm=guard)
-            yield state
-
-    return record_states(march(state), config.dt, config.record_every)
+    """March the configured scheme from the recipe (or the coefficients and
+    time of a provided datum) to time T, recording the energy ledger every
+    step and state snapshots at the record_every cadence."""
+    if initial is None:
+        g0 = build_initial_state(config)
+    else:
+        g0 = PhaseState(config, initial.c.copy(), initial.time)
+    return record_states(_march(g0, gamma_on, None), config.dt, config.record_every)
 
 
 @dataclass
 class PicardReport:
     distances: list
     lambdas: list
-    converged: bool
-    non_contraction: bool
-    failed_iterate: int | None
     iterations: int
     # None when converged, else "lambda" | "smallness" | "divergence" | "max_iter"
     reason: str | None = None
@@ -662,17 +679,24 @@ class PicardReport:
     smallness_product: float = math.nan
 
     @property
+    def converged(self) -> bool:
+        return self.reason is None
+
+    @property
+    def non_contraction(self) -> bool:
+        return self.reason in ("lambda", "smallness", "divergence")
+
+    @property
+    def failed_iterate(self) -> int | None:
+        return self.iterations if self.non_contraction else None
+
+    @property
     def contraction_factor(self) -> float:
         finite = [x for x in self.lambdas if math.isfinite(x)]
         return max(finite) if finite else math.inf
 
 
-def _march_linear(
-    g0: PhaseState,
-    traj: np.ndarray,
-    frozen: np.ndarray | None,
-    guard: float | None,
-) -> tuple[float, float]:
+def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -> tuple[float, float]:
     """March the linear equation with a frozen bilinear argument (the step
     leaving time step k uses the moment fields frozen[k]; None drops the
     bilinear term) from g0, whose coefficients traj[0] holds, overwriting
@@ -684,20 +708,13 @@ def _march_linear(
     overwritten.
     """
     weights = np.sqrt(g0.workspace.h_weight)[:, None]
-    state = g0
-    sup_distance, sup_norm = 0.0, h_r_norm(g0)
-    for k in range(1, traj.shape[0]):
-        state = step_imex(
-            state,
-            g0.config.dt,
-            gamma_on=frozen is not None,
-            frozen_moment_fields=None if frozen is None else frozen[k - 1],
-            guard_norm=guard,
-        )
-        diff = np.abs(state.c - traj[k]) * weights
-        sup_distance = max(sup_distance, math.sqrt(float(np.sum(diff**2))))
-        sup_norm = max(sup_norm, h_r_norm(state))
-        traj[k] = state.c
+    sup_distance, sup_norm = 0.0, 0.0
+    for k, (state, norm) in enumerate(_march(g0, frozen is not None, frozen)):
+        if k:
+            diff = np.abs(state.c - traj[k]) * weights
+            sup_distance = max(sup_distance, math.sqrt(float(np.sum(diff**2))))
+            traj[k] = state.c
+        sup_norm = max(sup_norm, norm)
     return sup_distance, sup_norm
 
 
@@ -726,75 +743,48 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
     that buffer.
     """
     config = g0.config
-    n_steps = int(round(config.T / config.dt))
     ws = g0.workspace
-    guard = _divergence_guard(g0)
-    c0_hat = ws.trilinear_constant()
-
     # zeros, not empty: the seed march's distance (discarded) reads the buffer
-    traj = np.zeros((n_steps + 1,) + g0.c.shape, dtype=np.complex128)
+    traj = np.zeros((config.n_steps + 1,) + g0.c.shape, dtype=np.complex128)
     traj[0] = g0.c
     frozen = None  # the moment fields that produced the iterate in traj
-    _, sup_norm = _march_linear(g0, traj, frozen, guard)
+    _, sup_norm = _march_linear(g0, traj, frozen)
+    c0_hat = ws.trilinear_constant()
     distances: list = []
     lambdas: list = []
-    converged = False
-    non_contraction = False
-    failed_iterate = None
     reason = None
     smallness = 16.0 * sup_norm * c0_hat
-    iterations = 0
     for it in range(1, config.picard_max_iter + 1):
-        iterations = it
         smallness = max(smallness, 16.0 * sup_norm * c0_hat)
         if smallness >= 1.0:
-            non_contraction = True
-            failed_iterate = it
             reason = "smallness"
             break
         prev_frozen, frozen = frozen, traj[:, :, ws.ops.moment_slots]
         try:
-            d, sup_norm = _march_linear(g0, traj, frozen, guard)
+            d, sup_norm = _march_linear(g0, traj, frozen)
         except SolverDivergenceError:
             # traj is partly overwritten; the march is deterministic, so
             # marching again from the frozen fields that produced the
             # previous iterate restores it bit for bit
-            _march_linear(g0, traj, prev_frozen, guard)
-            non_contraction = True
-            failed_iterate = it
+            _march_linear(g0, traj, prev_frozen)
             reason = "divergence"
             lambdas.append(math.inf)
             break
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
-            lam = distances[-1] / distances[-2]
-            lambdas.append(lam)
-            if lam >= 1.0:
-                non_contraction = True
-                failed_iterate = it
+            lambdas.append(distances[-1] / distances[-2])
+            if lambdas[-1] >= 1.0:
                 reason = "lambda"
                 break
         if d <= config.picard_tol:
-            converged = True
             break
     else:
         reason = "max_iter"
     trajectory = [
         PhaseState(config, traj[k], g0.time + k * config.dt)
-        for k in range(n_steps + 1)
+        for k in range(config.n_steps + 1)
     ]
-    report = PicardReport(
-        distances,
-        lambdas,
-        converged,
-        non_contraction,
-        failed_iterate,
-        iterations,
-        reason=reason,
-        c0_estimate=c0_hat,
-        smallness_product=smallness,
-    )
-    return trajectory, report
+    return trajectory, PicardReport(distances, lambdas, it, reason, c0_hat, smallness)
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +793,7 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
 
 _MAGIC = b"LNSP"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIIIIdd")  # magic, version, d_x, K, N, r, time
 
 
 def write_snapshot(path, state: PhaseState) -> None:
@@ -811,9 +802,7 @@ def write_snapshot(path, state: PhaseState) -> None:
     float64 (re, im) pairs in (eta-lexicographic, alpha-canonical) order."""
     cfg = state.config
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIII", _VERSION, cfg.d_x, cfg.K, cfg.N))
-        fh.write(struct.pack("<dd", cfg.r, state.time))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.d_x, cfg.K, cfg.N, cfg.r, state.time))
         inter = np.empty(state.c.size * 2, dtype="<f8")
         flat = state.c.reshape(-1)
         inter[0::2] = flat.real
@@ -823,23 +812,28 @@ def write_snapshot(path, state: PhaseState) -> None:
 
 def read_snapshot(path, config: SolverConfig | None = None) -> PhaseState:
     """Read a snapshot; a config is rebuilt from the header when none is
-    supplied (march parameters take their defaults)."""
+    supplied (march parameters take their defaults).  The header is checked
+    against the file size before any workspace is built: a file whose
+    payload is not the (2K+1)^d_x * comb(N+3, 3) coefficients the header
+    claims is rejected."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
+        header = fh.read(_HEADER.size)
+        if header[:4] != _MAGIC:
             raise ValueError("not a LNSP snapshot")
-        version, d_x, K, N = struct.unpack("<IIII", fh.read(16))
+        if len(header) < _HEADER.size:
+            raise ValueError(f"snapshot header truncated at {len(header)} bytes")
+        _, version, d_x, K, N, r, time = _HEADER.unpack(header)
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        r, time = struct.unpack("<dd", fh.read(16))
         if config is None:
             config = SolverConfig(N=N, K=K, d_x=d_x, r=r)
         elif (config.N, config.K, config.d_x, config.r) != (N, K, d_x, r):
             raise ValueError("snapshot header does not match the given config")
+        expected = (2 * K + 1) ** d_x * math.comb(N + 3, 3) * 16
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != expected:
+            raise ValueError(f"snapshot payload is {size} bytes, its header needs {expected}")
         ws = _Workspace.for_config(config)
         raw = np.frombuffer(fh.read(), dtype="<f8")
-        expected = ws.n_modes * ws.basis.size * 2
-        if raw.size != expected:
-            raise ValueError("snapshot payload truncated")
         c = (raw[0::2] + 1j * raw[1::2]).reshape(ws.n_modes, ws.basis.size)
         return PhaseState(config, c, time)

@@ -1,6 +1,7 @@
 """Snapshot format, CLI subcommands, determinism of emitted artifacts."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -87,6 +88,49 @@ def test_snapshot_rejects_header_of_another_config(tmp_path):
             read_snapshot(path, other)
 
 
+def test_snapshot_rejects_short_header(tmp_path):
+    p = tmp_path / "short.lnsp"
+    p.write_bytes(b"LNSP" + struct.pack("<III", 1, 1, 3))
+    with pytest.raises(ValueError, match="header truncated"):
+        read_snapshot(p)
+
+
+# reads, under a 1 GiB address-space limit, a 36-byte file whose header
+# claims d_x = 3, K = 4000: an 8001^3-mode workspace if it were trusted
+OVERSIZED_HEADER_CHILD = """
+import resource, struct, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from landau_hermite.solver import read_snapshot
+path = sys.argv[1]
+with open(path, "wb") as fh:
+    fh.write(b"LNSP" + struct.pack("<IIIIdd", 1, 3, 4000, 8, 2.0, 0.0))
+try:
+    read_snapshot(path)
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+
+
+def test_snapshot_rejects_header_larger_than_file(tmp_path):
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run(
+        [sys.executable, "-c", OVERSIZED_HEADER_CHILD, str(tmp_path / "big.lnsp")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("ValueError: snapshot payload is 0 bytes"), res.stdout
+
+
+def test_snapshot_rejects_payload_of_another_size(tmp_path):
+    path = tmp_path / "state.lnsp"
+    write_snapshot(path, build_initial_state(small_config()))
+    raw = path.read_bytes()
+    for cut in (raw[:-16], raw + b"\x00" * 16):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="payload"):
+            read_snapshot(path)
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "landau_hermite.cli", *args],
@@ -156,3 +200,20 @@ def test_cli_picard_scheme_writes_report(tmp_path):
     rep = json.loads((out / "picard_report.json").read_text())
     assert rep["converged"] is True
     assert rep["non_contraction"] is False
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "picard"])
+def test_cli_run_zero_recipe(tmp_path, scheme):
+    # a zero datum marches to zeros; its energy ratio is undefined, not an error
+    text = CONFIG_TEXT.replace("scheme = imex_euler", f"scheme = {scheme}")
+    text = text.replace("recipe = rough", "recipe = zero")
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    res = run_cli("run", "--config", str(cfg_path), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    ledger = (out / "ledger.csv").read_text().splitlines()
+    assert len(ledger) == 12
+    assert all(row.split(",")[1] == "0" for row in ledger[1:])
+    assert (out / "spectra.csv").exists() and (out / "final.lnsp").exists()
+    assert (scheme == "picard") == (out / "picard_report.json").exists()

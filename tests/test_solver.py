@@ -129,6 +129,20 @@ def test_config_text_float_fields_are_finite(name, value):
     assert math.isfinite(getattr(cfg, name))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("N = 16.5", "line 2: key 'N' expects int, got '16.5'"),
+        ("dt = 2e-3s", "line 2: key 'dt' expects float, got '2e-3s'"),
+        ("seed = ", "line 2: key 'seed' expects int, got ''"),
+    ],
+)
+def test_config_text_bad_literal_names_line_and_key(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_config_text(f"K = 3\n{line}\n")
+    assert str(info.value) == message
+
+
 def test_config_duplicate_key_names_its_line():
     with pytest.raises(ValueError, match=r"line 3: duplicate config key 'N' \(first set on line 1\)"):
         parse_config_text("N = 8\nK = 3\nN = 12\n")
@@ -337,25 +351,37 @@ def test_reality_preservation():
     assert hermitian_defect(state) < 1e-12
 
 
-def test_divergence_guard_fires():
-    cfg = small_config(d_x=0, K=0)
+def unit_ground_state(cfg):
     s = PhaseState(cfg, np.zeros((1, get_basis(8).size)), 0.0)
-    put_slice(s, (), unit_spectrum(8, (0, 0, 0)))
-    with pytest.raises(SolverDivergenceError):
-        # a huge artificial norm bound violation: guard must trip on growth
-        state = s.copy()
-        for _ in range(100):
-            state = step_imex(state, cfg.dt, gamma_on=False, guard_norm=0.4)
-            state.c *= 1.05  # inject growth the guard must catch
+    return put_slice(s, (), unit_spectrum(8, (0, 0, 0)))
 
 
-def test_divergence_guard_fires_on_non_finite_state():
+def test_divergence_guard_fires(monkeypatch):
+    # the ground state is stationary without the bilinear term; a step that
+    # grows it by 5 % doubles the norm within the 20 steps to T
     cfg = small_config(d_x=0, K=0)
-    s = PhaseState(cfg, np.zeros((1, get_basis(8).size)), 0.0)
-    put_slice(s, (), unit_spectrum(8, (0, 0, 0)))
-    s.c[0, 3] = np.nan
+
+    def growing_step(*args, **kwargs):
+        state = step_imex(*args, **kwargs)
+        state.c *= 1.05  # inject growth the guard must catch
+        return state
+
+    monkeypatch.setattr(solver, "step_imex", growing_step)
     with pytest.raises(SolverDivergenceError):
-        step_imex(s, cfg.dt, guard_norm=1.0)
+        run(cfg, initial=unit_ground_state(cfg), gamma_on=False)
+
+
+def test_divergence_guard_fires_on_non_finite_state(monkeypatch):
+    cfg = small_config(d_x=0, K=0)
+
+    def nan_step(*args, **kwargs):
+        state = step_imex(*args, **kwargs)
+        state.c[0, 3] = np.nan
+        return state
+
+    monkeypatch.setattr(solver, "step_imex", nan_step)
+    with pytest.raises(SolverDivergenceError):
+        run(cfg, initial=unit_ground_state(cfg))
 
 
 def test_non_finite_datum_rejected():
@@ -429,6 +455,53 @@ def test_run_energy_inequality_small_data():
     assert math.isfinite(res.energy_constant)
     csv = res.ledger.to_csv()
     assert csv.splitlines()[0] == "t,h_r_norm,triple_norm,dissipation_integral"
+
+
+def test_zero_datum_energy_constant_is_nan():
+    # the ratio to ||g0||^2 is undefined for a zero datum
+    res = run(small_config(T=0.05, recipe="zero"))
+    assert math.isnan(res.energy_constant)
+    assert res.ledger.h_r_norm == [0.0] * 11
+
+
+def count_h_r_norm(monkeypatch):
+    calls = []
+
+    def counted(state):
+        calls.append(None)
+        return h_r_norm(state)
+
+    monkeypatch.setattr(solver, "h_r_norm", counted)
+    return calls
+
+
+def test_one_norm_per_state(monkeypatch):
+    # one h_r_norm per marched state, plus the recipe's normalization: a
+    # 25-step run takes 26 + 1, a two-iterate Picard sequence (the seed march
+    # and two frozen-moment marches) 3 * 26 + 1
+    cfg = SolverConfig(N=6, K=1, d_x=1, dt=2e-3, T=0.05, seed=1)
+    calls = count_h_r_norm(monkeypatch)
+    run(cfg)
+    assert len(calls) <= 27
+    calls.clear()
+    _, report = picard_solve(build_initial_state(cfg))
+    assert report.iterations == 2
+    assert len(calls) <= 79
+
+
+def test_one_clock_for_both_schemes():
+    # every state of either scheme sits at g0.time + k*dt, so the two write
+    # the same t column for the same march
+    cfg = SolverConfig(N=6, K=1, d_x=1, dt=2e-3, T=0.05, seed=1, record_every=5)
+    g0 = build_initial_state(cfg)
+    g0.time = 0.3
+    res = run(cfg, initial=g0)
+    traj, _ = picard_solve(g0)
+    clock = [g0.time + k * cfg.dt for k in range(cfg.n_steps + 1)]
+    assert res.ledger.t == clock
+    assert [s.time for s in traj] == clock
+    assert [t for t, _ in res.snapshots] == clock[::5]
+    assert all(s.time == t for t, s in res.snapshots)
 
 
 def test_picard_zero_datum_converges_immediately():
