@@ -464,7 +464,11 @@ def test_zero_datum_energy_constant_is_nan():
     assert res.ledger.h_r_norm == [0.0] * 11
 
 
-def count_h_r_norm(monkeypatch):
+def test_one_norm_per_state(monkeypatch):
+    # one h_r_norm per marched state, plus the recipe's normalization: a
+    # 25-step run takes 26 + 1, a two-iterate Picard sequence (the seed march
+    # and two frozen-moment marches) 3 * 26 + 1
+    cfg = SolverConfig(N=6, K=1, d_x=1, dt=2e-3, T=0.05, seed=1)
     calls = []
 
     def counted(state):
@@ -472,15 +476,6 @@ def count_h_r_norm(monkeypatch):
         return h_r_norm(state)
 
     monkeypatch.setattr(solver, "h_r_norm", counted)
-    return calls
-
-
-def test_one_norm_per_state(monkeypatch):
-    # one h_r_norm per marched state, plus the recipe's normalization: a
-    # 25-step run takes 26 + 1, a two-iterate Picard sequence (the seed march
-    # and two frozen-moment marches) 3 * 26 + 1
-    cfg = SolverConfig(N=6, K=1, d_x=1, dt=2e-3, T=0.05, seed=1)
-    calls = count_h_r_norm(monkeypatch)
     run(cfg)
     assert len(calls) <= 27
     calls.clear()
