@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import PhaseState, h_r_norm
+from .solver import PhaseState
 
 __all__ = [
     "RESOLVED_FLOOR",
@@ -177,12 +177,6 @@ def series_from_snapshots(snapshots) -> DiagnosticsSeries:
         hermites.append(hermite_level_spectrum(state))
         fouriers.append(fourier_shell_spectrum(state))
     return DiagnosticsSeries(times, hermites, fouriers)
-
-
-def spectra_consistency_defect(state: PhaseState) -> float:
-    """|sum_n S_n^2 - ||g||^2| (must vanish: the levels partition the basis)."""
-    S = hermite_level_spectrum(state)
-    return abs(float(np.sum(S**2)) - h_r_norm(state) ** 2)
 
 
 def write_spectra_csv(series: DiagnosticsSeries) -> str:

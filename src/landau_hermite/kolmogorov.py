@@ -31,7 +31,6 @@ __all__ = [
     "exact_propagate",
     "smoothing_norm",
     "imex_reference_march",
-    "export_smoothing_series",
 ]
 
 _OVERFLOW_LOG = 700.0
@@ -85,9 +84,6 @@ class FourierGridState:
         """L2 mass of one eta slice (Riemann measure on the xi lattice)."""
         sl = self.values[mode]
         return float(np.sum(np.abs(sl) ** 2) * self.xi_step**self.dims)
-
-    def total_mass(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.xi_step**self.dims)
 
     def copy(self) -> "FourierGridState":
         return FourierGridState(
@@ -188,7 +184,7 @@ def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
     xi_axis = state.xi_axis
     d = state.dims
     measure = state.xi_step**d
-    grids = np.meshgrid(*([xi_axis] * d), indexing="ij")
+    xi = np.stack(np.meshgrid(*([xi_axis] * d), indexing="ij"), axis=-1)
     for mode in state.eta_modes():
         eta = state.eta_of(mode)
         sl = state.values[mode]
@@ -197,10 +193,7 @@ def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
             if eta[ax] != 0:
                 sl, lost = _shift_axis_linear(sl, ax, t * float(eta[ax]), xi_axis)
                 lost_sq += lost
-        expo = np.zeros_like(grids[0])
-        for ax in range(d):
-            expo = expo + t * grids[ax] ** 2 + t**2 * grids[ax] * eta[ax]
-        expo = expo + t**3 * float(eta @ eta) / 3.0
+        expo = transport_dissipation_integral(t, eta, xi)
         out.values[mode] = np.exp(-expo) * sl
         lost_mass = lost_sq * measure
         if lost_mass > 1e-12:
@@ -265,10 +258,3 @@ def imex_reference_march(
         state.time += dt
     return state
 
-
-def export_smoothing_series(path, rows) -> None:
-    """Write (t, c, smoothing_norm) rows as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,c,smoothing_norm\n")
-        for t, c, val in rows:
-            fh.write(f"{t:.17g},{c:.17g},{val:.17g}\n")

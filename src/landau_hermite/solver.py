@@ -111,6 +111,11 @@ class SolverConfig:
             raise ValueError("g0_norm must be >= 0")
         if self.record_every < 0 or self.snapshot_every < 0:
             raise ValueError("record_every and snapshot_every must be >= 0")
+        if self.snapshot_every and (
+            not self.record_every or self.snapshot_every % self.record_every
+        ):
+            # snapshots are written from the recorded states only
+            raise ValueError("snapshot_every must be a multiple of record_every > 0")
         if self.N < 4:
             raise ValueError("N must be at least 4")
         if self.d_x not in (0, 1, 2, 3):

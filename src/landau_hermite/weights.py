@@ -16,9 +16,12 @@ this module measures by brute force).  The doubly regularized weight
 is bounded by 1/delta, and every first-order derivative of F is the
 corresponding derivative of Psi times F times a factor of modulus <= 1.
 
-All checks are sampled, vectorized sweeps; results are reported as
-(check, grid, worst_point, worst_ratio) records suitable for JSON-lines
-emission.  Nothing here is a proof - the sweeps estimate constants.
+The transported-bracket integral has one quadrature path,
+`_transported_integral`, behind `psi` and its two gradients, and two closed
+forms, `psi_closed` (alpha = 1) and `kolmogorov.transport_dissipation_integral`
+(the |xi + rho eta|^2 part of alpha = 2).  Each sweep returns a
+CheckResult (worst_point, worst_ratio); nothing here is a proof - the sweeps
+estimate constants.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kolmogorov import transport_dissipation_integral
 from .landau_ops import QuadratureConvergenceError
 
 __all__ = [
@@ -50,7 +54,6 @@ __all__ = [
     "time_integral_upper_ratio",
     "submultiplicativity_check",
     "weight_triangle_check",
-    "report_jsonl",
     "icosahedral_directions",
     "log_radial_grid",
 ]
@@ -118,10 +121,31 @@ def _integrate_01(fn, rtol: float = 1e-12) -> np.ndarray:
     )
 
 
-def _bracket(eta, xi):
-    eta = np.asarray(eta, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    return np.broadcast_arrays(eta, xi)
+def _brk(v):
+    """<v> = sqrt(1 + |v|^2) over the last axis."""
+    return np.sqrt(1.0 + np.sum(v**2, axis=-1))
+
+
+def _transported_integral(t, eta, xi, integrand):
+    """The one quadrature of integral_0^1 integrand(rho, xi + rho eta) du at
+    rho = t u, by adaptive Gauss-Legendre.
+
+    eta and xi broadcast over a common batch of 3-vectors; t is a scalar or a
+    batch of the same shape.  integrand(rho, arg) gets rho of shape
+    batch + (m, 1) and arg of shape batch + (m, 3) and returns batch + (m,).
+    Returns (t, integral) with t broadcast to the batch, so that
+    c0 * t * integral is c0 times the integral over rho in [0, t].
+    """
+    eta, xi = np.broadcast_arrays(
+        np.asarray(eta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
+    )
+    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), eta.shape[:-1])
+
+    def fn(u):
+        rho = t_arr[..., None, None] * u[:, None]
+        return integrand(rho, xi[..., None, :] + rho * eta[..., None, :])
+
+    return t_arr, _integrate_01(fn)
 
 
 def psi(t, eta, xi, c0: float) -> np.ndarray | float:
@@ -131,16 +155,8 @@ def psi(t, eta, xi, c0: float) -> np.ndarray | float:
     batch of the same shape.  Returns the batch of values (scalar for scalar
     input).
     """
-    eta, xi = _bracket(eta, xi)
-    batch = eta.shape[:-1]
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), batch)
-
-    def fn(u):
-        # rho = t*u so the domain is [0,1] for every batch element
-        arg = xi[..., None, :] + (t_arr[..., None, None] * u[:, None]) * eta[..., None, :]
-        return np.sqrt(1.0 + np.sum(arg**2, axis=-1))
-
-    val = c0 * t_arr * _integrate_01(fn)
+    t_arr, integral = _transported_integral(t, eta, xi, lambda rho, arg: _brk(arg))
+    val = c0 * t_arr * integral
     if val.shape == ():
         return float(val)
     return val
@@ -149,7 +165,9 @@ def psi(t, eta, xi, c0: float) -> np.ndarray | float:
 def psi_closed(t, eta, xi, c0: float) -> np.ndarray | float:
     """Closed-form antiderivative of sqrt(a rho^2 + b rho + c); degenerates as
     |eta| -> 0, where the constant-integrand value c0 t <xi> is returned."""
-    eta, xi = _bracket(eta, xi)
+    eta, xi = np.broadcast_arrays(
+        np.asarray(eta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
+    )
     batch = eta.shape[:-1]
     t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), batch).astype(np.float64)
     a = np.sum(eta**2, axis=-1)
@@ -177,34 +195,29 @@ def psi_closed(t, eta, xi, c0: float) -> np.ndarray | float:
 
 
 def psi_gradient_xi(t, eta, xi, c0: float) -> np.ndarray:
-    """grad_xi Psi = c0 * integral_0^t (xi + rho eta)/<xi + rho eta> d rho."""
-    eta, xi = _bracket(eta, xi)
-    batch = eta.shape[:-1]
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), batch)
-    out = np.empty(batch + (3,))
-    for comp in range(3):
-        def fn(u, comp=comp):
-            arg = xi[..., None, :] + (t_arr[..., None, None] * u[:, None]) * eta[..., None, :]
-            return arg[..., comp] / np.sqrt(1.0 + np.sum(arg**2, axis=-1))
+    """grad_xi Psi = c0 * integral_0^t (xi + rho eta)/<xi + rho eta> d rho.
 
-        out[..., comp] = c0 * t_arr * _integrate_01(fn)
-    return out
+    Each component is its own quadrature, so each converges on its own."""
+    parts = []
+    for j in range(3):
+        t_arr, integral = _transported_integral(
+            t, eta, xi, lambda rho, arg, j=j: arg[..., j] / _brk(arg)
+        )
+        parts.append(c0 * t_arr * integral)
+    return np.stack(parts, axis=-1)
 
 
 def psi_gradient_eta(t, eta, xi, c0: float) -> np.ndarray:
-    """grad_eta Psi = c0 * integral_0^t rho (xi + rho eta)/<xi + rho eta> d rho."""
-    eta, xi = _bracket(eta, xi)
-    batch = eta.shape[:-1]
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), batch)
-    out = np.empty(batch + (3,))
-    for comp in range(3):
-        def fn(u, comp=comp):
-            rho = t_arr[..., None, None] * u[:, None]
-            arg = xi[..., None, :] + rho * eta[..., None, :]
-            return rho[..., 0] * arg[..., comp] / np.sqrt(1.0 + np.sum(arg**2, axis=-1))
+    """grad_eta Psi = c0 * integral_0^t rho (xi + rho eta)/<xi + rho eta> d rho.
 
-        out[..., comp] = c0 * t_arr * _integrate_01(fn)
-    return out
+    Each component is its own quadrature, so each converges on its own."""
+    parts = []
+    for j in range(3):
+        t_arr, integral = _transported_integral(
+            t, eta, xi, lambda rho, arg, j=j: rho[..., 0] * arg[..., j] / _brk(arg)
+        )
+        parts.append(c0 * t_arr * integral)
+    return np.stack(parts, axis=-1)
 
 
 def log_weight_F(params: WeightParams, eta, xi, psi_val=None) -> np.ndarray | float:
@@ -233,10 +246,9 @@ def weight_F_split(params: WeightParams, eta, xi) -> tuple:
 
     Returns (F_delta0, G, eta_bracket_pow) whose product equals weight_F.
     """
-    eta, xi = _bracket(eta, xi)
     psi_val = psi(params.t, eta, xi, params.c0)
     f_d0 = 1.0 / (np.exp(-np.asarray(psi_val)) + params.delta)
-    eta_brk = np.sqrt(1.0 + np.sum(eta**2, axis=-1))
+    eta_brk = _brk(np.asarray(eta, dtype=np.float64))
     g = (eta_brk / (1.0 + params.delta_prime * np.asarray(psi_val))) ** params.r
     return f_d0, g, eta_brk ** (-params.r)
 
@@ -254,31 +266,10 @@ def bracket_factor(params: WeightParams, psi_val) -> np.ndarray | float:
 
 @dataclass
 class CheckResult:
-    """Outcome of one sampled sweep, shaped for JSON-lines reporting."""
+    """Outcome of one sampled sweep: the worst ratio and where it occurs."""
 
-    check: str
-    grid: str
     worst_point: dict
     worst_ratio: float
-    passed: bool | None = None
-
-    def as_record(self) -> dict:
-        rec = {
-            "check": self.check,
-            "grid": self.grid,
-            "worst_point": self.worst_point,
-            "worst_ratio": self.worst_ratio,
-        }
-        if self.passed is not None:
-            rec["passed"] = bool(self.passed)
-        return rec
-
-
-def report_jsonl(results: list["CheckResult"]) -> str:
-    """One JSON record per line: {check, grid, worst_point, worst_ratio}."""
-    import json
-
-    return "\n".join(json.dumps(r.as_record(), sort_keys=True) for r in results) + "\n"
 
 
 def transport_identity_residual(t, eta, xi, c0: float) -> float:
@@ -387,12 +378,6 @@ class SampleGrid:
     directions: np.ndarray = field(default_factory=icosahedral_directions)
     ray_radius: float = 1e6
 
-    def describe(self) -> str:
-        return (
-            f"log-radial[{self.radii[0]:g}..{self.radii[-1]:g} x {len(self.radii)}]"
-            f" x icosahedral[{len(self.directions)}] + origin + rays"
-        )
-
     def vectors(self) -> np.ndarray:
         radii = np.concatenate(([0.0], self.radii, [self.ray_radius]))
         pts = radii[:, None, None] * self.directions[None, :, :]
@@ -402,40 +387,16 @@ class SampleGrid:
 
 
 def _integral_bracket_power(alpha: float, t, eta, xi):
-    """integral_0^t <xi + rho eta>^alpha d rho.
-
-    alpha = 1 and alpha = 2 use exact closed forms (the sweeps visit radii up
-    to 1e6 where uniform panel refinement would be hopeless); other alpha
-    fall back to adaptive quadrature in batch chunks, to relative
-    tolerance 1e-9.
+    """integral_0^t <xi + rho eta>^alpha d rho in closed form: psi_closed for
+    alpha = 1, t + transport_dissipation_integral for alpha = 2.  The sweeps
+    visit radii up to 1e6, where uniform panel refinement would be hopeless,
+    so any other alpha raises ValueError.
     """
-    eta = np.asarray(eta, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    batch = eta.shape[:-1]
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), batch)
     if alpha == 1:
-        return np.asarray(psi_closed(t_arr, eta, xi, 1.0))
+        return np.asarray(psi_closed(t, eta, xi, 1.0))
     if alpha == 2:
-        xi2 = np.sum(xi**2, axis=-1)
-        eta2 = np.sum(eta**2, axis=-1)
-        cross = np.sum(xi * eta, axis=-1)
-        return t_arr * (1.0 + xi2) + t_arr**2 * cross + t_arr**3 * eta2 / 3.0
-
-    flat_eta = eta.reshape(-1, 3)
-    flat_xi = np.broadcast_to(xi, eta.shape).reshape(-1, 3)
-    flat_t = t_arr.reshape(-1)
-    out = np.empty(flat_eta.shape[0])
-    block = 4096
-    for lo in range(0, flat_eta.shape[0], block):
-        sl = slice(lo, lo + block)
-        e, x, tt = flat_eta[sl], flat_xi[sl], flat_t[sl]
-
-        def fn(u):
-            arg = x[:, None, :] + (tt[:, None, None] * u[None, :, None]) * e[:, None, :]
-            return (1.0 + np.sum(arg**2, axis=-1)) ** (alpha / 2.0)
-
-        out[sl] = tt * _integrate_01(fn, rtol=1e-9)
-    return out.reshape(batch)
+        return t + transport_dissipation_integral(t, eta, xi)
+    raise ValueError(f"alpha must be 1 or 2 (closed forms only), got {alpha:g}")
 
 
 def time_integral_lower_ratio(alpha: float, grid: SampleGrid | None = None) -> CheckResult:
@@ -456,8 +417,6 @@ def time_integral_lower_ratio(alpha: float, grid: SampleGrid | None = None) -> C
     ratio = num / den
     k = int(np.argmin(ratio))
     return CheckResult(
-        check=f"time_integral_lower_alpha_{alpha:g}",
-        grid=grid.describe(),
         worst_point={"xi": xi[k].tolist(), "eta_tilde": eta[k].tolist()},
         worst_ratio=float(ratio[k]),
     )
@@ -488,8 +447,6 @@ def time_integral_upper_ratio(alpha: float, grid: SampleGrid | None = None) -> C
             worst = float(ratio[k])
             worst_pt = {"t": t, "xi": xi[k].tolist(), "eta": eta[k].tolist()}
     return CheckResult(
-        check=f"time_integral_upper_alpha_{alpha:g}",
-        grid=grid.describe(),
         worst_point=worst_pt,
         worst_ratio=worst,
     )
@@ -511,11 +468,8 @@ def submultiplicativity_check(
     ratio = ftilde(X + Y) / (ftilde(X) * ftilde(Y))
     k = int(np.argmax(ratio))
     return CheckResult(
-        check="submultiplicativity_factor3",
-        grid=f"log-uniform XY [1e-6, 50]^2 x {n_samples}",
         worst_point={"X": float(X[k]), "Y": float(Y[k])},
         worst_ratio=float(ratio[k] - 3.0),
-        passed=bool(ratio[k] <= 3.0),
     )
 
 
@@ -537,25 +491,20 @@ def weight_triangle_check(
     xi_s = rng.standard_normal((n_samples, 3)) * scale
     t = params.t
 
-    def brk(v):
-        return np.sqrt(1.0 + np.sum(v**2, axis=-1))
-
-    log_lhs = log_weight_F(params, eta, xi) + params.r * np.log(brk(eta))
+    log_lhs = log_weight_F(params, eta, xi) + params.r * np.log(_brk(eta))
     psi_rest = psi(t, eta_t, xi, params.c0)
     log_f_rest = log_weight_F(params, eta_t, xi, psi_val=psi_rest)
     psi_diff = psi(t, eta - eta_t, xi_s, params.c0)
     log_f_d0 = psi_diff - np.logaddexp(0.0, np.log(params.delta) + psi_diff)
     log_rhs = (
-        np.log(brk(eta - eta_t) ** params.r + brk(eta_t) ** params.r)
+        np.log(_brk(eta - eta_t) ** params.r + _brk(eta_t) ** params.r)
         + log_f_d0
         + log_f_rest
-        + params.c0 * t * brk(xi_s)
+        + params.c0 * t * _brk(xi_s)
     )
     log_ratio = log_lhs - log_rhs
     k = int(np.argmax(log_ratio))
     return CheckResult(
-        check="weight_triangle",
-        grid=f"gaussian x log-scale [0.1, 30] x {n_samples}",
         worst_point={
             "eta": eta[k].tolist(),
             "eta_tilde": eta_t[k].tolist(),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from landau_hermite.solver import SolverConfig, run
+from landau_hermite.solver import SolverConfig, h_r_norm, run
 from landau_hermite.diagnostics import (
     DiagnosticsSeries,
     hermite_level_spectrum,
@@ -11,7 +11,6 @@ from landau_hermite.diagnostics import (
     fit_decay_rate,
     fit_rates,
     series_from_snapshots,
-    spectra_consistency_defect,
     write_spectra_csv,
     read_spectra_csv,
     write_rates_csv,
@@ -25,9 +24,12 @@ def small_run():
 
 
 def test_level_spectrum_partitions_norm():
+    # |sum_n S_n^2 - ||g||^2| must vanish: the levels partition the basis
     res = small_run()
     for _, state in res.snapshots:
-        assert spectra_consistency_defect(state) < 1e-10 * 1e-6 + 1e-18
+        S = hermite_level_spectrum(state)
+        defect = abs(float(np.sum(S**2)) - h_r_norm(state) ** 2)
+        assert defect < 1e-10 * 1e-6 + 1e-18
 
 
 def test_shell_spectrum_partitions_plain_norm():

@@ -109,11 +109,24 @@ def test_config_parse_roundtrip():
         ("picard_max_iter", 0),
         ("T", 0.051),
         ("dt", 0.03),
+        # snapshots are written from the recorded states, so a cadence that
+        # misses them would leave only the first and the final file
+        pytest.param(
+            "snapshot_every",
+            dict(T=0.3, dt=0.01, record_every=10, snapshot_every=15),
+            id="snapshot_every-15-record_every-10",
+        ),
+        pytest.param(
+            "snapshot_every",
+            dict(T=0.3, dt=0.01, record_every=0, snapshot_every=5),
+            id="snapshot_every-5-record_every-0",
+        ),
     ],
 )
 def test_config_rejects_bad_value(name, value):
+    values = value if isinstance(value, dict) else {name: value}
     with pytest.raises(ValueError, match=name):
-        small_config(**{name: value})
+        small_config(**values)
 
 
 @settings(max_examples=60, deadline=None)
