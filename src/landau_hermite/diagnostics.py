@@ -90,18 +90,17 @@ def fit_decay_rate(
     abscissa: np.ndarray,
     values: np.ndarray,
     alt_abscissa: np.ndarray | None = None,
-    min_points: int = MIN_RESOLVED,
 ) -> FitResult | None:
     """Fit log(values) = intercept - rate * abscissa over resolved entries.
 
-    Returns None when fewer than min_points entries clear RESOLVED_FLOOR.  When
+    Returns None when fewer than MIN_RESOLVED entries clear RESOLVED_FLOOR.  When
     alt_abscissa is given, the same data are fitted against it and
     `exponential` records whether the primary (linear-in-abscissa) model wins.
     """
     abscissa = np.asarray(abscissa, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     mask = values > RESOLVED_FLOOR
-    if int(np.sum(mask)) < min_points:
+    if int(np.sum(mask)) < MIN_RESOLVED:
         return None
     x = abscissa[mask]
     y = np.log(values[mask])
@@ -191,20 +190,46 @@ def write_spectra_csv(series: DiagnosticsSeries) -> str:
 
 
 def read_spectra_csv(text: str) -> DiagnosticsSeries:
+    """Parse a spectra CSV as `write_spectra_csv` writes it.
+
+    Raises ValueError naming the line for a row without 4 fields, a time or
+    value that is not a number, an unknown kind, an index that is not a
+    non-negative integer, a repeated (t, kind, index), and a time that lacks
+    one of the two kinds (named at its first row).
+    """
     rows = text.strip().splitlines()
     if not rows or rows[0] != "t,kind,index,value":
         raise ValueError("not a spectra CSV")
     data: dict = {}
-    for line in rows[1:]:
-        t_s, kind, idx_s, val_s = line.split(",")
-        t = float(t_s)
-        data.setdefault(t, {"hermite": {}, "fourier": {}})
-        data[t][kind][int(idx_s)] = float(val_s)
+    first_row: dict = {}
+    for lineno, line in enumerate(rows[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
+        t_s, kind, idx_s, val_s = fields
+        if kind not in ("hermite", "fourier"):
+            raise ValueError(f"line {lineno}: unknown kind {kind!r}")
+        if not idx_s.isdecimal():
+            raise ValueError(
+                f"line {lineno}: index {idx_s!r} is not a non-negative integer"
+            )
+        idx = int(idx_s)
+        try:
+            t, val = float(t_s), float(val_s)
+        except ValueError:
+            raise ValueError(f"line {lineno}: t or value is not a number") from None
+        entries = data.setdefault(t, {"hermite": {}, "fourier": {}})[kind]
+        first_row.setdefault(t, lineno)
+        if idx in entries:
+            raise ValueError(f"line {lineno}: repeated ({t_s}, {kind}, {idx})")
+        entries[idx] = val
     times = sorted(data)
     hermites, fouriers = [], []
     for t in times:
         for kind, dest in (("hermite", hermites), ("fourier", fouriers)):
             entries = data[t][kind]
+            if not entries:
+                raise ValueError(f"line {first_row[t]}: time {t!r} has no {kind} rows")
             arr = np.zeros(max(entries) + 1)
             for i, v in entries.items():
                 arr[i] = v

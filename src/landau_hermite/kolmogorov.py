@@ -104,9 +104,9 @@ def gaussian_state(
     xi_max: float = 12.0,
     xi_points: int = 97,
     xi_width: float = 1.0,
-    eta_width: float = 4.0,
 ) -> FourierGridState:
-    """Gaussian profile in xi times a Gaussian envelope over the eta lattice."""
+    """Gaussian profile of width xi_width in xi times a Gaussian envelope of
+    width 4 over the eta lattice."""
     shape_eta = (2 * eta_max + 1,) * dims
     shape_xi = (xi_points,) * dims
     eta = np.arange(-eta_max, eta_max + 1)
@@ -116,7 +116,7 @@ def gaussian_state(
     for ax in range(dims):
         sh = [1] * dims
         sh[ax] = -1
-        env = env * np.exp(-(eta.reshape(sh) ** 2) / (2 * eta_width**2))
+        env = env * np.exp(-(eta.reshape(sh) ** 2) / (2 * 4.0**2))
         prof = prof * np.exp(-(xi.reshape(sh) ** 2) / (2 * xi_width**2))
     vals = env.reshape(shape_eta + (1,) * dims) * prof.reshape((1,) * dims + shape_xi)
     return FourierGridState(dims, eta_max, xi_max, xi_points, vals)

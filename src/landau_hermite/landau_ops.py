@@ -460,7 +460,6 @@ def gamma_quadrature_oracle(
     f: HermiteSpectrum,
     g: HermiteSpectrum,
     order: int = 20,
-    convergence_tol: float = 1e-9,
 ) -> HermiteSpectrum:
     """Reference bilinear term from the defining (v, v*) double integral.
 
@@ -473,7 +472,7 @@ def gamma_quadrature_oracle(
 
     The degree of f and g must be <= 3 and the cap <= 8 (cost guard).  The
     computation is repeated at `order + 4`; if any coefficient moves by more
-    than `convergence_tol` a QuadratureConvergenceError is raised.
+    than 1e-9 a QuadratureConvergenceError is raised.
     """
     f._check_compatible(g)
     if f.degree() > 3 or g.degree() > 3:
@@ -483,7 +482,7 @@ def gamma_quadrature_oracle(
     lo = _oracle_at_order(f, g, order)
     hi = _oracle_at_order(f, g, order + 4)
     drift = float(np.max(np.abs(hi - lo)))
-    if drift > convergence_tol:
+    if drift > 1e-9:
         raise QuadratureConvergenceError(
             f"quadrature order {order} insufficient: order +4 moved a "
             f"coefficient by {drift:.3e}"

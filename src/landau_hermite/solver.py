@@ -81,7 +81,6 @@ class SolverConfig:
     scheme: str = "imex_euler"
     picard_tol: float = 1e-9
     picard_max_iter: int = 25
-    c0: float = 1.0 / 32.0
     seed: int = 0
     recipe: str = "rough"
     g0_norm: float = 1e-3
@@ -89,7 +88,7 @@ class SolverConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
-        for name in ("dt", "T", "r", "picard_tol", "c0", "g0_norm"):
+        for name in ("dt", "T", "r", "picard_tol", "g0_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.r <= 1.5:
@@ -663,9 +662,14 @@ def record_states(march, dt: float, record_every: int) -> RunResult:
 
 
 def run(config: SolverConfig, initial: PhaseState | None = None, gamma_on: bool = True) -> RunResult:
-    """March the configured scheme from the recipe (or the coefficients and
-    time of a provided datum) to time T, recording the energy ledger every
-    step and state snapshots at the record_every cadence."""
+    """March the IMEX scheme from the recipe (or the coefficients and time of
+    a provided datum) to time T, recording the energy ledger every step and
+    state snapshots at the record_every cadence.  A picard config raises
+    ValueError: `picard_solve` marches that scheme."""
+    if config.scheme != "imex_euler":
+        raise ValueError(
+            f"run marches imex_euler, not {config.scheme!r}; use picard_solve"
+        )
     if initial is None:
         g0 = build_initial_state(config)
     else:

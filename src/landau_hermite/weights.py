@@ -19,15 +19,14 @@ corresponding derivative of Psi times F times a factor of modulus <= 1.
 The transported-bracket integral has one quadrature path,
 `_transported_integral`, behind `psi` and its two gradients, and two closed
 forms, `psi_closed` (alpha = 1) and `kolmogorov.transport_dissipation_integral`
-(the |xi + rho eta|^2 part of alpha = 2).  Each sweep returns a
-CheckResult (worst_point, worst_ratio); nothing here is a proof - the sweeps
-estimate constants.
+(the |xi + rho eta|^2 part of alpha = 2).  Each sweep returns its worst
+value as a float; nothing here is a proof - the sweeps estimate constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,8 +36,6 @@ from .landau_ops import QuadratureConvergenceError
 
 __all__ = [
     "WeightParams",
-    "SampleGrid",
-    "CheckResult",
     "psi",
     "psi_closed",
     "psi_gradient_xi",
@@ -264,14 +261,6 @@ def bracket_factor(params: WeightParams, psi_val) -> np.ndarray | float:
     return out
 
 
-@dataclass
-class CheckResult:
-    """Outcome of one sampled sweep: the worst ratio and where it occurs."""
-
-    worst_point: dict
-    worst_ratio: float
-
-
 def transport_identity_residual(t, eta, xi, c0: float) -> float:
     """|(d/dt - eta.grad_xi) Psi - c0 <xi>| by central differences."""
     step = 1e-5
@@ -364,26 +353,23 @@ def icosahedral_directions() -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
-def log_radial_grid(rmin: float = 1e-2, rmax: float = 100.0, n: int = 14) -> np.ndarray:
-    return np.geomspace(rmin, rmax, n)
+def log_radial_grid(n: int = 14) -> np.ndarray:
+    """n radii spaced geometrically from 1e-2 to 100."""
+    return np.geomspace(1e-2, 100.0, n)
 
 
-@dataclass
-class SampleGrid:
-    """Log-radial x icosahedral sampling of pairs of 3-vectors, plus the
-    origin and far asymptotic rays (inequalities are scale-invariant at
-    infinity, so log grids expose the worst constants)."""
-
-    radii: np.ndarray = field(default_factory=log_radial_grid)
-    directions: np.ndarray = field(default_factory=icosahedral_directions)
-    ray_radius: float = 1e6
-
-    def vectors(self) -> np.ndarray:
-        radii = np.concatenate(([0.0], self.radii, [self.ray_radius]))
-        pts = radii[:, None, None] * self.directions[None, :, :]
-        pts = pts.reshape(-1, 3)
-        # the zero radius collapses all directions; keep a single origin
-        return np.unique(np.round(pts, 12), axis=0)
+def _sample_vectors(radii: np.ndarray | None) -> np.ndarray:
+    """Log-radial x icosahedral sampling of 3-vectors, plus the origin and the
+    far asymptotic ray at radius 1e6 (inequalities are scale-invariant at
+    infinity, so log grids expose the worst constants).  radii defaults to
+    log_radial_grid()."""
+    if radii is None:
+        radii = log_radial_grid()
+    radii = np.concatenate(([0.0], radii, [1e6]))
+    pts = radii[:, None, None] * icosahedral_directions()[None, :, :]
+    pts = pts.reshape(-1, 3)
+    # the zero radius collapses all directions; keep a single origin
+    return np.unique(np.round(pts, 12), axis=0)
 
 
 def _integral_bracket_power(alpha: float, t, eta, xi):
@@ -399,96 +385,77 @@ def _integral_bracket_power(alpha: float, t, eta, xi):
     raise ValueError(f"alpha must be 1 or 2 (closed forms only), got {alpha:g}")
 
 
-def time_integral_lower_ratio(alpha: float, grid: SampleGrid | None = None) -> CheckResult:
+def time_integral_lower_ratio(alpha: float, radii: np.ndarray | None = None) -> float:
     """Brute-force minimum of
 
         integral_0^1 <xi - tau eta~>^alpha d tau / (1 + |xi|^2 + |eta~|^2)^(alpha/2)
 
-    over the sample grid.  For alpha = 1 the minimum must clear 1/16 and for
-    alpha = 2 it must clear 1/32 (floors assembled from the two-sided
-    comparison chain; the true minima are larger).
+    over all pairs of sample vectors.  For alpha = 1 the minimum must clear
+    1/16 and for alpha = 2 it must clear 1/32 (floors assembled from the
+    two-sided comparison chain; the true minima are larger).
     """
-    grid = grid or SampleGrid()
-    pts = grid.vectors()
+    pts = _sample_vectors(radii)
     xi = np.repeat(pts, len(pts), axis=0)
     eta = np.tile(pts, (len(pts), 1))
     num = _integral_bracket_power(alpha, 1.0, -eta, xi)
     den = (1.0 + np.sum(xi**2, axis=-1) + np.sum(eta**2, axis=-1)) ** (alpha / 2.0)
-    ratio = num / den
-    k = int(np.argmin(ratio))
-    return CheckResult(
-        worst_point={"xi": xi[k].tolist(), "eta_tilde": eta[k].tolist()},
-        worst_ratio=float(ratio[k]),
-    )
+    return float(np.min(num / den))
 
 
-def time_integral_upper_ratio(alpha: float, grid: SampleGrid | None = None) -> CheckResult:
+def time_integral_upper_ratio(alpha: float, radii: np.ndarray | None = None) -> float:
     """Empirical constant C_alpha in
 
         integral_0^t <xi + rho eta>^alpha d rho
             <= C_alpha * t * (1 + |xi|^2 + t^2 |eta|^2)^(alpha/2),
 
-    the worst ratio over the sample grid at t = 0.1, 0.25, 0.5 and 1.
+    the worst ratio over all pairs of sample vectors at t = 0.1, 0.25, 0.5
+    and 1.
     """
-    grid = grid or SampleGrid()
-    pts = grid.vectors()
+    pts = _sample_vectors(radii)
     xi = np.repeat(pts, len(pts), axis=0)
     eta = np.tile(pts, (len(pts), 1))
-    worst = -np.inf
-    worst_pt: dict = {}
+    worst = []
     for t in (0.1, 0.25, 0.5, 1.0):
         num = _integral_bracket_power(alpha, t, eta, xi)
         den = t * (
             1.0 + np.sum(xi**2, axis=-1) + t**2 * np.sum(eta**2, axis=-1)
         ) ** (alpha / 2.0)
-        ratio = num / den
-        k = int(np.argmax(ratio))
-        if ratio[k] > worst:
-            worst = float(ratio[k])
-            worst_pt = {"t": t, "xi": xi[k].tolist(), "eta": eta[k].tolist()}
-    return CheckResult(
-        worst_point=worst_pt,
-        worst_ratio=worst,
-    )
+        worst.append(np.max(num / den))
+    return float(np.max(worst))
 
 
-def submultiplicativity_check(
-    delta: float, n_samples: int = 100_000, seed: int = 0
-) -> CheckResult:
-    """Max violation of Ftilde(X+Y) <= 3 Ftilde(X) Ftilde(Y) on random
-    X, Y >= 0, where Ftilde(X) = e^X/(1 + delta e^X).  Violation is the
+def submultiplicativity_check(delta: float, seed: int = 0) -> float:
+    """Max violation of Ftilde(X+Y) <= 3 Ftilde(X) Ftilde(Y) over 100 000
+    random X, Y >= 0, where Ftilde(X) = e^X/(1 + delta e^X).  Violation is the
     amount by which the ratio exceeds 3 (so <= 0 means the bound holds)."""
+    n = 100_000
     rng = np.random.default_rng(seed)
-    X = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), n_samples))
-    Y = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), n_samples))
+    X = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), n))
+    Y = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), n))
 
     def ftilde(z):
         return 1.0 / (np.exp(-z) + delta)
 
     ratio = ftilde(X + Y) / (ftilde(X) * ftilde(Y))
-    k = int(np.argmax(ratio))
-    return CheckResult(
-        worst_point={"X": float(X[k]), "Y": float(Y[k])},
-        worst_ratio=float(ratio[k] - 3.0),
-    )
+    return float(np.max(ratio) - 3.0)
 
 
-def weight_triangle_check(
-    params: WeightParams, n_samples: int = 2000, seed: int = 1
-) -> CheckResult:
-    """Empirical constant in the convolution triangle bound
+def weight_triangle_check(params: WeightParams, seed: int = 1) -> float:
+    """Empirical constant, the worst over 2000 random samples, in the
+    convolution triangle bound
 
         F[d,d'](t,eta,xi) <eta>^r <= C (<eta-eta~>^r + <eta~>^r)
             * F[d,0](t, eta-eta~, xi*) * F[d,d'](t, eta~, xi) * e^(c0 t <xi*>).
 
     Evaluated in log space so large Psi cannot overflow.
     """
+    n = 2000
     rng = np.random.default_rng(seed)
-    scale = np.exp(rng.uniform(np.log(0.1), np.log(30.0), (n_samples, 1)))
-    eta = rng.standard_normal((n_samples, 3)) * scale
-    eta_t = rng.standard_normal((n_samples, 3)) * scale
-    xi = rng.standard_normal((n_samples, 3)) * scale
-    xi_s = rng.standard_normal((n_samples, 3)) * scale
+    scale = np.exp(rng.uniform(np.log(0.1), np.log(30.0), (n, 1)))
+    eta = rng.standard_normal((n, 3)) * scale
+    eta_t = rng.standard_normal((n, 3)) * scale
+    xi = rng.standard_normal((n, 3)) * scale
+    xi_s = rng.standard_normal((n, 3)) * scale
     t = params.t
 
     log_lhs = log_weight_F(params, eta, xi) + params.r * np.log(_brk(eta))
@@ -502,14 +469,4 @@ def weight_triangle_check(
         + log_f_rest
         + params.c0 * t * _brk(xi_s)
     )
-    log_ratio = log_lhs - log_rhs
-    k = int(np.argmax(log_ratio))
-    return CheckResult(
-        worst_point={
-            "eta": eta[k].tolist(),
-            "eta_tilde": eta_t[k].tolist(),
-            "xi": xi[k].tolist(),
-            "xi_star": xi_s[k].tolist(),
-        },
-        worst_ratio=float(np.exp(log_ratio[k])),
-    )
+    return float(np.exp(np.max(log_lhs - log_rhs)))

@@ -83,7 +83,7 @@ def test_kolmogorov_gaussian_rate_matches_exact_exponent():
         R[m] += np.sum(np.abs(out.values[mode]) ** 2)
     R = np.sqrt(R)
     m = np.arange(1, n + 1)  # skip the double-counted shell 0 normalization
-    fit = fit_decay_rate(m.astype(float) ** 2, R[1:], min_points=5)
+    fit = fit_decay_rate(m.astype(float) ** 2, R[1:])
     assert fit is not None
     assert abs(fit.rate - t**3 / 3.0) <= 0.05 * (t**3 / 3.0)
 
@@ -98,6 +98,29 @@ def test_series_csv_round_trip():
         np.testing.assert_allclose(a, b, rtol=1e-15)
     for a, b in zip(series.fourier, back.fourier):
         np.testing.assert_allclose(a, b, rtol=1e-15)
+
+
+_SPECTRA = "t,kind,index,value\n0,hermite,0,1.0\n0,fourier,0,2.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_SPECTRA + "0.1,hermite,0\n", "line 4: expected 4 fields"),
+        (_SPECTRA + "0,hermit,1,1.0\n", "line 4: unknown kind 'hermit'"),
+        (_SPECTRA + "0,hermite,-1,1.0\n", "line 4: index '-1'"),
+        (_SPECTRA + "0,fourier,1.5,1.0\n", "line 4: index '1.5'"),
+        (_SPECTRA + "0,fourier,0,3.0\n", r"line 4: repeated \(0, fourier, 0\)"),
+        (_SPECTRA + "0.1,hermite,0,1.0\n", "line 4: time 0.1 has no fourier rows"),
+        (_SPECTRA + "0,hermite,1,x\n", "line 4: t or value is not a number"),
+    ],
+    ids=["fields", "kind", "negative-index", "fractional-index", "repeat",
+         "missing-kind", "value"],
+)
+def test_read_spectra_csv_names_the_bad_line(text, message):
+    read_spectra_csv(_SPECTRA)  # the base file is valid
+    with pytest.raises(ValueError, match=message):
+        read_spectra_csv(text)
 
 
 def test_rates_csv_shape():

@@ -91,6 +91,12 @@ def test_config_parse_roundtrip():
         parse_config_text("unknown_key = 3")
 
 
+def test_config_rejects_c0_as_unknown_key():
+    # no config field sets the weight strength; a c0 line is not ignored
+    with pytest.raises(ValueError, match="c0"):
+        parse_config_text("N = 8\nK = 3\nc0 = 0.03125\n")
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
@@ -101,7 +107,6 @@ def test_config_parse_roundtrip():
         ("T", -0.1),
         ("picard_tol", math.nan),
         ("picard_tol", -1e-9),
-        ("c0", math.inf),
         ("g0_norm", -1.0),
         ("g0_norm", math.nan),
         ("record_every", -3),
@@ -131,7 +136,7 @@ def test_config_rejects_bad_value(name, value):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["dt", "T", "r", "picard_tol", "c0", "g0_norm"]),
+    st.sampled_from(["dt", "T", "r", "picard_tol", "g0_norm"]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 def test_config_text_float_fields_are_finite(name, value):
@@ -495,6 +500,12 @@ def test_one_norm_per_state(monkeypatch):
     _, report = picard_solve(build_initial_state(cfg))
     assert report.iterations == 2
     assert len(calls) <= 79
+
+
+def test_run_rejects_picard_config():
+    # run marches IMEX only; a picard config goes to picard_solve
+    with pytest.raises(ValueError, match="picard_solve"):
+        run(small_config(scheme="picard"))
 
 
 def test_one_clock_for_both_schemes():
