@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "FourierGridState",
     "gaussian_state",
-    "flat_in_x_state",
     "transport_dissipation_integral",
     "exact_propagate",
     "smoothing_norm",
@@ -119,18 +118,6 @@ def gaussian_state(
         env = env * np.exp(-(eta.reshape(sh) ** 2) / (2 * 4.0**2))
         prof = prof * np.exp(-(xi.reshape(sh) ** 2) / (2 * xi_width**2))
     vals = env.reshape(shape_eta + (1,) * dims) * prof.reshape((1,) * dims + shape_xi)
-    return FourierGridState(dims, eta_max, xi_max, xi_points, vals)
-
-
-def flat_in_x_state(
-    dims: int = 1, eta_max: int = 8, xi_max: float = 12.0, xi_points: int = 97
-) -> FourierGridState:
-    """Unit mass concentrated at xi = 0, identical on every eta mode: rough in
-    x, flat in the velocity-frequency variable."""
-    shape = (2 * eta_max + 1,) * dims + (xi_points,) * dims
-    vals = np.zeros(shape, dtype=np.complex128)
-    center = (xi_points - 1) // 2
-    vals[(slice(None),) * dims + (center,) * dims] = 1.0
     return FourierGridState(dims, eta_max, xi_max, xi_points, vals)
 
 

@@ -812,11 +812,7 @@ def write_snapshot(path, state: PhaseState) -> None:
     cfg = state.config
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.d_x, cfg.K, cfg.N, cfg.r, state.time))
-        inter = np.empty(state.c.size * 2, dtype="<f8")
-        flat = state.c.reshape(-1)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
+        fh.write(state.c.astype("<c16").tobytes())
 
 
 def read_snapshot(path, config: SolverConfig | None = None) -> PhaseState:
@@ -843,6 +839,7 @@ def read_snapshot(path, config: SolverConfig | None = None) -> PhaseState:
         if size != expected:
             raise ValueError(f"snapshot payload is {size} bytes, its header needs {expected}")
         ws = _Workspace.for_config(config)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        c = (raw[0::2] + 1j * raw[1::2]).reshape(ws.n_modes, ws.basis.size)
+        # astype copies the read-only buffer into writable native complex128
+        raw = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
+        c = raw.reshape(ws.n_modes, ws.basis.size)
         return PhaseState(config, c, time)

@@ -1,11 +1,13 @@
 """Named verification suites aggregating the module invariants.
 
 Each check yields a record {suite, check, status, worst_value, tolerance};
-a suite passes when every check does.  One rule, in `_record`, decides every
-status: a check passes iff its worst value is finite and at most its
-tolerance.  The floors `blocks_psd` (least block eigenvalue) and
-`time_integral_lower_alpha1`/`_alpha2` (least sampled ratio) instead pass iff
-the worst value is finite and at least the tolerance.  Suites: ladder,
+a suite passes when every check does.  Every check hands its residuals to
+`_record`, the one place they are reduced and judged: the worst value is
+their max, and a check passes iff it is finite and at most the tolerance.
+The floors `blocks_psd` (least block eigenvalue) and
+`time_integral_lower_alpha1`/`_alpha2` (least sampled ratio) take the min
+instead and pass iff it is finite and at least the tolerance.  The reduction
+propagates NaN, so a NaN residual anywhere fails its check.  Suites: ladder,
 linear_op, gamma_oracle, weights, kolmogorov, plus "all", which runs them in
 that order.
 """
@@ -24,10 +26,13 @@ from . import kolmogorov as kg
 __all__ = ["SUITES", "run_suite"]
 
 
-def _record(suite, check, worst, tol, at_least=False):
-    """The one status rule: pass iff worst is finite and worst <= tol (worst
-    >= tol for a floor, at_least=True)."""
-    worst, tol = float(worst), float(tol)
+def _record(suite, check, values, tol, at_least=False):
+    """The one reduction and status rule.  values (a number, list or array of
+    residuals) reduce to worst = max(values), min for a floor (at_least=True),
+    NaN if any value is NaN; pass iff worst is finite and worst <= tol
+    (worst >= tol for a floor)."""
+    worst = float(np.min(values) if at_least else np.max(values))
+    tol = float(tol)
     within = worst >= tol if at_least else worst <= tol
     return {
         "suite": suite,
@@ -47,36 +52,29 @@ def _ladder_checks():
     N = 12
     rng = np.random.default_rng(100)
     tol = 1e-12
-    worst_comm = worst_adj = worst_skew = worst_ident = 0.0
+    comm, adj, skew, ident = [], [], [], []
     for _ in range(100):
         s = hc.random_spectrum(N, rng, max_level=N - 2)
         s2 = hc.random_spectrum(N, rng, max_level=N - 2)
         for j in (1, 2, 3):
-            comm = (
+            c = (
                 hc.lower_op(j, hc.raise_op(j, s)) - hc.raise_op(j, hc.lower_op(j, s))
             ).coeffs - s.coeffs
-            worst_comm = max(worst_comm, float(np.max(np.abs(comm))))
-            adj = hc.inner_product(hc.raise_op(j, s), s2) - hc.inner_product(
-                s, hc.lower_op(j, s2)
-            )
-            worst_adj = max(worst_adj, abs(adj))
+            comm.append(np.max(np.abs(c)))
+            adj.append(abs(hc.inner_product(hc.raise_op(j, s), s2)
+                           - hc.inner_product(s, hc.lower_op(j, s2))))
         for k, j in ((1, 2), (2, 3), (3, 1)):
-            skew = hc.inner_product(hc.angular(k, j, s), s2) + hc.inner_product(
-                s, hc.angular(k, j, s2)
+            skew.append(abs(hc.inner_product(hc.angular(k, j, s), s2)
+                            + hc.inner_product(s, hc.angular(k, j, s2))))
+            ladder = (
+                hc.multiply_v(j, hc.differentiate_v(k, s))
+                - hc.multiply_v(k, hc.differentiate_v(j, s))
             )
-            worst_skew = max(worst_skew, abs(skew))
-            ident = (
-                hc.angular(k, j, s).coeffs
-                - (
-                    hc.multiply_v(j, hc.differentiate_v(k, s))
-                    - hc.multiply_v(k, hc.differentiate_v(j, s))
-                ).coeffs
-            )
-            worst_ident = max(worst_ident, float(np.max(np.abs(ident))))
-    yield _record("ladder", "commutation", worst_comm, tol)
-    yield _record("ladder", "adjointness", worst_adj, tol)
-    yield _record("ladder", "rotation_skew", worst_skew, tol)
-    yield _record("ladder", "rotation_ladder_identity", worst_ident, tol)
+            ident.append(np.max(np.abs(hc.angular(k, j, s).coeffs - ladder.coeffs)))
+    yield _record("ladder", "commutation", comm, tol)
+    yield _record("ladder", "adjointness", adj, tol)
+    yield _record("ladder", "rotation_skew", skew, tol)
+    yield _record("ladder", "rotation_ladder_identity", ident, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +94,20 @@ def _linear_op_checks():
         + hc.unit_spectrum(N, (0, 0, 2))
     )
     invariants.append(radial)
-    worst_kernel = max(lo.apply_L(s).norm() for s in invariants)
-    yield _record("linear_op", "collision_invariant_kernel", worst_kernel, 1e-12)
+    kernel = [lo.apply_L(s).norm() for s in invariants]
+    yield _record("linear_op", "collision_invariant_kernel", kernel, 1e-12)
 
     blocks = lo.level_blocks_L(N)
-    worst_sym = max(float(np.max(np.abs(b - b.T))) for b in blocks)
-    min_eig = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
-    yield _record("linear_op", "blocks_symmetric", worst_sym, 1e-12)
-    yield _record("linear_op", "blocks_psd", min_eig, -1e-10, at_least=True)
+    sym = [np.max(np.abs(b - b.T)) for b in blocks]
+    eigs = [np.linalg.eigvalsh(b).min() for b in blocks]
+    yield _record("linear_op", "blocks_symmetric", sym, 1e-12)
+    yield _record("linear_op", "blocks_psd", eigs, -1e-10, at_least=True)
 
     s = hc.unit_spectrum(N, (1, 1, 0))
-    eig_res = float(np.max(np.abs(lo.apply_L(s).coeffs - 12.0 * s.coeffs)))
+    eig_res = np.abs(lo.apply_L(s).coeffs - 12.0 * s.coeffs)
     yield _record("linear_op", "level2_eigenvalue_12", eig_res, 1e-10)
 
-    worst_coer = 0.0
+    coer = []
     for _ in range(100):
         g = hc.random_spectrum(N, rng, max_level=N - 2)
         lhs = hc.inner_product(lo.apply_L1(g), g).real
@@ -121,8 +119,8 @@ def _linear_op_checks():
             for j in (1, 2, 3):
                 if k != j:
                     total += 0.5 * hc.angular(k, j, g).norm() ** 2
-        worst_coer = max(worst_coer, abs(lhs - (total - 3.0 * g.norm() ** 2)))
-    yield _record("linear_op", "coercivity_identity", worst_coer, 1e-10)
+        coer.append(abs(lhs - (total - 3.0 * g.norm() ** 2)))
+    yield _record("linear_op", "coercivity_identity", coer, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +131,7 @@ def _linear_op_checks():
 def _gamma_checks():
     N = 10
     rng = np.random.default_rng(102)
-    worst_de = worst_da = 0.0
+    de, da = [], []
     for _ in range(25):
         f = hc.random_spectrum(N, rng)
         g = hc.random_spectrum(N, rng, max_level=N - 2)
@@ -141,35 +139,31 @@ def _gamma_checks():
         d = lo.gamma_weak_D(f, g, h)
         e = lo.gamma_weak_E(f, g, h)
         a = hc.inner_product(lo.gamma_apply(f, g), h)
-        worst_de = max(worst_de, abs(d - e))
-        worst_da = max(worst_da, abs(d - a))
-    yield _record("gamma_oracle", "weak_forms_agree", worst_de, 1e-12)
-    yield _record("gamma_oracle", "strong_form_agrees", worst_da, 1e-12)
+        de.append(abs(d - e))
+        da.append(abs(d - a))
+    yield _record("gamma_oracle", "weak_forms_agree", de, 1e-12)
+    yield _record("gamma_oracle", "strong_form_agrees", da, 1e-12)
 
     phi0 = hc.unit_spectrum(N, (0, 0, 0))
-    worst_id = 0.0
+    ground = []
     for _ in range(5):
         g = hc.random_spectrum(N, rng)
-        worst_id = max(
-            worst_id,
-            float(np.max(np.abs((lo.gamma_apply(phi0, g) + lo.apply_L1(g)).coeffs))),
-            float(np.max(np.abs((lo.gamma_apply(g, phi0) + lo.apply_L2(g)).coeffs))),
-        )
-    yield _record("gamma_oracle", "ground_state_identities", worst_id, 1e-12)
+        ground.append(np.max(np.abs((lo.gamma_apply(phi0, g) + lo.apply_L1(g)).coeffs)))
+        ground.append(np.max(np.abs((lo.gamma_apply(g, phi0) + lo.apply_L2(g)).coeffs)))
+    yield _record("gamma_oracle", "ground_state_identities", ground, 1e-12)
 
-    worst_cons = 0.0
+    cons = []
     slots = lo.get_operators(N).moment_slots
     for _ in range(10):
         g = hc.random_spectrum(N, rng, max_level=N - 2)
         out = lo.gamma_apply(g, g)
         mom = out.coeffs[slots]
-        vals = [abs(mom[0]), abs(mom[1]), abs(mom[2]), abs(mom[3]), abs(mom[4:7].sum())]
-        worst_cons = max(worst_cons, max(vals))
-    yield _record("gamma_oracle", "conservation_moments", worst_cons, 1e-10)
+        cons += [abs(mom[0]), abs(mom[1]), abs(mom[2]), abs(mom[3]), abs(mom[4:7].sum())]
+    yield _record("gamma_oracle", "conservation_moments", cons, 1e-10)
 
     Nq = 5
     rng_q = np.random.default_rng(103)
-    worst_rel = 0.0
+    rel = []
     basis = hc.get_basis(Nq)
     for _ in range(5):
         sel = basis.levels <= 3
@@ -182,10 +176,8 @@ def _gamma_checks():
         oracle = lo.gamma_quadrature_oracle(fq, gq)
         direct = lo.gamma_apply(fq, gq)
         scale = max(float(np.max(np.abs(direct.coeffs))), 1e-30)
-        worst_rel = max(
-            worst_rel, float(np.max(np.abs(oracle.coeffs - direct.coeffs))) / scale
-        )
-    yield _record("gamma_oracle", "quadrature_oracle_match", worst_rel, 1e-8)
+        rel.append(float(np.max(np.abs(oracle.coeffs - direct.coeffs))) / scale)
+    yield _record("gamma_oracle", "quadrature_oracle_match", rel, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +188,27 @@ def _gamma_checks():
 def _weights_checks():
     rng = np.random.default_rng(104)
     c0 = 1.0 / 32.0
-    worst_tr = 0.0
+    tr = []
     for _ in range(10):
         eta = rng.standard_normal(3) * 2
         xi = rng.standard_normal(3) * 2
         t = rng.uniform(0.2, 0.9)
-        worst_tr = max(worst_tr, wt.transport_identity_residual(t, eta, xi, c0))
-    yield _record("weights", "transport_identity", worst_tr, 1e-6)
+        tr.append(wt.transport_identity_residual(t, eta, xi, c0))
+    yield _record("weights", "transport_identity", tr, 1e-6)
 
     p = wt.WeightParams(c0=c0, delta=0.5, delta_prime=0.25, r=2.0, t=0.7)
-    worst_43 = 0.0
+    deriv = []
     for _ in range(10):
         eta = rng.standard_normal(3)
         xi = rng.standard_normal(3)
         direction = rng.standard_normal(7)
-        worst_43 = max(worst_43, wt.weight_derivative_identity_residual(p, eta, xi, direction))
-    yield _record("weights", "weight_derivative_identity", worst_43, 1e-6)
+        deriv.append(wt.weight_derivative_identity_residual(p, eta, xi, direction))
+    yield _record("weights", "weight_derivative_identity", deriv, 1e-6)
 
-    rep = wt.psi_derivative_bounds(
+    ratio = wt.psi_derivative_bounds(
         p, rng.standard_normal((30, 3)) * 3, rng.standard_normal((30, 3)) * 3
     )
-    yield _record("weights", "psi_first_derivative_bound", rep["max_first_ratio"], 1.0)
+    yield _record("weights", "psi_first_derivative_bound", ratio, 1.0)
 
     yield _record("weights", "time_integral_lower_alpha1", wt.time_integral_lower_ratio(1.0), 1 / 16, at_least=True)
     yield _record("weights", "time_integral_lower_alpha2", wt.time_integral_lower_ratio(2.0), 1 / 32, at_least=True)
@@ -225,14 +217,14 @@ def _weights_checks():
     yield _record("weights", "submultiplicativity_factor3", wt.submultiplicativity_check(0.37, seed=9), 0.0)
     yield _record("weights", "weight_triangle_finite", wt.weight_triangle_check(p, seed=10), math.inf)
 
-    worst_split = 0.0
+    split = []
     for _ in range(20):
         eta = rng.standard_normal(3) * 3
         xi = rng.standard_normal(3) * 3
         f0, g, brk = wt.weight_F_split(p, eta, xi)
         ref = wt.weight_F(p, eta, xi)
-        worst_split = max(worst_split, abs(f0 * g * brk - ref) / abs(ref))
-    yield _record("weights", "factor_split_identity", worst_split, 1e-12)
+        split.append(abs(f0 * g * brk - ref) / abs(ref))
+    yield _record("weights", "factor_split_identity", split, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -247,38 +239,32 @@ def _kolmogorov_checks():
     center = s.eta_max
     xi = s.xi_axis
     heat = np.exp(-t * xi**2) * s.values[center]
-    worst_heat = float(np.max(np.abs(out.values[center] - heat)))
-    yield _record("kolmogorov", "heat_reduction_exact", worst_heat, 1e-14)
+    heat_err = np.abs(out.values[center] - heat)
+    yield _record("kolmogorov", "heat_reduction_exact", heat_err, 1e-14)
 
     fine = kg.gaussian_state(dims=1, eta_max=4, xi_max=12.0, xi_points=769)
     exact = kg.exact_propagate(fine, t)
-    errs = [
-        float(np.linalg.norm(kg.imex_reference_march(fine, t, dt).values - exact.values))
+    errs = np.array([
+        np.linalg.norm(kg.imex_reference_march(fine, t, dt).values - exact.values)
         for dt in (1 / 8, 1 / 16, 1 / 32)
-    ]
-    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    ])
     # first order: each halving of dt halves the error, every ratio in 2 +- 0.4
-    worst_dev = np.max(np.abs(np.array(ratios) - 2.0))
-    yield _record("kolmogorov", "first_order_convergence", worst_dev, 0.4)
+    dev = np.abs(errs[:-1] / errs[1:] - 2.0)
+    yield _record("kolmogorov", "first_order_convergence", dev, 0.4)
 
     c = (1.0 / 32.0) / 2.0
     vals = np.array([
         kg.smoothing_norm(kg.exact_propagate(s, float(tt)), c)
         for tt in np.linspace(0.1, 1.0, 7)
     ])
-    # the largest relative growth between successive times, inf if a norm is
-    # not finite
-    worst_up = np.max(vals[1:] / vals[:-1] - 1.0, initial=0.0)
-    if not np.all(np.isfinite(vals)):
-        worst_up = math.inf
-    yield _record("kolmogorov", "smoothing_norm_finite_decreasing", worst_up, 1e-10)
+    # relative growth between successive times, 0 where the norm falls; a
+    # non-finite norm makes its differences inf or NaN
+    growth = np.maximum(np.diff(vals) / vals[:-1], 0.0)
+    yield _record("kolmogorov", "smoothing_norm_finite_decreasing", growth, 1e-10)
 
     out2 = kg.exact_propagate(s, 0.5)
-    worst_gain = 0.0
-    for mode in s.eta_modes():
-        gain = out2.slice_mass(mode) - s.slice_mass(mode)
-        worst_gain = max(worst_gain, gain)
-    yield _record("kolmogorov", "slice_mass_nonincreasing", worst_gain, 1e-14)
+    gain = [out2.slice_mass(mode) - s.slice_mass(mode) for mode in s.eta_modes()]
+    yield _record("kolmogorov", "slice_mass_nonincreasing", np.maximum(gain, 0.0), 1e-14)
 
 
 SUITES = {

@@ -314,30 +314,13 @@ def weight_derivative_identity_residual(params: WeightParams, eta, xi, direction
     return abs(dF - br * dpsi * F0) / scale
 
 
-def psi_derivative_bounds(params: WeightParams, eta, xi) -> dict:
-    """Sampled first- and second-derivative bounds of Psi in xi.
-
-    Returns max |d Psi / d xi_j| / (c0 t)  (must be <= 1) and the largest
-    second central difference over the sample, normalized by c0 t.
-    """
-    step = 1e-4
+def psi_derivative_bounds(params: WeightParams, eta, xi) -> float:
+    """Sampled first-derivative bound of Psi in xi: max |d Psi / d xi_j| /
+    (c0 t) over the sample (must be <= 1)."""
     eta = np.atleast_2d(np.asarray(eta, dtype=np.float64))
     xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
     grad = psi_gradient_xi(params.t, eta, xi, params.c0)
-    first_ratio = float(np.max(np.abs(grad))) / (params.c0 * params.t)
-    worst_second = 0.0
-    base = psi(params.t, eta, xi, params.c0)
-    for comp in range(3):
-        e = np.zeros(3)
-        e[comp] = step
-        plus = psi(params.t, eta, xi + e, params.c0)
-        minus = psi(params.t, eta, xi - e, params.c0)
-        second = np.abs(plus + minus - 2.0 * np.asarray(base)) / step**2
-        worst_second = max(worst_second, float(np.max(second)))
-    return {
-        "max_first_ratio": first_ratio,
-        "max_second_over_c0t": worst_second / (params.c0 * params.t),
-    }
+    return float(np.max(np.abs(grad))) / (params.c0 * params.t)
 
 
 def icosahedral_directions() -> np.ndarray:

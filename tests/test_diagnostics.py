@@ -15,6 +15,17 @@ from landau_hermite.diagnostics import (
     read_spectra_csv,
     write_rates_csv,
 )
+from landau_hermite.kolmogorov import FourierGridState, exact_propagate
+
+
+def flat_in_x_state(dims=1, eta_max=8, xi_max=12.0, xi_points=97):
+    """Unit mass concentrated at xi = 0, identical on every eta mode: rough in
+    x, flat in the velocity-frequency variable."""
+    shape = (2 * eta_max + 1,) * dims + (xi_points,) * dims
+    vals = np.zeros(shape, dtype=np.complex128)
+    center = (xi_points - 1) // 2
+    vals[(slice(None),) * dims + (center,) * dims] = 1.0
+    return FourierGridState(dims, eta_max, xi_max, xi_points, vals)
 
 
 def small_run():
@@ -69,8 +80,6 @@ def test_under_resolved_fit_returns_none():
 def test_kolmogorov_gaussian_rate_matches_exact_exponent():
     # datum concentrated at xi = 0, white over eta; after the exact propagator
     # the shell profile is exp(-t^3 m^2 / 3) at lattice-aligned times
-    from landau_hermite.kolmogorov import flat_in_x_state, exact_propagate
-
     s = flat_in_x_state(dims=1, eta_max=8, xi_max=12.0, xi_points=97)
     t = 1.0  # multiple of the lattice step, shift exact
     out = exact_propagate(s, t)

@@ -51,6 +51,7 @@ def test_snapshot_round_trip(tmp_path):
     assert back.config.d_x == cfg.d_x and back.config.r == cfg.r
     assert back.time == 0.125
     np.testing.assert_array_equal(back.c, state.c)
+    assert back.c.flags.writeable
 
 
 def test_snapshot_header_layout(tmp_path):

@@ -8,7 +8,6 @@ import numpy as np
 from landau_hermite.kolmogorov import (
     FourierGridState,
     gaussian_state,
-    flat_in_x_state,
     transport_dissipation_integral,
     exact_propagate,
     smoothing_norm,

@@ -180,9 +180,7 @@ def test_psi_derivative_bounds():
     p = params()
     eta = rng.standard_normal((40, 3)) * 3
     xi = rng.standard_normal((40, 3)) * 3
-    rep = psi_derivative_bounds(p, eta, xi)
-    assert rep["max_first_ratio"] <= 1.0 + 1e-9
-    assert np.isfinite(rep["max_second_over_c0t"])
+    assert psi_derivative_bounds(p, eta, xi) <= 1.0 + 1e-9
 
 
 def test_time_integral_trivial_direction():
