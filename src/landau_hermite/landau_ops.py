@@ -303,6 +303,12 @@ def gamma_apply(f: HermiteSpectrum, g: HermiteSpectrum) -> HermiteSpectrum:
 
 # ---------------------------------------------------------------------------
 # quadrature oracle
+#
+# Every profile and every test function is a tensor product of the 1-D
+# Hermite tables P, dP, so the oracle never forms a per-basis-function grid
+# table: coefficients are scattered into an (N+1)^3 tensor and contracted
+# onto the n^3 Gauss grid one axis at a time, and the integrand of each test
+# direction is contracted back the same way.
 # ---------------------------------------------------------------------------
 
 
@@ -329,37 +335,12 @@ def _hermite_value_tables(max_deg: int, x: np.ndarray) -> tuple[np.ndarray, np.n
     return P, dP
 
 
-def _eval_poly_grids(
-    coeffs: np.ndarray,
-    indices: np.ndarray,
-    P: np.ndarray,
-    dP: np.ndarray,
-    n1d: int,
-):
-    """Polynomial part p of a spectrum and its three partial derivatives
-    d_k p on the tensor grid, plus the per-basis-function tables of d_k p_alpha
-    (one row per alpha of the index table `indices`)."""
-    npts = n1d**3
-    # per-basis-function tensor values, assembled axis by axis
-    V = (
-        P[indices[:, 0]][:, :, None, None]
-        * P[indices[:, 1]][:, None, :, None]
-        * P[indices[:, 2]][:, None, None, :]
-    ).reshape(len(indices), npts)
-    D = []
-    for ax in range(3):
-        tabs = [P[indices[:, 0]], P[indices[:, 1]], P[indices[:, 2]]]
-        tabs[ax] = dP[indices[:, ax]]
-        D.append(
-            (
-                tabs[0][:, :, None, None]
-                * tabs[1][:, None, :, None]
-                * tabs[2][:, None, None, :]
-            ).reshape(len(indices), npts)
-        )
-    val = coeffs @ V
-    dval = [coeffs @ D[ax] for ax in range(3)]
-    return val, dval, D
+def _contract(T: np.ndarray, tables) -> np.ndarray:
+    """sum_abc T[a, b, c] A0[a, x] A1[b, y] A2[c, z] for tables (A0, A1, A2),
+    one axis per tensordot (each contracts axis 0 and appends the new one)."""
+    for A in tables:
+        T = np.tensordot(T, A, axes=(0, 0))
+    return T
 
 
 @lru_cache(maxsize=None)
@@ -394,66 +375,56 @@ def _a_matrix_terms(k: int, j: int) -> tuple:
     return tuple(terms)
 
 
-def _oracle_profiles(f: HermiteSpectrum, g: HermiteSpectrum, order: int):
-    """The tensor Gauss-Hermite grid of `order` points per axis and the
-    pointwise profiles both oracle bodies integrate on it.
-
-    Returns (w3, grid, star_f, star_df, g_plain, g_ladder, test_k): the
-    weights and the three coordinate arrays of the n^3 points, the v*-side
-    profiles sqrt(mu) f and sqrt(mu) (d_j - v*_j/2) f, the v-side profiles g
-    and (d_j - v_j) g (polynomial parts), and the polynomial parts of the
-    test functions (-d_k - v_k/2) Phi_beta, one row per beta.
-    """
-    indices = np.array(get_basis(f.degree_cap).indices, dtype=np.int64)
-    nodes, wts = np.polynomial.hermite.hermgauss(order)
-    x = math.sqrt(2.0) * nodes  # points where the e^{-v^2/2} weight lives
-    P, dP = _hermite_value_tables(f.degree_cap, x)
-
-    n1 = order
-    w3 = (math.sqrt(2.0) ** 3) * (
-        wts[:, None, None] * wts[None, :, None] * wts[None, None, :]
-    ).reshape(-1)
-    grid = [
-        np.broadcast_to(x[:, None, None], (n1, n1, n1)).reshape(-1),
-        np.broadcast_to(x[None, :, None], (n1, n1, n1)).reshape(-1),
-        np.broadcast_to(x[None, None, :], (n1, n1, n1)).reshape(-1),
-    ]
-    fval, fder, _ = _eval_poly_grids(f.coeffs, indices, P, dP, n1)
-    gval, gder, D = _eval_poly_grids(g.coeffs, indices, P, dP, n1)
-
-    mu_fac = (2.0 * math.pi) ** (-0.75)
-    star_f = mu_fac * fval
-    star_df = [mu_fac * (fder[ax] - grid[ax] * fval) for ax in range(3)]
-    g_ladder = [gder[ax] - grid[ax] * gval for ax in range(3)]
-    # test-side: polynomial part of (-d_k - v_k/2) Phi_beta is -d_k p_beta
-    test_k = [-D[ax] for ax in range(3)]
-    return w3, grid, star_f, star_df, gval, g_ladder, test_k
-
-
 def _oracle_at_order(
     f: HermiteSpectrum, g: HermiteSpectrum, order: int
 ) -> np.ndarray:
-    w3, grid, star_f, star_df, g_plain, g_ladder, test_k = _oracle_profiles(f, g, order)
+    """Oracle coefficients on the tensor Gauss-Hermite grid of `order` points
+    per axis, in canonical slot order."""
+    N = f.degree_cap
+    slots = tuple(np.array(get_basis(N).indices, dtype=np.int64).T)
+    nodes, wts = np.polynomial.hermite.hermgauss(order)
+    x = math.sqrt(2.0) * nodes  # points where the e^{-v^2/2} weight lives
+    w = math.sqrt(2.0) * wts
+    P, dP = _hermite_value_tables(N, x)
+    grid = [x[:, None, None], x[None, :, None], x[None, None, :]]
+    w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
+
+    def tables(k):  # polynomial parts of d_k Phi: dP on axis k, P elsewhere
+        return [dP if ax == k else P for ax in range(3)]
+
+    def profiles(coeffs):
+        """Polynomial parts of p and of the ladder profiles (d_j - v_j) p."""
+        T = np.zeros((N + 1,) * 3, dtype=np.complex128)
+        T[slots] = coeffs
+        val = _contract(T, [P, P, P])
+        return val, [_contract(T, tables(j)) - grid[j] * val for j in range(3)]
 
     def monomial(exps):
-        m = np.ones_like(grid[0])
+        m = 1.0
         for ax, e in enumerate(exps):
             if e:
                 m = m * grid[ax] ** e
         return m
 
-    out = np.zeros(test_k[0].shape[0], dtype=np.complex128)
+    # v*-side profiles sqrt(mu) f and sqrt(mu) (d_j - v*_j/2) f, v-side g and
+    # (d_j - v_j) g; the test function (-d_k - v_k/2) Phi_beta has
+    # polynomial part -d_k p_beta
+    mu_fac = (2.0 * math.pi) ** (-0.75)
+    f_val, f_ladder = profiles(f.coeffs)
+    g_val, g_ladder = profiles(g.coeffs)
+    out = np.zeros((N + 1,) * 3, dtype=np.complex128)
     for k in range(3):
+        integrand = np.zeros(w3.shape, dtype=np.complex128)
         for j in range(3):
             for coef, pexp, qexp in _a_matrix_terms(k, j):
-                mono = monomial(pexp)
-                qmono = monomial(qexp)
-                w_star = np.sum(w3 * qmono * star_f)
-                x_star = np.sum(w3 * qmono * star_df[j])
-                u_side = test_k[k] @ (w3 * mono * g_ladder[j])
-                v_side = test_k[k] @ (w3 * mono * g_plain)
-                out += coef * (w_star * u_side - x_star * v_side)
-    return out
+                qw = w3 * monomial(qexp)
+                w_star = mu_fac * np.sum(qw * f_val)
+                x_star = mu_fac * np.sum(qw * f_ladder[j])
+                integrand += (coef * monomial(pexp)) * (
+                    w_star * g_ladder[j] - x_star * g_val
+                )
+        out -= _contract(w3 * integrand, [A.T for A in tables(k)])
+    return out[slots]
 
 
 def gamma_quadrature_oracle(
@@ -467,14 +438,20 @@ def gamma_quadrature_oracle(
     velocity arguments (weight exp(-|.|^2/2) after absorbing the Gaussian
     factors of the arguments), pairing against every basis function up to the
     cap.  The separable polynomial collision matrix lets the 6-D tensor sum
-    factor into 3-D sums; the result is identical to a literal 6-D
-    evaluation up to summation order.
+    factor into 3-D sums, and the tensor-product basis lets each 3-D sum be
+    contracted axis by axis: the coefficients of f and g go onto the grid by
+    three 1-D contractions per profile, and the integrand of each test
+    direction k comes back by three more.  The result is identical to a
+    literal 6-D evaluation up to summation order.
 
-    The degree of f and g must be <= 3 and the cap <= 8 (cost guard).  The
-    computation is repeated at `order + 4`; if any coefficient moves by more
-    than 1e-9 a QuadratureConvergenceError is raised.
+    Non-finite coefficients are rejected with a ValueError.  The degree of f
+    and g must be <= 3 and the cap <= 8 (cost guard).  The computation is
+    repeated at `order + 4`; if any coefficient moves by more than 1e-9, or
+    the result is not finite, a QuadratureConvergenceError is raised.
     """
     f._check_compatible(g)
+    if not (np.all(np.isfinite(f.coeffs)) and np.all(np.isfinite(g.coeffs))):
+        raise ValueError("oracle arguments must have finite coefficients")
     if f.degree() > 3 or g.degree() > 3:
         raise ValueError("oracle arguments must have degree <= 3")
     if f.degree_cap > 8:
@@ -482,28 +459,9 @@ def gamma_quadrature_oracle(
     lo = _oracle_at_order(f, g, order)
     hi = _oracle_at_order(f, g, order + 4)
     drift = float(np.max(np.abs(hi - lo)))
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise QuadratureConvergenceError(
             f"quadrature order {order} insufficient: order +4 moved a "
             f"coefficient by {drift:.3e}"
         )
     return HermiteSpectrum(f.degree_cap, hi)
-
-
-def _oracle_full6d(f: HermiteSpectrum, g: HermiteSpectrum, order: int = 6) -> np.ndarray:
-    """Literal 6-D tensor quadrature over (v, v*) pairs, for cross-checking
-    the factored path in tests.  Cost grows like order^6; keep order small."""
-    w3, grid, star_f, star_df, g_plain, g_ladder, test_k = _oracle_profiles(f, g, order)
-    out = np.zeros(test_k[0].shape[0], dtype=np.complex128)
-    # pairwise collision matrix on the product grid, one (k, j) at a time
-    dz = [grid[ax][:, None] - grid[ax][None, :] for ax in range(3)]  # v - v*
-    z2 = dz[0] ** 2 + dz[1] ** 2 + dz[2] ** 2
-    for k in range(3):
-        for j in range(3):
-            akj = (z2 if k == j else 0.0) - dz[k] * dz[j]
-            # sum over v* for both f profiles
-            inner1 = akj @ (w3 * star_f)  # (npts,)
-            inner2 = akj @ (w3 * star_df[j])
-            integrand = inner1 * g_ladder[j] - inner2 * g_plain
-            out += test_k[k] @ (w3 * integrand)
-    return out

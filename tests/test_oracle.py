@@ -1,16 +1,20 @@
 """Quadrature oracle for the bilinear term: an independent reference built
 from the defining double integral, checked against the ladder-algebra route."""
 
+import math
+
 import numpy as np
 import pytest
 
+from landau_hermite import landau_ops
 from landau_hermite.hermite_core import unit_spectrum, zero_spectrum, get_basis
 from landau_hermite.landau_ops import (
     apply_L1,
     gamma_apply,
     gamma_quadrature_oracle,
+    QuadratureConvergenceError,
+    _hermite_value_tables,
     _oracle_at_order,
-    _oracle_full6d,
 )
 
 ZERO = (0, 0, 0)
@@ -44,10 +48,64 @@ def test_oracle_reproduces_minus_L1():
     assert np.max(np.abs(out.coeffs + ref.coeffs)) < 1e-9
 
 
+def _oracle_full6d(f, g, order=6):
+    """Literal 6-D tensor quadrature over (v, v*) pairs, for cross-checking
+    the factored path.  Builds its own per-basis-function (|basis|, n^3)
+    tables, so it shares no contraction with the oracle.  Cost grows like
+    order^6; keep order small."""
+    indices = np.array(get_basis(f.degree_cap).indices, dtype=np.int64)
+    nodes, wts = np.polynomial.hermite.hermgauss(order)
+    x = math.sqrt(2.0) * nodes
+    P, dP = _hermite_value_tables(f.degree_cap, x)
+    w1 = math.sqrt(2.0) * wts
+    w3 = np.einsum("a,b,c->abc", w1, w1, w1).reshape(-1)
+    grid = [np.broadcast_to(x.reshape(s), (order,) * 3).reshape(-1)
+            for s in ((-1, 1, 1), (1, -1, 1), (1, 1, -1))]
+
+    def table(ax=None):  # rows p_alpha (ax None) or d_ax p_alpha on the grid
+        t = [dP[indices[:, a]] if a == ax else P[indices[:, a]] for a in range(3)]
+        return np.einsum("ix,iy,iz->ixyz", *t).reshape(len(indices), -1)
+
+    V, D = table(), [table(ax) for ax in range(3)]
+    mu_fac = (2.0 * math.pi) ** (-0.75)
+    star_f = mu_fac * (f.coeffs @ V)
+    star_df = [mu_fac * (f.coeffs @ D[j]) - grid[j] * star_f for j in range(3)]
+    g_plain = g.coeffs @ V
+    g_ladder = [g.coeffs @ D[j] - grid[j] * g_plain for j in range(3)]
+    out = np.zeros(len(indices), dtype=np.complex128)
+    # pairwise collision matrix on the product grid, one (k, j) at a time
+    dz = [grid[ax][:, None] - grid[ax][None, :] for ax in range(3)]  # v - v*
+    z2 = dz[0] ** 2 + dz[1] ** 2 + dz[2] ** 2
+    for k in range(3):
+        for j in range(3):
+            akj = (z2 if k == j else 0.0) - dz[k] * dz[j]
+            # sum over v* for both f profiles
+            inner1 = akj @ (w3 * star_f)
+            inner2 = akj @ (w3 * star_df[j])
+            integrand = inner1 * g_ladder[j] - inner2 * g_plain
+            # test function (-d_k - v_k/2) Phi_beta has polynomial part -d_k p_beta
+            out -= D[k] @ (w3 * integrand)
+    return out
+
+
 def test_oracle_vs_gamma_apply_on_random_pairs():
     rng = np.random.default_rng(32)
     N = 5
     for _ in range(20):
+        f = random_low_degree(N, rng, 3)
+        g = random_low_degree(N, rng, 3)
+        oracle = gamma_quadrature_oracle(f, g)
+        direct = gamma_apply(f, g)
+        scale = max(np.max(np.abs(direct.coeffs)), 1e-30)
+        rel = np.max(np.abs(oracle.coeffs - direct.coeffs)) / scale
+        assert rel <= 1e-8
+
+
+def test_oracle_vs_gamma_apply_at_cap_8():
+    """Complex, non-Hermitian pairs at the largest cap the cost guard allows."""
+    rng = np.random.default_rng(35)
+    N = 8
+    for _ in range(3):
         f = random_low_degree(N, rng, 3)
         g = random_low_degree(N, rng, 3)
         oracle = gamma_quadrature_oracle(f, g)
@@ -75,9 +133,31 @@ def test_oracle_rejects_high_degree():
         gamma_quadrature_oracle(s, s)
 
 
-def test_oracle_convergence_guard_trips_on_tiny_order():
-    from landau_hermite.landau_ops import QuadratureConvergenceError
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("slot", ["f", "g"])
+def test_oracle_rejects_non_finite_coefficients(slot, value):
+    N = 5
+    f = unit_spectrum(N, ZERO)
+    g = unit_spectrum(N, (1, 0, 0))
+    (f if slot == "f" else g).coeffs[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        gamma_quadrature_oracle(f, g)
 
+
+def test_oracle_guard_trips_on_nan_result(monkeypatch):
+    """A NaN produced inside the quadrature must not pass the drift guard."""
+    N = 5
+    phi0 = unit_spectrum(N, ZERO)
+    size = get_basis(N).size
+    monkeypatch.setattr(
+        landau_ops, "_oracle_at_order",
+        lambda f, g, order: np.full(size, np.nan, dtype=np.complex128),
+    )
+    with pytest.raises(QuadratureConvergenceError):
+        gamma_quadrature_oracle(phi0, phi0)
+
+
+def test_oracle_convergence_guard_trips_on_tiny_order():
     rng = np.random.default_rng(34)
     N = 5
     f = random_low_degree(N, rng, 3)
