@@ -13,6 +13,8 @@ blocks shared by all Fourier modes), transport and the bilinear term go
 explicitly.  The bilinear term touches its first argument only through ten
 moments; `_bilinear` evaluates its mode convolutions pseudo-spectrally on a
 dealiased grid, in O(n_modes * M) memory for M Hermite coefficients per mode.
+A step's working set is one complex (M, L**d_x) grid, transformed in place
+both ways, the 2 MiB block of `_grid_product` and a few state-sized arrays.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
@@ -215,13 +217,15 @@ class _Workspace:
         return cls._cache[key]
 
     def implicit_inverses(self, dt: float) -> list[np.ndarray]:
-        """Dense inverses of (I + dt * L_block) per Hermite level."""
+        """Dense inverses of (I + dt * L_block) per Hermite level.  A march
+        uses one dt, so only the set of the most recent dt is kept."""
         key = round(dt, 15)
         if key not in self._solve_cache:
-            inv = []
-            for block in self.ops.level_blocks():
-                inv.append(np.linalg.inv(np.eye(block.shape[0]) + dt * block))
-            self._solve_cache[key] = inv
+            self._solve_cache.clear()
+            self._solve_cache[key] = [
+                np.linalg.inv(np.eye(block.shape[0]) + dt * block)
+                for block in self.ops.level_blocks()
+            ]
         return self._solve_cache[key]
 
     @functools.cached_property
@@ -358,8 +362,11 @@ def hermitian_defect(state: PhaseState) -> float:
 
 
 def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
-    """Apply the operator M to every mode row of c: rows become (M @ row)."""
-    return (M @ c.T).T
+    """Apply the real operator M to every mode row of c: rows become
+    (M @ row).  M acts on the float64 view of one C-contiguous copy of c.T,
+    so its data is never upcast to complex."""
+    cT = np.ascontiguousarray(c.T)
+    return (M @ cT.view(np.float64)).view(np.complex128).T
 
 
 def _add_transport(ws: _Workspace, c: np.ndarray, out: np.ndarray, scale: complex) -> np.ndarray:
@@ -390,18 +397,22 @@ def _fast_len(n: int) -> int:
 
 def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     """Grid values (P, L**d_x) of the lattice polynomials whose mode
-    coefficients are the columns of c (n_modes, P)."""
-    grid = np.zeros((c.shape[1],) + ws.grid_shape, dtype=np.complex128)
-    grid.reshape(c.shape[1], -1)[:, ws.grid_index] = c.T
-    return np.fft.ifftn(grid, axes=ws.grid_axes, norm="forward").reshape(c.shape[1], -1)
+    coefficients are the columns of c (n_modes, P); c is left unchanged.
+    The one grid array is inverse-transformed in place."""
+    P = c.shape[1]
+    grid = np.zeros((P,) + ws.grid_shape, dtype=np.complex128)
+    grid.reshape(P, -1)[:, ws.grid_index] = c.T
+    return np.fft.ifftn(grid, axes=ws.grid_axes, norm="forward", out=grid).reshape(P, -1)
 
 
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """Lattice coefficients (n_modes, P) of grid values x (P, L**d_x); modes
-    off the lattice are dropped."""
+    off the lattice are dropped.  Consumes x: it is forward-transformed in
+    place, so callers pass a grid they own and no longer need."""
     P = x.shape[0]
-    x = np.fft.fftn(x.reshape((P,) + ws.grid_shape), axes=ws.grid_axes, norm="forward")
-    return np.ascontiguousarray(x.reshape(P, -1)[:, ws.grid_index].T)
+    grid = x.reshape((P,) + ws.grid_shape)
+    np.fft.fftn(grid, axes=ws.grid_axes, norm="forward", out=grid)
+    return grid.reshape(P, -1).T[ws.grid_index]
 
 
 # bytes of the work array of _grid_product, two blocks at the desk grid
@@ -515,8 +526,13 @@ def triple_norm(state: PhaseState) -> float:
 
 
 def _hermitize(ws: _Workspace, c: np.ndarray) -> np.ndarray:
-    """Project onto the real-field symmetry c(-eta) = conj(c(eta))."""
-    return 0.5 * (c + np.conj(c[ws.neg_index]))
+    """Project onto the real-field symmetry c(-eta) = conj(c(eta)); returns
+    a new array, built in place from the one mirrored copy of c."""
+    out = c[ws.neg_index]
+    np.conjugate(out, out=out)
+    out += c
+    out *= 0.5
+    return out
 
 
 def build_initial_state(config: SolverConfig) -> PhaseState:
@@ -544,7 +560,9 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
             c[zero_mode, ix[e]] = 0.3
     else:
         levels = ws.basis.levels
-        noise = rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape)
+        # the noise: real parts drawn first, then imaginary parts, into c
+        c.real = rng.standard_normal(c.shape)
+        c.imag = rng.standard_normal(c.shape)
         if config.recipe == "rough":
             # algebraic coefficient decay across Hermite levels, white across
             # the spatial modes: rough in both variables
@@ -553,7 +571,8 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
         else:  # gaussian
             level_fac = np.exp(-0.5 * levels)
             mode_fac = np.exp(-0.25 * ws.eta_sq)
-        c = noise * level_fac[None, :] * mode_fac[:, None]
+        c *= level_fac[None, :]
+        c *= mode_fac[:, None]
         c = _hermitize(ws, c)
     state = PhaseState(config, c, 0.0)
     norm = h_r_norm(state)

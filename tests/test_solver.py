@@ -289,6 +289,35 @@ def test_trilinear_adjoints_match_weighted_pairing():
         assert abs(f_slot - pairing) <= 1e-12 * abs(pairing)
 
 
+def test_sparse_right_real_view_is_exact():
+    # the real operator on the float64 view of c.T gives the complex product
+    # bit for bit, on non-Hermitian states
+    from landau_hermite.solver import _Workspace, _sparse_right
+
+    rng = np.random.default_rng(61)
+    for d_x, K in ((0, 0), (1, 3), (3, 1)):
+        cfg = small_config(d_x=d_x, K=K)
+        ws = _Workspace.for_config(cfg)
+        c = random_state(cfg, rng).c
+        for M in ws.V + [ws.dissipation_form]:
+            assert np.array_equal(_sparse_right(c, M), (M @ c.T).T)
+
+
+def test_grid_round_trip():
+    # _to_grid leaves its argument unchanged; _from_grid undoes it
+    from landau_hermite.solver import _Workspace, _from_grid, _to_grid
+
+    rng = np.random.default_rng(62)
+    for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
+        cfg = small_config(d_x=d_x, K=K)
+        ws = _Workspace.for_config(cfg)
+        c = random_state(cfg, rng).c
+        kept = c.copy()
+        back = _from_grid(ws, _to_grid(ws, c))
+        assert np.array_equal(c, kept)
+        assert np.linalg.norm(back - c) <= 1e-15 * np.linalg.norm(c)
+
+
 def test_workspace_memory_is_linear_in_modes():
     # no table over mode pairs: the d_x = 3, K = 8 grid builds in O(n_modes)
     from landau_hermite.solver import _Workspace
@@ -581,6 +610,65 @@ def test_picard_memory_is_one_trajectory():
         tracemalloc.stop()
     assert report.converged
     assert peak <= 1.25 * len(traj) * g0.c.nbytes
+
+
+def test_step_memory_is_one_grid():
+    # one (M, L^3) complex grid transformed in place, the _grid_product work
+    # array and two state arrays (the datum is the caller's)
+    from landau_hermite.solver import _BLOCK_BYTES, _Workspace
+
+    cfg = small_config(N=6, K=5, d_x=3, dt=1e-3, T=1e-3, recipe="rough", seed=5)
+    ws = _Workspace.for_config(cfg)
+    ws.implicit_inverses(cfg.dt)
+    g0 = build_initial_state(cfg)
+    grid_bytes = ws.basis.size * math.prod(ws.grid_shape) * 16
+    tracemalloc.start()
+    try:
+        step_imex(g0, cfg.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid_bytes + _BLOCK_BYTES + 2 * g0.c.nbytes
+
+
+@pytest.mark.parametrize("recipe", ["rough", "gaussian"])
+def test_initial_datum_is_lean(recipe):
+    # the noise is drawn into one complex array, all real parts first, and
+    # the datum equals the reference built from separate samples bit for bit
+    from landau_hermite.solver import _Workspace
+
+    cfg = small_config(N=6, K=5, d_x=3, recipe=recipe, seed=2)
+    ws = _Workspace.for_config(cfg)
+    tracemalloc.start()
+    try:
+        g0 = build_initial_state(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g0.c.nbytes
+
+    rng = np.random.default_rng(cfg.seed)
+    shape = g0.c.shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    levels = ws.basis.levels
+    if recipe == "rough":
+        c = noise * ((1.0 + levels) ** -1.0)[None, :] * np.ones(ws.n_modes)[:, None]
+    else:
+        c = noise * np.exp(-0.5 * levels)[None, :] * np.exp(-0.25 * ws.eta_sq)[:, None]
+    c = 0.5 * (c + np.conj(c[ws.neg_index]))
+    c *= cfg.g0_norm / h_r_norm(PhaseState(cfg, c))
+    assert np.array_equal(g0.c, c)
+
+
+def test_implicit_inverses_keep_the_latest_dt():
+    # a dt sweep leaves the inverse set of its last dt only
+    from landau_hermite.solver import _Workspace
+
+    ws = _Workspace(6, 1, 1, 2.0)
+    for k in range(1, 11):
+        inverses = ws.implicit_inverses(k * 1e-3)
+    assert len(ws._solve_cache) == 1
+    assert ws.implicit_inverses(10e-3) is inverses
 
 
 def test_picard_divergence_returns_previous_iterate(monkeypatch):
