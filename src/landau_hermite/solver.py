@@ -13,8 +13,11 @@ blocks shared by all Fourier modes), transport and the bilinear term go
 explicitly.  The bilinear term touches its first argument only through ten
 moments; `_bilinear` evaluates its mode convolutions pseudo-spectrally on a
 dealiased grid, in O(n_modes * M) memory for M Hermite coefficients per mode.
-A step's working set is one complex (M, L**d_x) grid, transformed in place
-both ways, the 2 MiB block of `_grid_product` and a few state-sized arrays.
+The perturbation is a real field, c(-eta) = conj(c(eta)), and the kernel
+acts on real fields only: a step's working set is one real (M, L**d_x)
+grid, reached through a 2 MiB half-spectrum block in each direction, the
+2 MiB block of `_grid_product` and a few state-sized arrays.  The march
+therefore rejects a datum that is not a real field.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
@@ -192,14 +195,18 @@ class _Workspace:
         self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
         self.neg_index = np.arange(self.n_modes)[::-1]  # eta -> -eta reverses the order
-        # the grid of _bilinear, L >= 3K+1 points per axis: mode eta sits at
-        # the flat index of (eta mod L)
+        # the real grid of _bilinear, L >= 3K+1 points per axis, and its half
+        # spectrum: the real transforms halve the first axis, so the modes
+        # with eta_1 >= 0 are the tail modes[half_start:], and mode eta sits
+        # at the flat half-spectrum index of (eta_1, eta_2 mod L, ...)
         L = _fast_len(3 * K + 1)
-        self.grid_shape, self.grid_axes = (L,) * d_x, tuple(range(1, d_x + 1))
+        self.grid_shape = (L,) * d_x
+        self.half_shape = (L // 2 + 1,) + (L,) * (d_x - 1) if d_x else ()
         axis = np.arange(-K, K + 1) % L
-        self.grid_index = np.zeros(1, dtype=np.int64)
-        for _ in range(d_x):
-            self.grid_index = (self.grid_index[:, None] * L + axis).ravel()
+        self.half_index = np.arange(K + 1)
+        for _ in range(d_x - 1):
+            self.half_index = (self.half_index[:, None] * L + axis).ravel()
+        self.half_start = self.n_modes - len(self.half_index)
         self.moment_stack = sp.hstack(self.ops.moment_operators, format="csr")
         b = self.basis
         self.V = [b.coordinate(ax) for ax in range(3)]
@@ -264,11 +271,13 @@ class _Workspace:
 
             |(B(f,g), h)_weighted| <= C0 ||f|| (|||g||| + ||g||)(|||h||| + ||h||),
 
-        found by alternating maximization from two seeded random starts, 30
-        sweeps each (the f slot has a closed-form optimum because f enters
-        through its ten moments per mode).  The value is a certified lower
-        bound on the true constant: it is the exact ratio at an explicit
-        triple.  Cached per workspace.
+        over real fields, the paper's setting and the kernel's domain.  It
+        is found by alternating maximization from two seeded random starts,
+        hermitized, 30 sweeps each (the f slot has a closed-form optimum
+        because f enters through its ten moments per mode); every sweep maps
+        real fields to real fields.  The value is a certified lower bound on
+        the true constant over real fields: it is the exact ratio at an
+        explicit real triple.  Cached per workspace.
         """
         if hasattr(self, "_c0_hat"):
             return self._c0_hat
@@ -302,6 +311,7 @@ class _Workspace:
 
         def draw():
             c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
+            c = _hermitize(self, c)
             return c / np.linalg.norm(c)
 
         for _ in range(2):
@@ -371,9 +381,14 @@ def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
 
 def _add_transport(ws: _Workspace, c: np.ndarray, out: np.ndarray, scale: complex) -> np.ndarray:
     """out += scale * sum_j eta_j * (v_j on the slice) for the modes of c;
-    returns out."""
+    returns out.  Every axis reads one C-contiguous copy of c.T through its
+    float64 view, and its term is scaled in place and added into out."""
+    cT = np.ascontiguousarray(c.T).view(np.float64)
     for j in range(ws.d_x):
-        out += scale * ws.eta[:, j : j + 1] * _sparse_right(c, ws.V[j])
+        vc = (ws.V[j] @ cT).view(np.complex128)
+        vc *= scale * ws.eta[:, j]
+        out += vc.T
+        del vc  # freed before the next axis allocates its product
     return out
 
 
@@ -395,50 +410,93 @@ def _fast_len(n: int) -> int:
     return n if k == 1 else _fast_len(n + 1)
 
 
+def _half_block(ws: _Workspace, P: int) -> np.ndarray:
+    """The half-spectrum work array of the grid transforms: a block of rows
+    of at most _BLOCK_BYTES, and at least one row.  Zeroed: `_to_grid`
+    relies on the first-axis rows past the lattice staying zero."""
+    rows = min(P, max(1, _BLOCK_BYTES // (16 * math.prod(ws.half_shape))))
+    return np.zeros((rows,) + ws.half_shape, dtype=np.complex128)
+
+
 def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
-    """Grid values (P, L**d_x) of the lattice polynomials whose mode
+    """Real grid values (P, L**d_x) of the real fields whose mode
     coefficients are the columns of c (n_modes, P); c is left unchanged.
-    The one grid array is inverse-transformed in place."""
+    Only the modes with eta_1 >= 0 are read.  Row blocks of c go through one
+    half-spectrum block: scattered, inverse-transformed over the trailing
+    axes in place, then real-transformed over the first axis into the grid."""
     P = c.shape[1]
-    grid = np.zeros((P,) + ws.grid_shape, dtype=np.complex128)
-    grid.reshape(P, -1)[:, ws.grid_index] = c.T
-    return np.fft.ifftn(grid, axes=ws.grid_axes, norm="forward", out=grid).reshape(P, -1)
+    if not ws.d_x:  # the one-point grid: a real field has real coefficients
+        return c.real.T.copy()
+    grid = np.empty((P,) + ws.grid_shape)
+    block = _half_block(ws, P)
+    lattice = slice(0, ws.K + 1)  # first-axis rows that hold lattice modes
+    for start in range(0, P, len(block)):
+        s = slice(start, min(start + len(block), P))
+        h = block[: s.stop - s.start]
+        h[:, lattice] = 0.0
+        h.reshape(len(h), -1)[:, ws.half_index] = c[ws.half_start :, s].T
+        if ws.d_x > 1:
+            rows = h[:, lattice]
+            np.fft.ifftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
+        np.fft.irfft(h, n=ws.grid_shape[0], axis=1, norm="forward", out=grid[s])
+    return grid.reshape(P, -1)
 
 
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
-    """Lattice coefficients (n_modes, P) of grid values x (P, L**d_x); modes
-    off the lattice are dropped.  Consumes x: it is forward-transformed in
-    place, so callers pass a grid they own and no longer need."""
+    """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
+    modes off the lattice are dropped.  Row blocks of x are real-transformed
+    into one half-spectrum block; the upper half modes[centre:] of the
+    sorted lattice is gathered from it and the lower half filled by
+    conjugation (neg_index reverses the order), so the result is Hermitian
+    by construction.  x is left unchanged."""
     P = x.shape[0]
+    if not ws.d_x:
+        return x.T.astype(np.complex128)
+    out = np.empty((ws.n_modes, P), dtype=np.complex128)
+    centre = ws.n_modes // 2  # the index of eta = 0
+    gather = ws.half_index[centre - ws.half_start :]
     grid = x.reshape((P,) + ws.grid_shape)
-    np.fft.fftn(grid, axes=ws.grid_axes, norm="forward", out=grid)
-    return grid.reshape(P, -1).T[ws.grid_index]
+    block = _half_block(ws, P)
+    lattice = slice(0, ws.K + 1)
+    for start in range(0, P, len(block)):
+        s = slice(start, min(start + len(block), P))
+        h = block[: s.stop - s.start]
+        np.fft.rfft(grid[s], axis=1, norm="forward", out=h)
+        if ws.d_x > 1:
+            rows = h[:, lattice]
+            np.fft.fftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
+        out[centre:, s] = h.reshape(len(h), -1)[:, gather].T
+    out[centre].imag = 0.0  # a real field's mean is real: drop rounding
+    np.conjugate(out[:centre:-1], out=out[:centre])
+    return out
 
 
 # bytes of the work array of _grid_product, two blocks at the desk grid
-# (d_x = 1, N = 16): larger blocks save little time but add their size to RSS
+# (d_x = 1, N = 16), and of the half-spectrum block of the grid transforms:
+# larger blocks save little time but add their size to RSS
 _BLOCK_BYTES = 2 << 20
 
 
 def _grid_product(stack: sp.csr_matrix, ax: np.ndarray, bx: np.ndarray) -> np.ndarray:
     """sum_m A_m (ax[m] * bx) for stack = [A_0 | ... | A_9] real (M, 10 M) and
-    grid values ax (10, n), bx (M, n); overwrites and returns bx.  Works on
-    blocks of grid points; the stack acts on each block's float64 view."""
+    real grid values ax (10, n), bx (M, n); overwrites and returns bx.
+    Works on blocks of grid points."""
     M, n = bx.shape
-    width = min(n, max(1, _BLOCK_BYTES // (160 * M)))
-    work = np.empty(10 * M * width, dtype=np.complex128)
+    width = min(n, max(1, _BLOCK_BYTES // (80 * M)))
+    work = np.empty(10 * M * width)
     for start in range(0, n, width):
         s = slice(start, min(start + width, n))
         prod = work[: 10 * M * (s.stop - s.start)].reshape(10, M, -1)
         np.multiply(ax[:, None, s], bx[None, :, s], out=prod)
-        bx[:, s] = (stack @ prod.reshape(10 * M, -1).view(np.float64)).view(np.complex128)
+        bx[:, s] = stack @ prod.reshape(10 * M, -1)
     return bx
 
 
 def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_m G_m (mom[:, m] * g), * the mode convolution truncated to the
     lattice: the bilinear term with its first argument given by its ten
-    moment fields mom (n_modes, 10).
+    moment fields mom (n_modes, 10).  Both arguments are real fields, and so
+    is the result.
 
     Both factors are multiplied on a grid of L >= 3K+1 points per axis; the
     product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
@@ -449,22 +507,32 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """U with sum(conj(h) * _bilinear(ws, mom, g)) == vdot(U, g) for every g:
-    the transposed stack's grid product with the conjugated moment fields."""
-    mx = np.conj(_to_grid(ws, mom))
-    return _from_grid(ws, _grid_product(ws.moment_stack_adjoint, mx, _to_grid(ws, h)))
+    """U with sum(conj(h) * _bilinear(ws, mom, g)) == vdot(U, g) for every
+    real field g (mom and h real fields too): the transposed stack's grid
+    product."""
+    product = _grid_product(ws.moment_stack_adjoint, _to_grid(ws, mom), _to_grid(ws, h))
+    return _from_grid(ws, product)
 
 
 def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """W (n_modes, 10) with sum(conj(h) * _bilinear(ws, mom, g)) ==
-    sum(mom * W) for every mom: W[c, m] is the coefficient at mode -c of
-    sum_alpha conj(h) (G_m g) on the grid."""
-    gx = _to_grid(ws, g).view(np.float64)
-    hx = np.conj(_to_grid(ws, h))
-    out = np.empty((10, hx.shape[1]), dtype=np.complex128)
+    sum(mom * W) for every real field mom (g and h real fields too): W[c, m]
+    is the coefficient at mode -c of sum_alpha h (G_m g) on the grid."""
+    gx = _to_grid(ws, g)
+    hx = _to_grid(ws, h)
+    out = np.empty((10, hx.shape[1]))
     for m, G in enumerate(ws.ops.moment_operators):
-        out[m] = np.einsum("ax,ax->x", hx, (G @ gx).view(np.complex128))
+        out[m] = np.einsum("ax,ax->x", hx, G @ gx)
     return _from_grid(ws, out)[ws.neg_index]
+
+
+def _real_parts(ws: _Workspace, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real fields a, b with c = a + i b: a = (c + conj c(-eta)) / 2 and
+    b = (c - conj c(-eta)) / (2i)."""
+    a = _hermitize(ws, c)
+    b = c - a
+    b *= -1j
+    return a, b
 
 
 def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
@@ -472,13 +540,18 @@ def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     sum over mode pairs of the velocity-space bilinear term, with the
     f-dependence entering only through per-mode moments.
 
-    Out-of-lattice terms are dropped; `_bilinear` evaluates it on a grid of
-    >= 3K+1 points per axis, in O(n_modes M) memory.
+    Out-of-lattice terms are dropped; `_bilinear` evaluates it on a real
+    grid of >= 3K+1 points per axis, in O(n_modes M) memory.  The states may
+    be complex: each splits into two real fields, c = a + i b, and the term
+    is the bilinear sum of the four real-field kernel calls.
     """
     if f_state.config is not g_state.config and f_state.config != g_state.config:
         raise ValueError("states must share a config")
     ws = f_state.workspace
-    out = _bilinear(ws, f_state.c[:, ws.ops.moment_slots], g_state.c)
+    fa, fb = _real_parts(ws, f_state.c[:, ws.ops.moment_slots])
+    ga, gb = _real_parts(ws, g_state.c)
+    out = _bilinear(ws, fa, ga) - _bilinear(ws, fb, gb)
+    out += 1j * (_bilinear(ws, fa, gb) + _bilinear(ws, fb, ga))
     return PhaseState(f_state.config, out, g_state.time)
 
 
@@ -637,13 +710,21 @@ def _march(g0: PhaseState, gamma_on: bool, frozen: np.ndarray | None):
     fields frozen[k] unless frozen is None.
 
     Each state's norm is taken once.  A datum of non-finite norm raises
-    ValueError; a state whose norm is not at most twice the datum's (NaN
-    included) raises SolverDivergenceError.
+    ValueError, and so does a datum that is not a real field: the bilinear
+    kernel reads only half of the lattice, so the datum's Hermitian defect
+    may not exceed rounding, 1e-12 of its norm.  A state whose norm is not
+    at most twice the datum's (NaN included) raises SolverDivergenceError.
     """
     config = g0.config
     norm0 = h_r_norm(g0)
     if not math.isfinite(norm0):
         raise ValueError(f"initial datum has non-finite weighted norm {norm0}")
+    defect = hermitian_defect(g0)
+    if defect > 1e-12 * norm0:
+        raise ValueError(
+            f"initial datum is not a real field: Hermitian defect {defect:.3g} "
+            f"exceeds 1e-12 of its weighted norm {norm0:.3g}"
+        )
     yield g0, norm0
     state = g0
     for k in range(1, config.n_steps + 1):

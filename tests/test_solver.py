@@ -268,7 +268,7 @@ def test_gamma_conv_matches_direct_sum():
 
 def test_trilinear_adjoints_match_weighted_pairing():
     # the g-slot and f-slot contractions of trilinear_constant are adjoints
-    # of the kernel in the weighted pairing (B(f, g), h)_w
+    # of the kernel in the weighted pairing (B(f, g), h)_w, on real fields
     from landau_hermite.solver import (
         _Workspace,
         _bilinear_adjoint_f,
@@ -279,7 +279,7 @@ def test_trilinear_adjoints_match_weighted_pairing():
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
         cfg = small_config(d_x=d_x, K=K)
         ws = _Workspace.for_config(cfg)
-        f, g, h = (random_state(cfg, rng) for _ in range(3))
+        f, g, h = (random_state(cfg, rng, real_field=True) for _ in range(3))
         mom = f.c[:, ws.ops.moment_slots]
         wh = ws.h_weight[:, None] * h.c
         pairing = np.sum(gamma_conv(f, g).c * np.conj(wh))
@@ -304,18 +304,33 @@ def test_sparse_right_real_view_is_exact():
 
 
 def test_grid_round_trip():
-    # _to_grid leaves its argument unchanged; _from_grid undoes it
+    # _to_grid leaves its argument unchanged; _from_grid undoes it on real
+    # fields
     from landau_hermite.solver import _Workspace, _from_grid, _to_grid
 
     rng = np.random.default_rng(62)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
         cfg = small_config(d_x=d_x, K=K)
         ws = _Workspace.for_config(cfg)
-        c = random_state(cfg, rng).c
+        c = random_state(cfg, rng, real_field=True).c
         kept = c.copy()
         back = _from_grid(ws, _to_grid(ws, c))
         assert np.array_equal(c, kept)
         assert np.linalg.norm(back - c) <= 1e-15 * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 1)])
+def test_bilinear_output_is_exactly_hermitian(d_x, K):
+    # the kernel fills the lower half of the lattice by conjugation
+    from landau_hermite.solver import _Workspace, _bilinear
+
+    cfg = small_config(d_x=d_x, K=K)
+    ws = _Workspace.for_config(cfg)
+    rng = np.random.default_rng(63)
+    f, g = (random_state(cfg, rng, real_field=True) for _ in range(2))
+    out = _bilinear(ws, f.c[:, ws.ops.moment_slots], g.c)
+    assert np.any(out != 0)
+    assert hermitian_defect(PhaseState(cfg, out)) == 0.0
 
 
 def test_workspace_memory_is_linear_in_modes():
@@ -441,6 +456,23 @@ def test_non_finite_datum_rejected():
             run(cfg, initial=g0)
         with pytest.raises(ValueError, match="non-finite"):
             picard_solve(g0)
+
+
+def test_datum_must_be_a_real_field():
+    # the kernel reads half of the lattice: a datum that is not a real field
+    # is refused where it enters the march, by either scheme; a real field
+    # off by round-off (1e-12 of its norm) is not
+    cfg = small_config(T=0.01, dt=5e-3)
+    rng = np.random.default_rng(64)
+    g0 = random_state(cfg, rng, scale=1e-3)
+    with pytest.raises(ValueError, match="not a real field"):
+        run(cfg, initial=g0)
+    with pytest.raises(ValueError, match="not a real field"):
+        picard_solve(g0)
+    g0 = random_state(cfg, rng, scale=1e-3, real_field=True)
+    g0.c[0, 0] += 1e-13 * h_r_norm(g0)
+    assert 0.0 < hermitian_defect(g0) <= 1e-12 * h_r_norm(g0)
+    assert len(run(cfg, initial=g0).ledger.t) == 3
 
 
 def test_triple_norm_examples():
