@@ -26,9 +26,10 @@ that need exact identities restrict inputs accordingly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,7 +80,8 @@ class HermiteBasis:
     """Precomputed index tables and sparse operator matrices for one cap N.
 
     Instances are cached by :func:`get_basis`; they are immutable after
-    construction and safe to share across threads.
+    construction.  The derived operators are built on first use and cached
+    per instance by `functools.cache`.
     """
 
     def __init__(self, N: int):
@@ -98,7 +100,6 @@ class HermiteBasis:
             start += width
         self._raising = [self._build_raising(axis) for axis in range(3)]
         self._lowering = [R.T.tocsr() for R in self._raising]
-        self._op_cache: dict[str, sp.csr_matrix] = {}
 
     def _build_raising(self, axis: int) -> sp.csr_matrix:
         rows, cols, vals = [], [], []
@@ -122,55 +123,40 @@ class HermiteBasis:
         """Matrix of a[-,axis] (0-based axis); the transpose of raising."""
         return self._lowering[axis]
 
+    @cache
     def coordinate(self, axis: int) -> sp.csr_matrix:
         """Matrix of multiplication by v_axis."""
-        key = f"v{axis}"
-        if key not in self._op_cache:
-            self._op_cache[key] = (self._raising[axis] + self._lowering[axis]).tocsr()
-        return self._op_cache[key]
+        return (self._raising[axis] + self._lowering[axis]).tocsr()
 
+    @cache
     def derivative(self, axis: int) -> sp.csr_matrix:
         """Matrix of d/dv_axis."""
-        key = f"d{axis}"
-        if key not in self._op_cache:
-            self._op_cache[key] = (
-                0.5 * (self._lowering[axis] - self._raising[axis])
-            ).tocsr()
-        return self._op_cache[key]
+        return (0.5 * (self._lowering[axis] - self._raising[axis])).tocsr()
 
+    @cache
     def rotation(self, k: int, j: int) -> sp.csr_matrix:
         """Matrix of L[k,j] = v_j d/dv_k - v_k d/dv_j (0-based axes, k != j)."""
         if k == j:
             raise ValueError("rotation axes must differ")
-        key = f"L{k}{j}"
-        if key not in self._op_cache:
-            A = self._raising[j] @ self._lowering[k] - self._raising[k] @ self._lowering[j]
-            self._op_cache[key] = A.tocsr()
-        return self._op_cache[key]
+        A = self._raising[j] @ self._lowering[k] - self._raising[k] @ self._lowering[j]
+        return A.tocsr()
 
+    @cache
     def number_operator(self) -> sp.csr_matrix:
         """Matrix of sum_j a[+,j] a[-,j]; diagonal with entries |alpha|."""
-        key = "number"
-        if key not in self._op_cache:
-            self._op_cache[key] = sp.diags(self.levels.astype(np.float64)).tocsr()
-        return self._op_cache[key]
+        return sp.diags(self.levels.astype(np.float64)).tocsr()
 
+    @cache
     def sphere_laplacian(self) -> sp.csr_matrix:
         """Matrix of the Laplace-Beltrami operator (1/2) sum_{j!=k} L[k,j]^2."""
-        key = "sphere"
-        if key not in self._op_cache:
-            acc = sp.csr_matrix((self.size, self.size), dtype=np.float64)
-            for k in range(3):
-                for j in range(3):
-                    if k == j:
-                        continue
-                    A = self.rotation(k, j)
-                    acc = acc + 0.5 * (A @ A)
-            self._op_cache[key] = acc.tocsr()
-        return self._op_cache[key]
+        acc = sp.csr_matrix((self.size, self.size), dtype=np.float64)
+        for k, j in itertools.permutations(range(3), 2):
+            A = self.rotation(k, j)
+            acc = acc + 0.5 * (A @ A)
+        return acc.tocsr()
 
 
-@lru_cache(maxsize=None)
+@cache
 def get_basis(N: int) -> HermiteBasis:
     return HermiteBasis(N)
 

@@ -31,9 +31,10 @@ routes above.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,10 +89,11 @@ class CollisionMoments:
 
 
 class LandauOperators:
-    """Sparse matrices of L1, L2, L and the ten bilinear moment operators.
-
-    One instance per degree cap, cached by :func:`get_operators`.  Matrices
-    are built once and read-only afterwards.
+    """Every velocity-side matrix: L1, L2, L, the ten bilinear moment
+    operators G_m, their stack and adjoint stack, the dissipation form Q and
+    its per-level metric inverses.  They depend on N alone: one instance per
+    degree cap, cached by :func:`get_operators`, serves every Fourier lattice.
+    Matrices are built once (the cached properties on first use), read-only.
     """
 
     def __init__(self, N: int):
@@ -109,6 +111,8 @@ class LandauOperators:
         self.L = (self.L1 + self.L2).tocsr()
         self.moment_slots = self._moment_slots()
         self.moment_operators = self._build_moment_operators()
+        # [G_0 | ... | G_9], the bilinear term's operand in `solver._bilinear`
+        self.moment_stack = sp.hstack(self.moment_operators, format="csr")
 
     def _moment_slots(self) -> np.ndarray:
         """Coefficient slots of the ten moment basis functions."""
@@ -164,6 +168,34 @@ class LandauOperators:
             ops.append((-2.0 * (R[a] @ R[c])).tocsr())
         return ops
 
+    @cached_property
+    def moment_stack_adjoint(self) -> sp.csr_matrix:
+        """[G_0^T | ... | G_9^T], the stack of the g-slot adjoint."""
+        return sp.hstack([G.T for G in self.moment_operators], format="csr")
+
+    @cached_property
+    def dissipation_form(self) -> sp.csr_matrix:
+        """Quadratic form Q of the dissipation seminorm of
+        `solver.triple_norm`, as the operator sum (exact at the cap)."""
+        b = self.basis
+        Q = sp.csr_matrix((b.size, b.size))
+        for ax in range(3):
+            D, V = b.derivative(ax), b.coordinate(ax)
+            Q = Q + 2.0 * (D.T @ D) + 0.5 * (V.T @ V)
+        for k, j in itertools.permutations(range(3), 2):
+            A = b.rotation(k, j)
+            Q = Q + 0.5 * (A.T @ A)
+        return Q.tocsr()
+
+    @cached_property
+    def dissipation_metric_inverses(self) -> list[np.ndarray]:
+        """Per-level inverses of (Q + I), Q the dissipation quadratic form."""
+        Q = self.dissipation_form
+        return [
+            np.linalg.inv(Q[sl, sl].toarray() + np.eye(sl.stop - sl.start))
+            for sl in self.basis.level_slices
+        ]
+
     def level_blocks(self) -> list[np.ndarray]:
         """Dense blocks of L, one per Hermite level (L is level preserving)."""
         blocks = []
@@ -181,7 +213,7 @@ class LandauOperators:
         return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def get_operators(N: int) -> LandauOperators:
     return LandauOperators(N)
 
@@ -343,7 +375,7 @@ def _contract(T: np.ndarray, tables) -> np.ndarray:
     return T
 
 
-@lru_cache(maxsize=None)
+@cache
 def _a_matrix_terms(k: int, j: int) -> tuple:
     """Separated monomial expansion of the collision matrix entry
     a_kj(v - v*) = delta_kj |v - v*|^2 - (v_k - v*_k)(v_j - v*_j), as

@@ -30,7 +30,6 @@ External formats owned by this module: flat key=value config files, the
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import math
@@ -120,6 +119,8 @@ class SolverConfig:
         ):
             # snapshots are written from the recorded states only
             raise ValueError("snapshot_every must be a multiple of record_every > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.N < 4:
             raise ValueError("N must be at least 4")
         if self.d_x not in (0, 1, 2, 3):
@@ -179,22 +180,26 @@ def load_config(path) -> SolverConfig:
 
 
 class _Workspace:
-    """Mode tables and operator matrices shared by every state of one
-    (N, K, d_x, r) configuration; read-only after construction."""
+    """The Fourier lattice and grid layout of one (N, K, d_x, r)
+    configuration, and its weight <eta>^(2r); read-only after construction.
+
+    The lattice is sorted lexicographically, which fixes two facts used
+    throughout: eta -> -eta reverses the order (the mirror of a state c is
+    c[::-1]), and eta = 0 is row n_modes // 2.  Every velocity-side matrix
+    depends on N alone and lives in the per-cap `basis` and `ops`, so
+    building a workspace assembles no operator.
+    """
 
     _cache: dict = {}
 
     def __init__(self, N: int, K: int, d_x: int, r: float):
         self.N, self.K, self.d_x, self.r = N, K, d_x, r
-        self.basis = get_basis(N)
-        self.ops = get_operators(N)
         self.modes = sorted(itertools.product(range(-K, K + 1), repeat=d_x))  # d_x=0: [()]
         self.n_modes = len(self.modes)
         self.mode_index = {m: i for i, m in enumerate(self.modes)}
         self.eta = np.array(self.modes, dtype=np.float64).reshape(self.n_modes, d_x)
         self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
-        self.neg_index = np.arange(self.n_modes)[::-1]  # eta -> -eta reverses the order
         # the real grid of _bilinear, L >= 3K+1 points per axis, and its half
         # spectrum: the real transforms halve the first axis, so the modes
         # with eta_1 >= 0 are the tail modes[half_start:], and mode eta sits
@@ -207,14 +212,15 @@ class _Workspace:
         for _ in range(d_x - 1):
             self.half_index = (self.half_index[:, None] * L + axis).ravel()
         self.half_start = self.n_modes - len(self.half_index)
-        self.moment_stack = sp.hstack(self.ops.moment_operators, format="csr")
-        b = self.basis
-        self.V = [b.coordinate(ax) for ax in range(3)]
-        self.D = [b.derivative(ax) for ax in range(3)]
-        self.rot_pairs = [
-            b.rotation(k, j) for k in range(3) for j in range(3) if k != j
-        ]
         self._solve_cache: dict = {}
+
+    @property
+    def basis(self):
+        return get_basis(self.N)
+
+    @property
+    def ops(self):
+        return get_operators(self.N)
 
     @classmethod
     def for_config(cls, cfg: SolverConfig) -> "_Workspace":
@@ -235,35 +241,9 @@ class _Workspace:
             ]
         return self._solve_cache[key]
 
-    @functools.cached_property
-    def dissipation_form(self) -> sp.csr_matrix:
-        """Quadratic form Q of the dissipation seminorm of `triple_norm`, as
-        the operator sum (exact at the cap)."""
-        Q = sp.csr_matrix((self.basis.size, self.basis.size))
-        for ax in range(3):
-            D, V = self.D[ax], self.V[ax]
-            Q = Q + 2.0 * (D.T @ D) + 0.5 * (V.T @ V)
-        for A in self.rot_pairs:
-            Q = Q + 0.5 * (A.T @ A)
-        return Q.tocsr()
-
-    @functools.cached_property
-    def moment_stack_adjoint(self) -> sp.csr_matrix:
-        """[G_0^T | ... | G_9^T], the stack of the g-slot adjoint."""
-        return sp.hstack([G.T for G in self.ops.moment_operators], format="csr")
-
-    @functools.cached_property
-    def dissipation_metric_inverses(self) -> list[np.ndarray]:
-        """Per-level inverses of (Q + I), Q the dissipation quadratic form."""
-        Q = self.dissipation_form
-        return [
-            np.linalg.inv(Q[sl, sl].toarray() + np.eye(sl.stop - sl.start))
-            for sl in self.basis.level_slices
-        ]
-
     def dissipation_sq(self, c: np.ndarray) -> float:
         """Squared dissipation seminorm: sum_eta <eta>^(2r) Re <c_eta, Q c_eta>."""
-        qc = _sparse_right(c, self.dissipation_form)
+        qc = _sparse_right(c, self.ops.dissipation_form)
         return float(np.dot(self.h_weight, np.sum((np.conj(c) * qc).real, axis=1)))
 
     def trilinear_constant(self) -> float:
@@ -283,11 +263,12 @@ class _Workspace:
             return self._c0_hat
         rng = np.random.default_rng(12345)
         w = self.h_weight
-        slots = self.ops.moment_slots
+        basis, ops = self.basis, self.ops
+        slots = ops.moment_slots
 
         def ascent(x):  # metric-preconditioned direction, normalized
             out = np.empty_like(x)
-            for sl, inv in zip(self.basis.level_slices, self.dissipation_metric_inverses):
+            for sl, inv in zip(basis.level_slices, ops.dissipation_metric_inverses):
                 out[:, sl] = x[:, sl] @ inv
             out = out / w[:, None]
             return out / np.linalg.norm(out)
@@ -306,12 +287,12 @@ class _Workspace:
             return fc / n if n > 0 else fc
 
         best = 0.0
-        mask = (self.basis.levels <= min(4, self.N))[None, :]
-        shape = (self.n_modes, self.basis.size)
+        mask = (basis.levels <= min(4, self.N))[None, :]
+        shape = (self.n_modes, basis.size)
 
         def draw():
             c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-            c = _hermitize(self, c)
+            c = _hermitize(c)
             return c / np.linalg.norm(c)
 
         for _ in range(2):
@@ -367,8 +348,7 @@ def h_r_norm(state: PhaseState) -> float:
 def hermitian_defect(state: PhaseState) -> float:
     """How far the state is from representing a real function:
     max |c(-eta) - conj(c(eta))|."""
-    ws = state.workspace
-    return float(np.max(np.abs(state.c[ws.neg_index] - np.conj(state.c))))
+    return float(np.max(np.abs(state.c[::-1] - np.conj(state.c))))
 
 
 def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
@@ -385,7 +365,7 @@ def _add_transport(ws: _Workspace, c: np.ndarray, out: np.ndarray, scale: comple
     float64 view, and its term is scaled in place and added into out."""
     cT = np.ascontiguousarray(c.T).view(np.float64)
     for j in range(ws.d_x):
-        vc = (ws.V[j] @ cT).view(np.complex128)
+        vc = (ws.basis.coordinate(j) @ cT).view(np.complex128)
         vc *= scale * ws.eta[:, j]
         out += vc.T
         del vc  # freed before the next axis allocates its product
@@ -446,9 +426,9 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
     modes off the lattice are dropped.  Row blocks of x are real-transformed
     into one half-spectrum block; the upper half modes[centre:] of the
-    sorted lattice is gathered from it and the lower half filled by
-    conjugation (neg_index reverses the order), so the result is Hermitian
-    by construction.  x is left unchanged."""
+    sorted lattice is gathered from it and the lower half, its reversal,
+    filled by conjugation, so the result is Hermitian by construction.  x is
+    left unchanged."""
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
@@ -502,7 +482,7 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
     there, so the truncated convolution is exact (Orszag's 3/2 rule).
     """
-    product = _grid_product(ws.moment_stack, _to_grid(ws, mom), _to_grid(ws, g))
+    product = _grid_product(ws.ops.moment_stack, _to_grid(ws, mom), _to_grid(ws, g))
     return _from_grid(ws, product)
 
 
@@ -510,7 +490,7 @@ def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.nd
     """U with sum(conj(h) * _bilinear(ws, mom, g)) == vdot(U, g) for every
     real field g (mom and h real fields too): the transposed stack's grid
     product."""
-    product = _grid_product(ws.moment_stack_adjoint, _to_grid(ws, mom), _to_grid(ws, h))
+    product = _grid_product(ws.ops.moment_stack_adjoint, _to_grid(ws, mom), _to_grid(ws, h))
     return _from_grid(ws, product)
 
 
@@ -523,13 +503,13 @@ def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndar
     out = np.empty((10, hx.shape[1]))
     for m, G in enumerate(ws.ops.moment_operators):
         out[m] = np.einsum("ax,ax->x", hx, G @ gx)
-    return _from_grid(ws, out)[ws.neg_index]
+    return _from_grid(ws, out)[::-1]
 
 
-def _real_parts(ws: _Workspace, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _real_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real fields a, b with c = a + i b: a = (c + conj c(-eta)) / 2 and
     b = (c - conj c(-eta)) / (2i)."""
-    a = _hermitize(ws, c)
+    a = _hermitize(c)
     b = c - a
     b *= -1j
     return a, b
@@ -548,8 +528,8 @@ def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     if f_state.config is not g_state.config and f_state.config != g_state.config:
         raise ValueError("states must share a config")
     ws = f_state.workspace
-    fa, fb = _real_parts(ws, f_state.c[:, ws.ops.moment_slots])
-    ga, gb = _real_parts(ws, g_state.c)
+    fa, fb = _real_parts(f_state.c[:, ws.ops.moment_slots])
+    ga, gb = _real_parts(g_state.c)
     out = _bilinear(ws, fa, ga) - _bilinear(ws, fb, gb)
     out += 1j * (_bilinear(ws, fa, gb) + _bilinear(ws, fb, ga))
     return PhaseState(f_state.config, out, g_state.time)
@@ -575,8 +555,7 @@ def step_imex(
             mom = state.c[:, ws.ops.moment_slots]
         rhs += dt * _bilinear(ws, mom, state.c)
     out = np.empty_like(rhs)
-    for n, inv in enumerate(ws.implicit_inverses(dt)):
-        sl = ws.basis.level_slices[n]
+    for sl, inv in zip(ws.basis.level_slices, ws.implicit_inverses(dt)):
         out[:, sl] = rhs[:, sl] @ inv  # inv is symmetric
     return PhaseState(state.config, out, state.time + dt)
 
@@ -585,7 +564,8 @@ def triple_norm(state: PhaseState) -> float:
     """Dissipation seminorm: per mode
     2 sum_j (|d_j g|^2 + |v_j g|^2 / 4) + (1/2) sum_{j!=k} |L_{k,j} g|^2,
     weighted by <eta>^(2r) and summed over modes, square-rooted.  Evaluated
-    as the single quadratic form Re <g, Q g> of `_Workspace.dissipation_form`.
+    as the single quadratic form Re <g, Q g> of
+    `LandauOperators.dissipation_form`, assembled once per degree cap.
 
     For states of degree <= N-1 this satisfies
     triple_norm^2 = Re(L1 g, g) + 3 ||g||^2 per mode.
@@ -598,11 +578,10 @@ def triple_norm(state: PhaseState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hermitize(ws: _Workspace, c: np.ndarray) -> np.ndarray:
+def _hermitize(c: np.ndarray) -> np.ndarray:
     """Project onto the real-field symmetry c(-eta) = conj(c(eta)); returns
-    a new array, built in place from the one mirrored copy of c."""
-    out = c[ws.neg_index]
-    np.conjugate(out, out=out)
+    a new array, built in place from the one conjugated mirror of c."""
+    out = np.conjugate(c[::-1])
     out += c
     out *= 0.5
     return out
@@ -624,7 +603,7 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
     if config.recipe == "zero":
         return PhaseState(config, c, 0.0)
     if config.recipe == "kernel":
-        zero_mode = ws.mode_index[tuple([0] * config.d_x)] if config.d_x else 0
+        zero_mode = ws.n_modes // 2
         ix = ws.basis.index_of
         c[zero_mode, ix[(0, 0, 0)]] = 1.0
         for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
@@ -646,7 +625,7 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
             mode_fac = np.exp(-0.25 * ws.eta_sq)
         c *= level_fac[None, :]
         c *= mode_fac[:, None]
-        c = _hermitize(ws, c)
+        c = _hermitize(c)
     state = PhaseState(config, c, 0.0)
     norm = h_r_norm(state)
     if norm > 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -82,20 +82,20 @@ class WeightParams:
             raise ValueError("t must lie in (0, 1]")
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+@cache
+def _leggauss16():  # on first use: importing numpy.polynomial costs ~2 MB RSS
+    return np.polynomial.legendre.leggauss(16)
 
 
-def _integrate_01(fn, rtol: float = 1e-12) -> np.ndarray:
+def _integrate_01(fn) -> np.ndarray:
     """Composite 16-point Gauss-Legendre quadrature of fn(u) over u in [0, 1].
 
     fn maps an array of nodes (m,) to values of shape batch + (m,).  Panels
     double, from 1 up to 2^13, until the estimate stabilizes to relative
-    tolerance rtol; QuadratureConvergenceError if it never does.
+    tolerance 1e-12; QuadratureConvergenceError if it never does.
     """
-    order = 16
-    nodes, wts = _leggauss(order)
+    rtol = 1e-12
+    nodes, wts = _leggauss16()
     prev = None
     panels = 1
     for _ in range(14):
@@ -103,7 +103,7 @@ def _integrate_01(fn, rtol: float = 1e-12) -> np.ndarray:
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 / panels
         u = (mids[:, None] + half * nodes[None, :]).reshape(-1)
-        w = np.broadcast_to(half * wts[None, :], (panels, order)).reshape(-1)
+        w = np.broadcast_to(half * wts[None, :], (panels, 16)).reshape(-1)
         vals = fn(u)
         est = vals @ w
         if prev is not None:

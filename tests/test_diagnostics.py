@@ -158,9 +158,11 @@ def test_scaling_signature_x_side(nonlinear_run):
 
 @pytest.mark.xfail(
     strict=False,
-    reason="the Hermite cap bounds the representable velocity frequencies, so "
-    "the fitted velocity rate saturates early instead of growing linearly in "
-    "t; the normalized ratio then varies by more than 3 on [0.25, 1]",
+    reason="the Fourier cutoff together with the <eta>^(2r) weight, not the "
+    "Hermite cap: the weighted level spectrum follows the outer Fourier modes, "
+    "where transport keeps refilling the high Hermite levels.  On this run "
+    "(seed 2) max/min of c_v/t on [0.25, 1] is 3.894 with the bilinear term "
+    "on and off alike; from the eta = 0 row alone it is 1.376 (1.335 off)",
 )
 def test_scaling_signature_v_side(nonlinear_run):
     _, _, points, _ = nonlinear_run

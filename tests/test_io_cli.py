@@ -141,16 +141,23 @@ def run_cli(*args, cwd=None):
     )
 
 
-def test_cli_run_outputs_and_determinism(tmp_path):
+@pytest.mark.parametrize("scheme", ["imex_euler", "picard"])
+def test_cli_run_outputs_and_determinism(tmp_path, scheme):
+    # two processes write byte-identical artifacts
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(CONFIG_TEXT, encoding="utf-8")
+    cfg_path.write_text(
+        CONFIG_TEXT.replace("scheme = imex_euler", f"scheme = {scheme}"), encoding="utf-8"
+    )
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
     res1 = run_cli("run", "--config", str(cfg_path), "--out", str(out1))
     assert res1.returncode == 0, res1.stderr
     res2 = run_cli("run", "--config", str(cfg_path), "--out", str(out2))
     assert res2.returncode == 0, res2.stderr
-    for name in ("ledger.csv", "spectra.csv", "final.lnsp"):
+    names = ["ledger.csv", "spectra.csv", "final.lnsp"]
+    if scheme == "picard":
+        names.append("picard_report.json")
+    for name in names:
         a = (out1 / name).read_bytes()
         b = (out2 / name).read_bytes()
         assert a == b, f"{name} not byte-identical"

@@ -1,11 +1,13 @@
 """Phase-space march: transport, mode convolution, IMEX stepping, Picard."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +48,7 @@ def random_state(config, rng, scale=1.0, max_level=None, real_field=False):
     if max_level is not None:
         c = np.where(ws.basis.levels[None, :] <= max_level, c, 0.0)
     if real_field:
-        c = _hermitize(ws, c)
+        c = _hermitize(c)
     c *= scale / np.linalg.norm(c)
     return PhaseState(config, c, 0.0)
 
@@ -112,6 +114,7 @@ def test_config_rejects_c0_as_unknown_key():
         ("record_every", -3),
         ("snapshot_every", -1),
         ("picard_max_iter", 0),
+        ("seed", -1),
         ("T", 0.051),
         ("dt", 0.03),
         # snapshots are written from the recorded states, so a cadence that
@@ -299,7 +302,7 @@ def test_sparse_right_real_view_is_exact():
         cfg = small_config(d_x=d_x, K=K)
         ws = _Workspace.for_config(cfg)
         c = random_state(cfg, rng).c
-        for M in ws.V + [ws.dissipation_form]:
+        for M in [ws.basis.coordinate(ax) for ax in range(3)] + [ws.ops.dissipation_form]:
             assert np.array_equal(_sparse_right(c, M), (M @ c.T).T)
 
 
@@ -342,6 +345,36 @@ def test_workspace_memory_is_linear_in_modes():
     for name, value in vars(ws).items():
         if isinstance(value, np.ndarray):
             assert value.size < ws.n_modes**2, name
+
+
+def test_workspace_assembles_no_operator(monkeypatch):
+    # the workspace is the lattice and grid layout plus the weight: building
+    # one reaches neither the basis nor the operators, and holds no matrix
+    from landau_hermite.hermite_core import HermiteBasis
+    from landau_hermite.solver import _Workspace
+
+    def refuse(N):
+        raise AssertionError(f"operator assembly for N={N}")
+
+    monkeypatch.setattr(solver, "get_basis", refuse)
+    monkeypatch.setattr(solver, "get_operators", refuse)
+    ws = _Workspace(24, 8, 3, 2.0)
+    for name, value in vars(ws).items():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        assert not any(sp.issparse(x) for x in items), name
+    assert not {"V", "D", "rot_pairs"} & set(vars(ws))
+    assert not hasattr(HermiteBasis(4), "_op_cache")
+
+
+def test_workspaces_share_the_velocity_operators():
+    # two lattices at one degree cap read the same per-cap matrices
+    from landau_hermite.solver import _Workspace
+
+    a = _Workspace(6, 1, 1, 2.0)
+    b = _Workspace(6, 2, 3, 3.0)
+    assert a.ops.dissipation_form is b.ops.dissipation_form
+    assert a.ops.moment_stack is b.ops.moment_stack
+    assert a.basis.coordinate(0) is b.basis.coordinate(0)
 
 
 def test_gamma_conv_conservation_per_mode():
@@ -508,12 +541,13 @@ def test_triple_norm_matches_operator_sum():
         cfg = small_config(d_x=d_x, K=K)
         ws = _Workspace.for_config(cfg)
         s = random_state(cfg, rng)
+        b = ws.basis
         total = np.zeros(ws.n_modes)
         for ax in range(3):
-            total += 2.0 * np.sum(np.abs((ws.D[ax] @ s.c.T).T) ** 2, axis=1)
-            total += 0.5 * np.sum(np.abs((ws.V[ax] @ s.c.T).T) ** 2, axis=1)
-        for A in ws.rot_pairs:
-            total += 0.5 * np.sum(np.abs((A @ s.c.T).T) ** 2, axis=1)
+            total += 2.0 * np.sum(np.abs((b.derivative(ax) @ s.c.T).T) ** 2, axis=1)
+            total += 0.5 * np.sum(np.abs((b.coordinate(ax) @ s.c.T).T) ** 2, axis=1)
+        for k, j in itertools.permutations(range(3), 2):
+            total += 0.5 * np.sum(np.abs((b.rotation(k, j) @ s.c.T).T) ** 2, axis=1)
         expected = math.sqrt(float(np.sum(ws.h_weight * total)))
         assert abs(triple_norm(s) - expected) <= 1e-13 * expected
 
@@ -645,22 +679,24 @@ def test_picard_memory_is_one_trajectory():
 
 
 def test_step_memory_is_one_grid():
-    # one (M, L^3) complex grid transformed in place, the _grid_product work
-    # array and two state arrays (the datum is the caller's)
+    # one real (M, L^3) float64 grid, the half-spectrum block of the grid
+    # transforms, the _grid_product work block and two state arrays (the
+    # datum is the caller's).  At this size the grid dominates: a step that
+    # held a complex grid would exceed the bound.
     from landau_hermite.solver import _BLOCK_BYTES, _Workspace
 
-    cfg = small_config(N=6, K=5, d_x=3, dt=1e-3, T=1e-3, recipe="rough", seed=5)
+    cfg = small_config(N=8, K=5, d_x=3, dt=1e-3, T=1e-3, recipe="rough", seed=5)
     ws = _Workspace.for_config(cfg)
     ws.implicit_inverses(cfg.dt)
     g0 = build_initial_state(cfg)
-    grid_bytes = ws.basis.size * math.prod(ws.grid_shape) * 16
+    grid_bytes = ws.basis.size * math.prod(ws.grid_shape) * 8
     tracemalloc.start()
     try:
         step_imex(g0, cfg.dt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= grid_bytes + _BLOCK_BYTES + 2 * g0.c.nbytes
+    assert peak <= grid_bytes + 2 * _BLOCK_BYTES + 2 * g0.c.nbytes
 
 
 @pytest.mark.parametrize("recipe", ["rough", "gaussian"])
@@ -687,7 +723,7 @@ def test_initial_datum_is_lean(recipe):
         c = noise * ((1.0 + levels) ** -1.0)[None, :] * np.ones(ws.n_modes)[:, None]
     else:
         c = noise * np.exp(-0.5 * levels)[None, :] * np.exp(-0.25 * ws.eta_sq)[:, None]
-    c = 0.5 * (c + np.conj(c[ws.neg_index]))
+    c = 0.5 * (c + np.conj(c[::-1]))
     c *= cfg.g0_norm / h_r_norm(PhaseState(cfg, c))
     assert np.array_equal(g0.c, c)
 
