@@ -19,6 +19,16 @@ grid, reached through a 2 MiB half-spectrum block in each direction, the
 2 MiB block of `_grid_product` and a few state-sized arrays.  The march
 therefore rejects a datum that is not a real field.
 
+Layout: c is stored Hermite-major (Fortran order), so c.T is a C-contiguous
+(M, n_modes) array and its float64 view (M, 2 n_modes) interleaves the real
+and imaginary parts mode by mode.  Every velocity-side operator is real and
+acts on the Hermite index alone, the same way on every mode: L's per-level
+implicit solve, the dissipation form Q, the ten moment operators and the
+v_j of transport.  Each is therefore one real product on that view, with no
+transposed copy and no complex upcast, and the norms are one real reduction
+per mode on it.  The snapshot format stores the logical (eta, alpha) order
+and does not depend on the layout.
+
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
 the sup-in-time distance between successive iterates gives an empirical
@@ -36,6 +46,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,7 +192,8 @@ def load_config(path) -> SolverConfig:
 
 class _Workspace:
     """The Fourier lattice and grid layout of one (N, K, d_x, r)
-    configuration, and its weight <eta>^(2r); read-only after construction.
+    configuration, and its weight <eta>^(2r); read-only after construction
+    apart from caches filled on first use.
 
     The lattice is sorted lexicographically, which fixes two facts used
     throughout: eta -> -eta reverses the order (the mirror of a state c is
@@ -196,29 +208,40 @@ class _Workspace:
         self.N, self.K, self.d_x, self.r = N, K, d_x, r
         self.modes = sorted(itertools.product(range(-K, K + 1), repeat=d_x))  # d_x=0: [()]
         self.n_modes = len(self.modes)
-        self.mode_index = {m: i for i, m in enumerate(self.modes)}
         self.eta = np.array(self.modes, dtype=np.float64).reshape(self.n_modes, d_x)
         self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
         # the real grid of _bilinear, L >= 3K+1 points per axis, and its half
         # spectrum: the real transforms halve the first axis, so the modes
-        # with eta_1 >= 0 are the tail modes[half_start:], and mode eta sits
-        # at the flat half-spectrum index of (eta_1, eta_2 mod L, ...)
+        # with eta_1 >= 0 are the tail modes[half_start:], in lexicographic
+        # order the box half_lattice = (K+1, 2K+1, ...).  Mode eta sits at
+        # (eta_1, eta_2 mod L, ...) of the half spectrum, so the box lands
+        # there in 2**(d_x-1) parts, eta_j < 0 and eta_j >= 0 per trailing
+        # axis: half_boxes pairs the index of each part in the box with its
+        # index in the half spectrum, each led by the axis of block rows
         L = _fast_len(3 * K + 1)
         self.grid_shape = (L,) * d_x
         self.half_shape = (L // 2 + 1,) + (L,) * (d_x - 1) if d_x else ()
-        axis = np.arange(-K, K + 1) % L
-        self.half_index = np.arange(K + 1)
-        for _ in range(d_x - 1):
-            self.half_index = (self.half_index[:, None] * L + axis).ravel()
-        self.half_start = self.n_modes - len(self.half_index)
+        self.half_lattice = (K + 1,) + (2 * K + 1,) * (d_x - 1) if d_x else ()
+        self.half_start = self.n_modes - math.prod(self.half_lattice)
+        split = ((slice(0, K), slice(L - K, L)), (slice(K, None), slice(0, K + 1)))
+        rows = slice(None)
+        self.half_boxes = [
+            ((rows, rows) + tuple(a for a, _ in parts),
+             (rows, slice(0, K + 1)) + tuple(b for _, b in parts))
+            for parts in itertools.product(split, repeat=max(d_x - 1, 0))
+        ]
         self._solve_cache: dict = {}
 
-    @property
+    @cached_property
+    def mode_index(self) -> dict:
+        return {m: i for i, m in enumerate(self.modes)}
+
+    @cached_property
     def basis(self):
         return get_basis(self.N)
 
-    @property
+    @cached_property
     def ops(self):
         return get_operators(self.N)
 
@@ -241,10 +264,15 @@ class _Workspace:
             ]
         return self._solve_cache[key]
 
+    def norm_sq(self, c: np.ndarray) -> float:
+        """Squared weighted norm: sum_eta <eta>^(2r) |c_eta|^2."""
+        x = _real_view(c)
+        return float(np.dot(self.h_weight, _mode_dots(x, x)))
+
     def dissipation_sq(self, c: np.ndarray) -> float:
         """Squared dissipation seminorm: sum_eta <eta>^(2r) Re <c_eta, Q c_eta>."""
-        qc = _sparse_right(c, self.ops.dissipation_form)
-        return float(np.dot(self.h_weight, np.sum((np.conj(c) * qc).real, axis=1)))
+        x = _real_view(c)
+        return float(np.dot(self.h_weight, _mode_dots(x, self.ops.dissipation_form @ x)))
 
     def trilinear_constant(self) -> float:
         """Empirical constant C0 in the trilinear bound
@@ -267,14 +295,13 @@ class _Workspace:
         slots = ops.moment_slots
 
         def ascent(x):  # metric-preconditioned direction, normalized
-            out = np.empty_like(x)
-            for sl, inv in zip(basis.level_slices, ops.dissipation_metric_inverses):
-                out[:, sl] = x[:, sl] @ inv
-            out = out / w[:, None]
-            return out / np.linalg.norm(out)
+            out = _level_product(basis, ops.dissipation_metric_inverses, x)
+            out /= w[:, None]
+            out /= np.linalg.norm(out)
+            return out
 
         def weighted_norm(c):
-            return math.sqrt(float(np.sum(w[:, None] * np.abs(c) ** 2)))
+            return math.sqrt(self.norm_sq(c))
 
         def seminorm_plus_norm(c):
             return math.sqrt(self.dissipation_sq(c)) + weighted_norm(c)
@@ -292,7 +319,7 @@ class _Workspace:
 
         def draw():
             c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-            c = _hermitize(c)
+            c = _hermitize(np.asfortranarray(c))
             return c / np.linalg.norm(c)
 
         for _ in range(2):
@@ -317,7 +344,9 @@ class _Workspace:
 
 @dataclass
 class PhaseState:
-    """Coefficients c[mode, alpha] at one time, tied to a config."""
+    """Coefficients c[mode, alpha] at one time, tied to a config.  c is
+    stored in Fortran order (see the module docstring): coerced here, kept
+    by `copy`."""
 
     config: SolverConfig
     c: np.ndarray
@@ -325,7 +354,7 @@ class PhaseState:
 
     def __post_init__(self):
         ws = _Workspace.for_config(self.config)
-        self.c = np.ascontiguousarray(self.c, dtype=np.complex128)
+        self.c = np.asfortranarray(self.c, dtype=np.complex128)
         if self.c.shape != (ws.n_modes, ws.basis.size):
             raise ValueError(
                 f"coefficients must have shape ({ws.n_modes}, {ws.basis.size})"
@@ -336,13 +365,12 @@ class PhaseState:
         return _Workspace.for_config(self.config)
 
     def copy(self) -> "PhaseState":
-        return PhaseState(self.config, self.c.copy(), self.time)
+        return PhaseState(self.config, self.c.copy(order="F"), self.time)
 
 
 def h_r_norm(state: PhaseState) -> float:
     """Weighted norm: sqrt(sum <eta>^(2r) |c|^2)."""
-    ws = state.workspace
-    return math.sqrt(float(np.sum(ws.h_weight[:, None] * np.abs(state.c) ** 2)))
+    return math.sqrt(state.workspace.norm_sq(state.c))
 
 
 def hermitian_defect(state: PhaseState) -> float:
@@ -351,23 +379,45 @@ def hermitian_defect(state: PhaseState) -> float:
     return float(np.max(np.abs(state.c[::-1] - np.conj(state.c))))
 
 
+def _real_view(c: np.ndarray) -> np.ndarray:
+    """The float64 view (M, 2 n_modes) of c.T for a Fortran-ordered
+    (n_modes, M) coefficient array c: row alpha interleaves the real and
+    imaginary parts of c[:, alpha] mode by mode.  A real operator on the
+    Hermite index multiplies it from the left."""
+    return c.T.view(np.float64)
+
+
+def _mode_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per mode sum_alpha Re(conj(a) b) of the arrays a, b whose real views
+    are x, y: one real reduction over alpha, then the re/im pair summed."""
+    return np.einsum("ak,ak->k", x, y).reshape(-1, 2).sum(axis=1)
+
+
+def _level_product(basis, mats: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """The rows c[:, sl] @ m for the real (w, w) matrix m of each Hermite
+    level sl, in a new Fortran-ordered array: per level one real product
+    m.T @ (a contiguous row block of the real view of c)."""
+    out = np.empty_like(c, order="F")
+    x, y = _real_view(c), _real_view(out)
+    for sl, m in zip(basis.level_slices, mats):
+        np.matmul(m.T, x[sl], out=y[sl])
+    return out
+
+
 def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
     """Apply the real operator M to every mode row of c: rows become
-    (M @ row).  M acts on the float64 view of one C-contiguous copy of c.T,
-    so its data is never upcast to complex."""
-    cT = np.ascontiguousarray(c.T)
-    return (M @ cT.view(np.float64)).view(np.complex128).T
+    (M @ row).  M acts on the real view of c, so its data is never upcast
+    to complex."""
+    return (M @ _real_view(c)).view(np.complex128).T
 
 
 def _add_transport(ws: _Workspace, c: np.ndarray, out: np.ndarray, scale: complex) -> np.ndarray:
     """out += scale * sum_j eta_j * (v_j on the slice) for the modes of c;
-    returns out.  Every axis reads one C-contiguous copy of c.T through its
-    float64 view, and its term is scaled in place and added into out."""
-    cT = np.ascontiguousarray(c.T).view(np.float64)
+    returns out.  Every axis's term is scaled in place and added into out."""
     for j in range(ws.d_x):
-        vc = (ws.basis.coordinate(j) @ cT).view(np.complex128)
-        vc *= scale * ws.eta[:, j]
-        out += vc.T
+        vc = _sparse_right(c, ws.basis.coordinate(j))
+        vc *= scale * ws.eta[:, j, None]
+        out += vc
         del vc  # freed before the next axis allocates its product
     return out
 
@@ -398,6 +448,12 @@ def _half_block(ws: _Workspace, P: int) -> np.ndarray:
     return np.zeros((rows,) + ws.half_shape, dtype=np.complex128)
 
 
+def _half_box(ws: _Workspace, c: np.ndarray, s: slice) -> np.ndarray:
+    """The columns s of the tail modes[half_start:] of c (n_modes, P) as a
+    (rows, K+1, 2K+1, ...) box; a view when c is Fortran-ordered."""
+    return c[ws.half_start :, s].T.reshape((s.stop - s.start,) + ws.half_lattice)
+
+
 def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     """Real grid values (P, L**d_x) of the real fields whose mode
     coefficients are the columns of c (n_modes, P); c is left unchanged.
@@ -414,7 +470,9 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
         s = slice(start, min(start + len(block), P))
         h = block[: s.stop - s.start]
         h[:, lattice] = 0.0
-        h.reshape(len(h), -1)[:, ws.half_index] = c[ws.half_start :, s].T
+        box = _half_box(ws, c, s)
+        for in_box, in_half in ws.half_boxes:
+            h[in_half] = box[in_box]
         if ws.d_x > 1:
             rows = h[:, lattice]
             np.fft.ifftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
@@ -425,16 +483,14 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
     modes off the lattice are dropped.  Row blocks of x are real-transformed
-    into one half-spectrum block; the upper half modes[centre:] of the
-    sorted lattice is gathered from it and the lower half, its reversal,
-    filled by conjugation, so the result is Hermitian by construction.  x is
-    left unchanged."""
+    into one half-spectrum block, and the tail modes[half_start:] of the
+    sorted lattice copied from it.  The lower half modes[:centre], the
+    reversal of modes[centre + 1:], is then filled by conjugation, so the
+    result is Hermitian by construction.  x is left unchanged."""
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
-    out = np.empty((ws.n_modes, P), dtype=np.complex128)
-    centre = ws.n_modes // 2  # the index of eta = 0
-    gather = ws.half_index[centre - ws.half_start :]
+    out = np.empty((ws.n_modes, P), dtype=np.complex128, order="F")
     grid = x.reshape((P,) + ws.grid_shape)
     block = _half_block(ws, P)
     lattice = slice(0, ws.K + 1)
@@ -445,7 +501,10 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
         if ws.d_x > 1:
             rows = h[:, lattice]
             np.fft.fftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
-        out[centre:, s] = h.reshape(len(h), -1)[:, gather].T
+        box = _half_box(ws, out, s)  # a view: out is Fortran-ordered
+        for in_box, in_half in ws.half_boxes:
+            box[in_box] = h[in_half]
+    centre = ws.n_modes // 2  # the index of eta = 0
     out[centre].imag = 0.0  # a real field's mean is real: drop rounding
     np.conjugate(out[:centre:-1], out=out[:centre])
     return out
@@ -548,15 +607,13 @@ def step_imex(
     frozen first argument in the bilinear term (Picard mode).
     """
     ws = state.workspace
-    rhs = _add_transport(ws, state.c, state.c.copy(), -1j * dt)
+    rhs = _add_transport(ws, state.c, state.c.copy(order="F"), -1j * dt)
     if gamma_on:
         mom = frozen_moment_fields
         if mom is None:
             mom = state.c[:, ws.ops.moment_slots]
         rhs += dt * _bilinear(ws, mom, state.c)
-    out = np.empty_like(rhs)
-    for sl, inv in zip(ws.basis.level_slices, ws.implicit_inverses(dt)):
-        out[:, sl] = rhs[:, sl] @ inv  # inv is symmetric
+    out = _level_product(ws.basis, ws.implicit_inverses(dt), rhs)
     return PhaseState(state.config, out, state.time + dt)
 
 
@@ -599,7 +656,7 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
     """
     ws = _Workspace.for_config(config)
     rng = np.random.default_rng(config.seed)
-    c = np.zeros((ws.n_modes, ws.basis.size), dtype=np.complex128)
+    c = np.zeros((ws.n_modes, ws.basis.size), dtype=np.complex128, order="F")
     if config.recipe == "zero":
         return PhaseState(config, c, 0.0)
     if config.recipe == "kernel":
@@ -752,7 +809,7 @@ def run(config: SolverConfig, initial: PhaseState | None = None, gamma_on: bool 
     if initial is None:
         g0 = build_initial_state(config)
     else:
-        g0 = PhaseState(config, initial.c.copy(), initial.time)
+        g0 = PhaseState(config, initial.c.copy(order="F"), initial.time)
     return record_states(_march(g0, gamma_on, None), config.dt, config.record_every)
 
 
@@ -788,20 +845,21 @@ def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -
     """March the linear equation with a frozen bilinear argument (the step
     leaving time step k uses the moment fields frozen[k]; None drops the
     bilinear term) from g0, whose coefficients traj[0] holds, overwriting
-    traj[1:] step by step.
+    traj[1:] step by step; traj[k] (M, n_modes) holds step k's c.T.
 
     Returns the sup-in-time weighted distance between the new trajectory and
     the one it overwrote, and the new trajectory's sup-in-time weighted norm.
     If a step trips the divergence guard, the steps before it are already
     overwritten.
     """
-    weights = np.sqrt(g0.workspace.h_weight)[:, None]
+    ws = g0.workspace
     sup_distance, sup_norm = 0.0, 0.0
     for k, (state, norm) in enumerate(_march(g0, frozen is not None, frozen)):
         if k:
-            diff = np.abs(state.c - traj[k]) * weights
-            sup_distance = max(sup_distance, math.sqrt(float(np.sum(diff**2))))
-            traj[k] = state.c
+            old = traj[k]
+            old -= state.c.T  # the difference is taken in the slot it leaves
+            sup_distance = max(sup_distance, math.sqrt(ws.norm_sq(old.T)))
+            old[...] = state.c.T
         sup_norm = max(sup_norm, norm)
     return sup_distance, sup_norm
 
@@ -824,17 +882,17 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
       argument carries no warrant beyond it), or
     * an iterate trips the norm-doubling divergence guard.
 
-    Memory: one complex trajectory buffer of (n_steps+1) * n_modes * M
-    coefficients, which each iterate overwrites step by step while its
-    distance and norm are taken, plus the frozen moment fields of two
-    iterates, O(n_steps * n_modes) each.  The returned states are views of
-    that buffer.
+    Memory: one complex trajectory buffer of (n_steps+1) * M * n_modes
+    coefficients, each step's c.T, which each iterate overwrites step by
+    step while its distance and norm are taken, plus the frozen moment
+    fields of two iterates, O(n_steps * n_modes) each.  The returned states
+    are views of that buffer.
     """
     config = g0.config
     ws = g0.workspace
     # zeros, not empty: the seed march's distance (discarded) reads the buffer
-    traj = np.zeros((config.n_steps + 1,) + g0.c.shape, dtype=np.complex128)
-    traj[0] = g0.c
+    traj = np.zeros((config.n_steps + 1,) + g0.c.T.shape, dtype=np.complex128)
+    traj[0] = g0.c.T
     frozen = None  # the moment fields that produced the iterate in traj
     _, sup_norm = _march_linear(g0, traj, frozen)
     c0_hat = ws.trilinear_constant()
@@ -847,7 +905,7 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
         if smallness >= 1.0:
             reason = "smallness"
             break
-        prev_frozen, frozen = frozen, traj[:, :, ws.ops.moment_slots]
+        prev_frozen, frozen = frozen, traj[:, ws.ops.moment_slots].transpose(0, 2, 1)
         try:
             d, sup_norm = _march_linear(g0, traj, frozen)
         except SolverDivergenceError:
@@ -869,7 +927,7 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
     else:
         reason = "max_iter"
     trajectory = [
-        PhaseState(config, traj[k], g0.time + k * config.dt)
+        PhaseState(config, traj[k].T, g0.time + k * config.dt)
         for k in range(config.n_steps + 1)
     ]
     return trajectory, PicardReport(distances, lambdas, it, reason, c0_hat, smallness)
@@ -909,6 +967,8 @@ def read_snapshot(path, config: SolverConfig | None = None) -> PhaseState:
         _, version, d_x, K, N, r, time = _HEADER.unpack(header)
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if not math.isfinite(time):
+            raise ValueError(f"snapshot time must be finite, got {time}")
         if config is None:
             config = SolverConfig(N=N, K=K, d_x=d_x, r=r)
         elif (config.N, config.K, config.d_x, config.r) != (N, K, d_x, r):
@@ -918,7 +978,7 @@ def read_snapshot(path, config: SolverConfig | None = None) -> PhaseState:
         if size != expected:
             raise ValueError(f"snapshot payload is {size} bytes, its header needs {expected}")
         ws = _Workspace.for_config(config)
-        # astype copies the read-only buffer into writable native complex128
-        raw = np.frombuffer(fh.read(), dtype="<c16").astype(np.complex128)
-        c = raw.reshape(ws.n_modes, ws.basis.size)
+        raw = np.frombuffer(fh.read(), dtype="<c16").reshape(ws.n_modes, ws.basis.size)
+        # one copy of the read-only buffer into a writable native array
+        c = np.array(raw, dtype=np.complex128, order="F")
         return PhaseState(config, c, time)

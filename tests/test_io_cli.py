@@ -96,6 +96,19 @@ def test_snapshot_rejects_short_header(tmp_path):
         read_snapshot(p)
 
 
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+def test_snapshot_rejects_non_finite_time(tmp_path, time):
+    # the header's time starts a march from the snapshot: a NaN would
+    # surface only later, as a non-finite ledger entry
+    path = tmp_path / "state.lnsp"
+    write_snapshot(path, build_initial_state(small_config()))
+    raw = bytearray(path.read_bytes())
+    raw[28:36] = struct.pack("<d", time)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="time"):
+        read_snapshot(path)
+
+
 # reads, under a 1 GiB address-space limit, a 36-byte file whose header
 # claims d_x = 3, K = 4000: an 8001^3-mode workspace if it were trusted
 OVERSIZED_HEADER_CHILD = """

@@ -728,6 +728,94 @@ def test_initial_datum_is_lean(recipe):
     assert np.array_equal(g0.c, c)
 
 
+def test_states_are_hermite_major(tmp_path):
+    # every state the package produces stores c in Fortran order, so the
+    # real view of c.T is a free view for the velocity operators
+    from landau_hermite.solver import read_snapshot, write_snapshot
+
+    cfg = small_config(N=6, K=2, d_x=2, T=0.01, record_every=1)
+    states = [build_initial_state(replace(cfg, recipe=r)) for r in solver.RECIPES]
+    g0 = states[1]
+    states += [step_imex(g0, cfg.dt), apply_transport(g0), gamma_conv(g0, g0), g0.copy()]
+    states += [s for _, s in run(cfg).snapshots]
+    traj, report = picard_solve(g0)
+    assert report.converged
+    states += traj
+    write_snapshot(tmp_path / "g0.lnsp", g0)
+    states.append(read_snapshot(tmp_path / "g0.lnsp"))
+    states.append(PhaseState(cfg, np.ascontiguousarray(g0.c)))
+    for state in states:
+        assert state.c.flags.f_contiguous
+    # the trajectory is views of one buffer, not copies
+    buffer = traj[0].c.base
+    assert buffer.size == len(traj) * g0.c.size
+    assert all(s.c.base is buffer for s in traj)
+
+
+def test_level_product_is_the_row_product():
+    # the per-level real product on the view equals the complex rows times
+    # each level's matrix, for matrices that are not symmetric
+    from landau_hermite.solver import _Workspace, _level_product
+
+    rng = np.random.default_rng(64)
+    cfg = small_config(d_x=2, K=2)
+    ws = _Workspace.for_config(cfg)
+    c = random_state(cfg, rng).c
+    mats = [rng.standard_normal((sl.stop - sl.start,) * 2) for sl in ws.basis.level_slices]
+    out = _level_product(ws.basis, mats, c)
+    assert out.flags.f_contiguous
+    for sl, m in zip(ws.basis.level_slices, mats):
+        ref = c[:, sl] @ m
+        assert np.linalg.norm(out[:, sl] - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("norm, bound", [(h_r_norm, 0.1), (triple_norm, 1.1)])
+def test_norm_memory(norm, bound):
+    # h_r_norm reduces the real view of c.T with no state-sized temporary;
+    # triple_norm holds the one real product Q x of a state's size
+    cfg = small_config(N=8, K=5, d_x=3, recipe="rough", seed=5)
+    g0 = build_initial_state(cfg)
+    norm(g0)  # builds the cached operators outside the traced call
+    tracemalloc.start()
+    try:
+        norm(g0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * g0.c.nbytes
+
+
+def test_workspace_fetches_the_per_cap_operators_once(monkeypatch):
+    # basis and ops are cached on the workspace: a march reads them every
+    # step but looks each up once
+    from landau_hermite.solver import _Workspace
+
+    calls = []
+
+    def counted(lookup):
+        def wrapper(N):
+            calls.append(lookup.__name__)
+            return lookup(N)
+        return wrapper
+
+    monkeypatch.setattr(_Workspace, "_cache", {})
+    monkeypatch.setattr(solver, "get_basis", counted(solver.get_basis))
+    monkeypatch.setattr(solver, "get_operators", counted(solver.get_operators))
+    res = run(small_config(T=0.05))
+    assert len(res.ledger.t) == 11
+    assert calls.count("get_basis") <= 1
+    assert calls.count("get_operators") <= 1
+
+
+def test_mode_index_is_built_on_first_use():
+    from landau_hermite.solver import _Workspace
+
+    ws = _Workspace(6, 2, 2, 2.0)
+    assert "mode_index" not in vars(ws)
+    assert ws.mode_index == {m: i for i, m in enumerate(ws.modes)}
+    assert ws.mode_index is ws.mode_index
+
+
 def test_implicit_inverses_keep_the_latest_dt():
     # a dt sweep leaves the inverse set of its last dt only
     from landau_hermite.solver import _Workspace
