@@ -21,7 +21,7 @@ import sys
 
 from . import solver as sv
 from . import diagnostics as dg
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _write(path: str, text: str) -> None:
@@ -104,10 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
 
     p_verify = sub.add_parser("verify", help="execute a verification suite")
+    suites = [*SUITES, "all"]
     p_verify.add_argument(
-        "--suite",
-        default="all",
-        help="ladder | linear_op | gamma_oracle | weights | kolmogorov | all",
+        "--suite", default="all", choices=suites, help=" | ".join(suites)
     )
     p_verify.add_argument("--out", default=None, help="optional report directory")
 

@@ -882,6 +882,16 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
       argument carries no warrant beyond it), or
     * an iterate trips the norm-doubling divergence guard.
 
+    The smallness test is independent of the resolution only above the
+    algebra threshold r > d_x/2.  At or below it C0 grows with K, so a finer
+    lattice can fail the test on the same datum.  On the d_x=1, N=6 ladder
+    K = 2, 4, 8, 16, 32, C0 at r=0.5 grows from 1.59 to 3.07, by 0.34-0.39
+    per doubling, while at r=2 it rises from 1.40 to 1.656 and is flat from
+    K=16.  C0 comes from a search over explicit triples, so it is a
+    certified lower bound: the growth is proven, the saturation only
+    evidence.  The config keeps the paper's rule r > 3/2, which covers
+    d_x <= 3.
+
     Memory: one complex trajectory buffer of (n_steps+1) * M * n_modes
     coefficients, each step's c.T, which each iterate overwrites step by
     step while its distance and norm are taken, plus the frozen moment

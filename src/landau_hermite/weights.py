@@ -17,10 +17,14 @@ is bounded by 1/delta, and every first-order derivative of F is the
 corresponding derivative of Psi times F times a factor of modulus <= 1.
 
 The transported-bracket integral has one quadrature path,
-`_transported_integral`, behind `psi` and its two gradients, and two closed
-forms, `psi_closed` (alpha = 1) and `kolmogorov.transport_dissipation_integral`
-(the |xi + rho eta|^2 part of alpha = 2).  Each sweep returns its worst
-value as a float; nothing here is a proof - the sweeps estimate constants.
+`_transported_integral`, behind `psi` and its two gradients.  It refines each
+integrand on its own: a ray, or one gradient component of a ray, retires
+once its own estimate settles, and later panel doublings evaluate only the
+integrands still active, so one hard ray costs no work on the others.  There
+are also two closed forms, `psi_closed` (alpha = 1) and
+`kolmogorov.transport_dissipation_integral` (the |xi + rho eta|^2 part of
+alpha = 2).  Each sweep returns its worst value as a float; nothing here is
+a proof - the sweeps estimate constants.
 """
 
 from __future__ import annotations
@@ -87,73 +91,102 @@ def _leggauss16():  # on first use: importing numpy.polynomial costs ~2 MB RSS
     return np.polynomial.legendre.leggauss(16)
 
 
-def _integrate_01(fn) -> np.ndarray:
-    """Composite 16-point Gauss-Legendre quadrature of fn(u) over u in [0, 1].
+@cache
+def _composite_rule(panels: int) -> tuple:
+    """Nodes u and weights w, each (16 * panels,) and read-only, of the
+    composite 16-point Gauss-Legendre rule on [0, 1].  _integrate_01 asks
+    for at most 14 panel counts, so the cache stays bounded."""
+    nodes, wts = _leggauss16()
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 / panels
+    u = (mids[:, None] + half * nodes[None, :]).reshape(-1)
+    w = np.broadcast_to(half * wts[None, :], (panels, 16)).reshape(-1)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
-    fn maps an array of nodes (m,) to values of shape batch + (m,).  Panels
-    double, from 1 up to 2^13, until the estimate stabilizes to relative
-    tolerance 1e-12; QuadratureConvergenceError if it never does.
+
+def _integrate_01(fn, n: int) -> np.ndarray:
+    """Composite 16-point Gauss-Legendre quadrature of n integrands over
+    u in [0, 1], each refined on its own.
+
+    fn(u, rows) maps the nodes u (m,) and the indices rows (k,) of the
+    integrands still active to their values, shape (k, m).  Panels double,
+    from 1 up to 2^13; an integrand retires with its own estimate once that
+    estimate moves by at most 1e-12 relative, and later doublings evaluate
+    only the rows still active.  QuadratureConvergenceError if any row never
+    settles.
     """
     rtol = 1e-12
-    nodes, wts = _leggauss16()
+    est = np.empty(n)
+    rows = np.arange(n)
     prev = None
     panels = 1
     for _ in range(14):
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 / panels
-        u = (mids[:, None] + half * nodes[None, :]).reshape(-1)
-        w = np.broadcast_to(half * wts[None, :], (panels, 16)).reshape(-1)
-        vals = fn(u)
-        est = vals @ w
+        u, w = _composite_rule(panels)
+        cur = fn(u, rows) @ w
         if prev is not None:
-            err = np.max(np.abs(est - prev) / np.maximum(np.abs(est), 1e-300))
-            if err <= rtol:
+            err = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
+            done = err <= rtol
+            est[rows[done]] = cur[done]
+            rows, cur, err = rows[~done], cur[~done], err[~done]
+            if rows.size == 0:
                 return est
-        prev = est
+        prev = cur
         panels *= 2
     raise QuadratureConvergenceError(
         f"{panels // 2} Gauss-Legendre panels still move the estimate by "
-        f"{err:.3e} relative (tolerance {rtol:g})"
+        f"{np.max(err):.3e} relative (tolerance {rtol:g}) on {rows.size} of "
+        f"{n} integrands"
     )
 
 
-def _brk(v):
-    """<v> = sqrt(1 + |v|^2) over the last axis."""
-    return np.sqrt(1.0 + np.sum(v**2, axis=-1))
+def _brk(v, axis=-1):
+    """<v> = sqrt(1 + |v|^2), the components of v along axis."""
+    return np.sqrt(1.0 + np.sum(v**2, axis=axis))
 
 
-def _transported_integral(t, eta, xi, integrand):
-    """The one quadrature of integral_0^1 integrand(rho, xi + rho eta) du at
-    rho = t u, by adaptive Gauss-Legendre.
+def _transported_integral(t, eta, xi, c0, integrand, per_ray=1):
+    """The one quadrature of c0 * integral_0^t integrand(rho, xi + rho eta)
+    d rho, as c0 * t * integral_0^1 at rho = t u, by adaptive Gauss-Legendre
+    refined per integrand: each of the per_ray integrands of each ray
+    converges on its own.
 
     eta and xi broadcast over a common batch of 3-vectors; t is a scalar or a
-    batch of the same shape.  integrand(rho, arg) gets rho of shape
-    batch + (m, 1) and arg of shape batch + (m, 3) and returns batch + (m,).
-    Returns (t, integral) with t broadcast to the batch, so that
-    c0 * t * integral is c0 times the integral over rho in [0, t].
+    batch of the same shape.  integrand(rho, arg, j) gets, for the k active
+    integrands, rho of shape (k, m), arg of shape (3, k, m), the components
+    of xi + rho eta, and j (k,), the index of each integrand within its ray;
+    it returns (k, m).  Nothing of shape batch + (m, 3) is formed.  Returns
+    batch + (per_ray,).
     """
     eta, xi = np.broadcast_arrays(
         np.asarray(eta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
     )
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), eta.shape[:-1])
+    batch = eta.shape[:-1]
+    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), batch)
+    t_flat, eta_flat, xi_flat = t_arr.reshape(-1), eta.reshape(-1, 3), xi.reshape(-1, 3)
 
-    def fn(u):
-        rho = t_arr[..., None, None] * u[:, None]
-        return integrand(rho, xi[..., None, :] + rho * eta[..., None, :])
+    def fn(u, rows):
+        ray, j = np.divmod(rows, per_ray)
+        rho = t_flat[ray, None] * u
+        arg = xi_flat[ray].T[:, :, None] + rho * eta_flat[ray].T[:, :, None]
+        return integrand(rho, arg, j)
 
-    return t_arr, _integrate_01(fn)
+    integral = _integrate_01(fn, t_flat.size * per_ray).reshape(batch + (per_ray,))
+    return c0 * t_arr[..., None] * integral
 
 
 def psi(t, eta, xi, c0: float) -> np.ndarray | float:
-    """c0 * integral_0^t <xi + rho eta> d rho by adaptive Gauss-Legendre.
+    """c0 * integral_0^t <xi + rho eta> d rho by adaptive Gauss-Legendre,
+    each ray refined on its own.
 
     eta and xi broadcast over a common batch of 3-vectors; t is a scalar or a
     batch of the same shape.  Returns the batch of values (scalar for scalar
     input).
     """
-    t_arr, integral = _transported_integral(t, eta, xi, lambda rho, arg: _brk(arg))
-    val = c0 * t_arr * integral
+    val = _transported_integral(
+        t, eta, xi, c0, lambda rho, arg, j: _brk(arg, axis=0)
+    )[..., 0]
     if val.shape == ():
         return float(val)
     return val
@@ -194,27 +227,23 @@ def psi_closed(t, eta, xi, c0: float) -> np.ndarray | float:
 def psi_gradient_xi(t, eta, xi, c0: float) -> np.ndarray:
     """grad_xi Psi = c0 * integral_0^t (xi + rho eta)/<xi + rho eta> d rho.
 
-    Each component is its own quadrature, so each converges on its own."""
-    parts = []
-    for j in range(3):
-        t_arr, integral = _transported_integral(
-            t, eta, xi, lambda rho, arg, j=j: arg[..., j] / _brk(arg)
-        )
-        parts.append(c0 * t_arr * integral)
-    return np.stack(parts, axis=-1)
+    One quadrature over the batch x 3 components; each converges on its own."""
+    return _transported_integral(
+        t, eta, xi, c0,
+        lambda rho, arg, j: np.choose(j[:, None], arg) / _brk(arg, axis=0),
+        per_ray=3,
+    )
 
 
 def psi_gradient_eta(t, eta, xi, c0: float) -> np.ndarray:
     """grad_eta Psi = c0 * integral_0^t rho (xi + rho eta)/<xi + rho eta> d rho.
 
-    Each component is its own quadrature, so each converges on its own."""
-    parts = []
-    for j in range(3):
-        t_arr, integral = _transported_integral(
-            t, eta, xi, lambda rho, arg, j=j: rho[..., 0] * arg[..., j] / _brk(arg)
-        )
-        parts.append(c0 * t_arr * integral)
-    return np.stack(parts, axis=-1)
+    One quadrature over the batch x 3 components; each converges on its own."""
+    return _transported_integral(
+        t, eta, xi, c0,
+        lambda rho, arg, j: rho * np.choose(j[:, None], arg) / _brk(arg, axis=0),
+        per_ray=3,
+    )
 
 
 def log_weight_F(params: WeightParams, eta, xi, psi_val=None) -> np.ndarray | float:

@@ -207,8 +207,15 @@ def test_cli_verify_suite_json_lines(tmp_path):
 
 
 def test_cli_verify_unknown_suite_fails():
+    # rejected by the parser: a usage error naming every choice, no traceback
+    from landau_hermite.verify import SUITES
+
     res = run_cli("verify", "--suite", "bogus")
-    assert res.returncode != 0
+    assert res.returncode == 2
+    assert "invalid choice: 'bogus'" in res.stderr
+    assert "Traceback" not in res.stderr
+    for name in [*SUITES, "all"]:
+        assert f"'{name}'" in res.stderr
 
 
 def test_cli_picard_scheme_writes_report(tmp_path):

@@ -1,6 +1,7 @@
 """Weight Psi, the regularized exponential F, and the sampled inequalities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,7 +223,57 @@ def test_quadrature_that_cannot_converge_raises():
     from landau_hermite.weights import _integrate_01
 
     with pytest.raises(QuadratureConvergenceError, match="8192 Gauss-Legendre panels"):
-        _integrate_01(lambda u: u**-0.5)
+        _integrate_01(lambda u, rows: u[None, :] ** -0.5, 1)
+
+
+def test_quadrature_refines_each_integrand_on_its_own():
+    # a constant row settles at 2 panels and is not evaluated again while a
+    # narrow Lorentzian beside it needs 128
+    from landau_hermite.weights import _integrate_01
+
+    seen = []
+
+    def fn(u, rows):
+        seen.append((u.size // 16, rows.tolist()))
+        return np.where(rows[:, None] == 0, 2.5, 1.0 / (1e-4 + (u - 1 / 3) ** 2))
+
+    est = _integrate_01(fn, 2)
+    assert [panels for panels, rows in seen if 0 in rows] == [1, 2]
+    assert seen[-1] == (128, [1])
+    lorentz = 100.0 * (math.atan(100.0 * 2 / 3) + math.atan(100.0 / 3))
+    assert est[0] == 2.5
+    assert abs(est[1] - lorentz) <= 1e-12 * lorentz
+
+
+def test_quadrature_fails_on_the_row_that_cannot_converge():
+    # rows that converge do not hide the one that never does
+    from landau_hermite.landau_ops import QuadratureConvergenceError
+    from landau_hermite.weights import _integrate_01
+
+    def fn(u, rows):
+        return np.where(rows[:, None] == 1, u**-0.5, 1.0 + u)
+
+    with pytest.raises(
+        QuadratureConvergenceError, match="8192 Gauss-Legendre panels.* on 1 of 3 integrands"
+    ):
+        _integrate_01(fn, 3)
+
+
+@pytest.mark.parametrize("fn", [psi, psi_gradient_xi, psi_gradient_eta])
+def test_batch_agrees_with_one_ray_at_a_time(fn):
+    # a ray whose bracket dips to about 1 over a width 1e-3 needs 512 panels;
+    # the other rays, at scales 1e-2 to 1e2, keep their own estimates
+    rng = np.random.default_rng(49)
+    n = 20
+    scale = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), (n, 1)))
+    eta = rng.standard_normal((n, 3)) * scale
+    xi = rng.standard_normal((n, 3)) * scale
+    t = rng.uniform(0.05, 1.0, n)
+    d = np.array([2.0, -1.0, 0.5]) / math.sqrt(5.25)
+    eta[0], xi[0], t[0] = 1e3 * d, -240.0 * d + np.array([0.1, 0.2, 0.1]), 0.8
+    batch = fn(t, eta, xi, 1.0)
+    single = np.array([fn(t[i], eta[i], xi[i], 1.0) for i in range(n)])
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
 
 def test_submultiplicativity_no_violations():
@@ -234,3 +285,16 @@ def test_weight_triangle_reports_bounded_constant():
     res = weight_triangle_check(params(), seed=6)
     assert np.isfinite(res)
     assert res > 0.0
+
+
+def test_weight_triangle_memory_is_per_ray():
+    # 2000 rays on 16-32 nodes while most settle; the lockstep refinement
+    # this replaces held (2000, 256, 3) arrays, a 33.5 MiB peak
+    weight_triangle_check(params(), seed=10)  # the rule caches fill first
+    tracemalloc.start()
+    try:
+        weight_triangle_check(params(), seed=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
