@@ -156,6 +156,14 @@ def _shift_axis_linear(arr: np.ndarray, axis: int, shift: float, xi_axis: np.nda
     return np.moveaxis(out, -1, axis), lost
 
 
+def _check_time(name: str, value: float, positive: bool) -> None:
+    """ValueError naming the argument unless value is finite and > 0 (or
+    >= 0 where positive is False)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
     """Advance the state by time t >= 0 with the explicit solution formula.
 
@@ -163,8 +171,7 @@ def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
     whose shift pushes more than 1e-12 of slice mass outside the lattice are
     flagged on the returned state.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time("t", t, positive=False)
     out = state.copy()
     if t == 0.0:
         return out
@@ -225,6 +232,10 @@ def imex_reference_march(
 
     Against exact_propagate the error is O(dt): halving dt halves it.
     """
+    _check_time("t", t, positive=False)
+    _check_time("dt", dt, positive=True)
+    if not math.isfinite(t / dt):
+        raise ValueError(f"dt = {dt!r} is too small: t / dt overflows")
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-12 * max(t, 1.0):
         raise ValueError("t must be an integer multiple of dt")

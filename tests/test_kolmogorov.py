@@ -4,6 +4,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from landau_hermite.kolmogorov import (
     FourierGridState,
@@ -123,6 +124,29 @@ def test_imex_first_order_convergence():
     for a, b in zip(errs, errs[1:]):
         ratio = a / b
         assert 1.6 <= ratio <= 2.4
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s: imex_reference_march(s, 0.5, -0.1), "dt"),
+        (lambda s: imex_reference_march(s, 0.5, 0.0), "dt"),
+        (lambda s: imex_reference_march(s, 0.5, 1e-320), "dt"),
+        (lambda s: imex_reference_march(s, 0.5, math.nan), "dt"),
+        (lambda s: imex_reference_march(s, -0.5, 0.1), "t"),
+        (lambda s: imex_reference_march(s, math.inf, 0.1), "t"),
+        (lambda s: exact_propagate(s, math.nan), "t"),
+        (lambda s: exact_propagate(s, math.inf), "t"),
+        (lambda s: exact_propagate(s, -0.1), "t"),
+    ],
+)
+def test_bad_time_arguments_rejected(call, name):
+    # unchecked, a negative dt returns the datum unmarched, a zero or
+    # subnormal dt raises ZeroDivisionError or OverflowError deep in the
+    # march, and a NaN t a cast warning
+    s = gaussian_state(dims=1, eta_max=2, xi_max=4.0, xi_points=17)
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call(s)
 
 
 def test_two_dimensional_smoke():

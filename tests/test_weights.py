@@ -1,6 +1,8 @@
 """Weight Psi, the regularized exponential F, and the sampled inequalities."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,6 @@ import pytest
 from landau_hermite.weights import (
     WeightParams,
     psi,
-    psi_closed,
     psi_gradient_xi,
     psi_gradient_eta,
     weight_F,
@@ -57,28 +58,113 @@ def test_psi_closed_form_value():
     expected = c0 * (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 2.0
     got = psi(1.0, np.array([1.0, 0, 0]), np.zeros(3), c0)
     assert abs(got - expected) < 1e-12
-    got_closed = psi_closed(1.0, np.array([1.0, 0, 0]), np.zeros(3), c0)
-    assert abs(got_closed - expected) < 1e-12
 
 
-def test_quadrature_agrees_with_closed_form():
+def _quad_reference(t, eta, xi):
+    # Psi, grad_xi Psi and grad_eta Psi at c0 = 1 by scipy's adaptive
+    # quadrature, split at the ray's closest approach to xi = 0; each comes
+    # with quad's own error estimate (full_output returns its roundoff notes
+    # instead of warning them)
+    from scipy.integrate import quad
+
+    rho_min = -float(eta @ xi) / max(float(eta @ eta), 1e-300)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200, full_output=1)
+    if 0.0 < rho_min < t:
+        opts["points"] = [rho_min]
+
+    def integrals(f, n):
+        out = [quad(lambda rho: f(rho, xi + rho * eta, j), 0.0, t, **opts) for j in range(n)]
+        return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+
+    def brk(x):
+        return math.sqrt(1.0 + float(x @ x))
+
+    return (
+        integrals(lambda rho, x, j: brk(x), 1),
+        integrals(lambda rho, x, j: x[j] / brk(x), 3),
+        integrals(lambda rho, x, j: rho * x[j] / brk(x), 3),
+    )
+
+
+def test_closed_form_agrees_with_scipy_quad():
+    # 48 rays at scales 1e-2 to 1e2; every third crosses near xi = 0 halfway
+    # along, where a gradient component nearly cancels.  Bounds: Psi 1e-13
+    # relative, each gradient 1e-12 of its largest component; quad's own
+    # error estimate must sit inside them
     rng = np.random.default_rng(41)
-    for _ in range(40):
-        eta = rng.standard_normal(3) * rng.uniform(0.1, 20)
-        xi = rng.standard_normal(3) * rng.uniform(0.1, 20)
+    for i in range(48):
+        scale = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+        eta = rng.standard_normal(3) * scale
+        xi = rng.standard_normal(3) * scale
         t = rng.uniform(0.05, 1.0)
-        a = psi(t, eta, xi, 1.0)
-        b = psi_closed(t, eta, xi, 1.0)
-        assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
+        if i % 3 == 0:
+            xi = -rng.uniform(0.3, 0.7) * t * eta + 0.1 * xi
+        refs = _quad_reference(t, eta, xi)
+        for fn, (ref, err), rtol in zip(
+            (psi, psi_gradient_xi, psi_gradient_eta), refs, (1e-13, 1e-12, 1e-12)
+        ):
+            bound = rtol * np.max(np.abs(ref))
+            assert np.max(err) <= bound
+            assert np.max(np.abs(fn(t, eta, xi, 1.0) - ref)) <= bound
+
+
+def test_psi_at_vanishing_eta():
+    # eta = 0 and eta = 1e-300 give the constant-integrand values; |eta| = 1e-9
+    # gives the first-order expansion, with the Hessian H of <xi>, to O(|eta|^2)
+    c0, t = 1 / 32, 0.8
+    xi = np.array([1.5, -2.0, 0.5])
+    b = math.sqrt(1.0 + float(xi @ xi))
+    for eta in (np.zeros(3), np.array([1e-300, -2e-300, 0.5e-300])):
+        assert abs(psi(t, eta, xi, c0) - c0 * t * b) <= 1e-15 * c0 * t * b
+        np.testing.assert_allclose(
+            psi_gradient_xi(t, eta, xi, c0), c0 * t * xi / b, rtol=1e-15, atol=0
+        )
+        np.testing.assert_allclose(
+            psi_gradient_eta(t, eta, xi, c0), c0 * t**2 / 2 * xi / b, rtol=1e-15, atol=0
+        )
+    eta = 1e-9 * np.array([0.6, 0.0, -0.8])
+    hess = (np.eye(3) - np.outer(xi, xi) / b**2) / b
+    expected = c0 * (t * b + t**2 / 2 * float(xi @ eta) / b)
+    assert abs(psi(t, eta, xi, c0) - expected) <= 1e-15 * expected
+    np.testing.assert_allclose(
+        psi_gradient_xi(t, eta, xi, c0),
+        c0 * (t * xi / b + t**2 / 2 * hess @ eta), rtol=1e-15, atol=0,
+    )
+    np.testing.assert_allclose(
+        psi_gradient_eta(t, eta, xi, c0),
+        c0 * (t**2 / 2 * xi / b + t**3 / 3 * hess @ eta), rtol=1e-15, atol=0,
+    )
+
+
+def test_gradients_on_a_ray_through_zero_halfway():
+    # the ray crosses xi = 0 at rho = t/2, so the x component of grad_xi Psi
+    # is about 0 by symmetry (exactly -4.4e-17)
+    ray = (0.7, np.array([1e4, 0.0, 0.0]), np.array([-3500.0, 0.3, -0.2]), 1.0)
+    grad_xi = psi_gradient_xi(*ray)
+    grad_eta = psi_gradient_eta(*ray)
+    assert np.all(np.isfinite(grad_xi)) and np.all(np.isfinite(grad_eta))
+    assert abs(grad_xi[0]) <= 1e-12 * np.max(np.abs(grad_xi))
+
+
+def test_package_import_leaves_out_test_references():
+    # scipy.integrate and mpmath are test-only references; importing them at
+    # package load would cost every run their memory
+    code = (
+        "import sys, landau_hermite.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_psi_gradients_match_central_differences_of_closed_form():
     # Central differences of step h err by h^2/6 |third derivative| <= h^2 t/2
     # (the third derivatives of <x> are at most 3, and rho <= t <= 1) plus
-    # rounding of about eps |Psi| / h times the cancellation in psi_closed's
-    # antiderivative difference.  With h = 1e-5 and |Psi| <= 10 that is about
-    # 5e-11 + 1e-10 (measured worst 1.4e-10); 1e-8 leaves a factor 100 for
-    # that cancellation, and a wrong integrand misses by O(t).
+    # rounding of about eps |Psi| / h.  With h = 1e-5 and |Psi| <= 10 that is
+    # about 5e-11 + 2e-10; 1e-8 leaves a wide margin, and a wrong integrand
+    # misses by O(t).
     rng = np.random.default_rng(48)
     n, h = 20, 1e-5
     eta = rng.standard_normal((n, 3)) * 2
@@ -87,8 +173,8 @@ def test_psi_gradients_match_central_differences_of_closed_form():
     grad_xi = psi_gradient_xi(t, eta, xi, 1.0)
     grad_eta = psi_gradient_eta(t, eta, xi, 1.0)
     for j, e in enumerate(np.eye(3) * h):
-        d_xi = (psi_closed(t, eta, xi + e, 1.0) - psi_closed(t, eta, xi - e, 1.0)) / (2 * h)
-        d_eta = (psi_closed(t, eta + e, xi, 1.0) - psi_closed(t, eta - e, xi, 1.0)) / (2 * h)
+        d_xi = (psi(t, eta, xi + e, 1.0) - psi(t, eta, xi - e, 1.0)) / (2 * h)
+        d_eta = (psi(t, eta + e, xi, 1.0) - psi(t, eta - e, xi, 1.0)) / (2 * h)
         np.testing.assert_allclose(grad_xi[:, j], d_xi, rtol=0, atol=1e-8)
         np.testing.assert_allclose(grad_eta[:, j], d_eta, rtol=0, atol=1e-8)
 
@@ -217,52 +303,10 @@ def test_time_integral_without_closed_form_raises(alpha):
         time_integral_upper_ratio(alpha, radii)
 
 
-def test_quadrature_that_cannot_converge_raises():
-    # an endpoint singularity: every panel doubling still moves the estimate
-    from landau_hermite.landau_ops import QuadratureConvergenceError
-    from landau_hermite.weights import _integrate_01
-
-    with pytest.raises(QuadratureConvergenceError, match="8192 Gauss-Legendre panels"):
-        _integrate_01(lambda u, rows: u[None, :] ** -0.5, 1)
-
-
-def test_quadrature_refines_each_integrand_on_its_own():
-    # a constant row settles at 2 panels and is not evaluated again while a
-    # narrow Lorentzian beside it needs 128
-    from landau_hermite.weights import _integrate_01
-
-    seen = []
-
-    def fn(u, rows):
-        seen.append((u.size // 16, rows.tolist()))
-        return np.where(rows[:, None] == 0, 2.5, 1.0 / (1e-4 + (u - 1 / 3) ** 2))
-
-    est = _integrate_01(fn, 2)
-    assert [panels for panels, rows in seen if 0 in rows] == [1, 2]
-    assert seen[-1] == (128, [1])
-    lorentz = 100.0 * (math.atan(100.0 * 2 / 3) + math.atan(100.0 / 3))
-    assert est[0] == 2.5
-    assert abs(est[1] - lorentz) <= 1e-12 * lorentz
-
-
-def test_quadrature_fails_on_the_row_that_cannot_converge():
-    # rows that converge do not hide the one that never does
-    from landau_hermite.landau_ops import QuadratureConvergenceError
-    from landau_hermite.weights import _integrate_01
-
-    def fn(u, rows):
-        return np.where(rows[:, None] == 1, u**-0.5, 1.0 + u)
-
-    with pytest.raises(
-        QuadratureConvergenceError, match="8192 Gauss-Legendre panels.* on 1 of 3 integrands"
-    ):
-        _integrate_01(fn, 3)
-
-
 @pytest.mark.parametrize("fn", [psi, psi_gradient_xi, psi_gradient_eta])
 def test_batch_agrees_with_one_ray_at_a_time(fn):
-    # a ray whose bracket dips to about 1 over a width 1e-3 needs 512 panels;
-    # the other rays, at scales 1e-2 to 1e2, keep their own estimates
+    # a ray whose bracket dips to about 1 over a width 1e-3 beside rays at
+    # scales 1e-2 to 1e2: each ray's value depends on that ray alone
     rng = np.random.default_rng(49)
     n = 20
     scale = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), (n, 1)))
@@ -288,9 +332,9 @@ def test_weight_triangle_reports_bounded_constant():
 
 
 def test_weight_triangle_memory_is_per_ray():
-    # 2000 rays on 16-32 nodes while most settle; the lockstep refinement
-    # this replaces held (2000, 256, 3) arrays, a 33.5 MiB peak
-    weight_triangle_check(params(), seed=10)  # the rule caches fill first
+    # 2000 rays in closed form hold O(rays) arrays; a lockstep quadrature
+    # over 256 nodes held (2000, 256, 3) arrays, a 33.5 MiB peak
+    weight_triangle_check(params(), seed=10)  # a warm-up call first
     tracemalloc.start()
     try:
         weight_triangle_check(params(), seed=10)
