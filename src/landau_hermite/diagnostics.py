@@ -193,7 +193,8 @@ def read_spectra_csv(text: str) -> DiagnosticsSeries:
     """Parse a spectra CSV as `write_spectra_csv` writes it.
 
     Raises ValueError naming the line for a row without 4 fields, a time or
-    value that is not a number, an unknown kind, an index that is not a
+    value that is not a number, a time that is not finite, a value that is
+    not finite or is negative, an unknown kind, an index that is not a
     non-negative integer, a repeated (t, kind, index), and a time that lacks
     one of the two kinds (named at its first row).
     """
@@ -218,6 +219,10 @@ def read_spectra_csv(text: str) -> DiagnosticsSeries:
             t, val = float(t_s), float(val_s)
         except ValueError:
             raise ValueError(f"line {lineno}: t or value is not a number") from None
+        if not math.isfinite(t):
+            raise ValueError(f"line {lineno}: time {t_s!r} is not finite")
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"line {lineno}: value {val_s!r} is not finite and >= 0")
         entries = data.setdefault(t, {"hermite": {}, "fourier": {}})[kind]
         first_row.setdefault(t, lineno)
         if idx in entries:

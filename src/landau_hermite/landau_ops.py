@@ -21,7 +21,7 @@ Three independent routes to the same object are provided:
 * ``gamma_apply``   - the strong (matrix) form obtained from the D blocks by
   moving every operator off the test slot (adjoints: lowering <-> raising,
   rotations are skew).  f enters through moment coefficients multiplying ten
-  fixed sparse matrices, which makes repeated application cheap.
+  fixed sparse matrices, applied as one product with their stack.
 
 ``gamma_quadrature_oracle`` evaluates the defining double integral over
 (v, v*) with tensor Gauss-Hermite quadrature and pointwise Hermite function
@@ -90,7 +90,7 @@ class CollisionMoments:
 
 class LandauOperators:
     """Every velocity-side matrix: L1, L2, L, the ten bilinear moment
-    operators G_m, their stack and adjoint stack, the dissipation form Q and
+    operators G_m, stored only as their stack, the dissipation form Q and
     its per-level metric inverses.  They depend on N alone: one instance per
     degree cap, cached by :func:`get_operators`, serves every Fourier lattice.
     Matrices are built once (the cached properties on first use), read-only.
@@ -110,9 +110,9 @@ class LandauOperators:
         self.L2 = ((sphere - number2) @ p1 + (-sphere - number2) @ p2).tocsr()
         self.L = (self.L1 + self.L2).tocsr()
         self.moment_slots = self._moment_slots()
-        self.moment_operators = self._build_moment_operators()
-        # [G_0 | ... | G_9], the bilinear term's operand in `solver._bilinear`
-        self.moment_stack = sp.hstack(self.moment_operators, format="csr")
+        # [G_0 | ... | G_9] (M, 10 M), the one stored form of the G_m: read by
+        # `gamma_apply`, `solver._bilinear` and, transposed, both its adjoints
+        self.moment_stack = sp.hstack(self._build_moment_operators(), format="csr")
 
     def _moment_slots(self) -> np.ndarray:
         """Coefficient slots of the ten moment basis functions."""
@@ -169,11 +169,6 @@ class LandauOperators:
         return ops
 
     @cached_property
-    def moment_stack_adjoint(self) -> sp.csr_matrix:
-        """[G_0^T | ... | G_9^T], the stack of the g-slot adjoint."""
-        return sp.hstack([G.T for G in self.moment_operators], format="csr")
-
-    @cached_property
     def dissipation_form(self) -> sp.csr_matrix:
         """Quadratic form Q of the dissipation seminorm of
         `solver.triple_norm`, as the operator sum (exact at the cap)."""
@@ -203,14 +198,6 @@ class LandauOperators:
         for sl in self.basis.level_slices:
             blocks.append(Ld[sl, sl].toarray())
         return blocks
-
-    def apply_gamma_coeffs(self, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """B(f, g) on raw coefficient vectors, f given by its moment vector."""
-        out = np.zeros_like(g, dtype=np.complex128)
-        for m, G in zip(mom, self.moment_operators):
-            if m != 0.0:
-                out += m * (G @ g)
-        return out
 
 
 @cache
@@ -251,13 +238,6 @@ def collision_moments(f: HermiteSpectrum) -> CollisionMoments:
     )
 
 
-def _ordered_pairs():
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i != j:
-                yield i, j
-
-
 def gamma_weak_D(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> complex:
     """Seven-block ladder/rotation form of (B(f,g), h).
 
@@ -267,7 +247,7 @@ def gamma_weak_D(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> 
     mom = collision_moments(f)
     pair_slot = {(a + 1, b + 1): p for p, (a, b) in enumerate(MOMENT_PAIRS)}
     d1 = d2 = d3 = d4 = d5 = d6 = d7 = 0.0 + 0.0j
-    for i, j in _ordered_pairs():
+    for i, j in itertools.permutations(range(1, 4), 2):
         lo_i_h = lower_op(i, h)
         d1 += mom.m2d[j - 1] * inner_product(raise_op(i, g), lo_i_h)
         d2 -= mom.m0 * inner_product(lower_op(i, g), lo_i_h)
@@ -306,7 +286,7 @@ def gamma_weak_E(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> 
         )
 
     e1 = e2 = e3 = e4 = e5 = e6 = e7 = 0.0 + 0.0j
-    for k, j in _ordered_pairs():
+    for k, j in itertools.permutations(range(1, 4), 2):
         minus_ak_h = -1.0 * (differentiate_v(k, h) + 0.5 * multiply_v(k, h))
         e1 += fmom(j, j) * inner_product(grad_minus_half_v(k, g), minus_ak_h)
         e2 -= fmom(k, j) * inner_product(grad_minus_half_v(j, g), minus_ak_h)
@@ -330,7 +310,8 @@ def gamma_apply(f: HermiteSpectrum, g: HermiteSpectrum) -> HermiteSpectrum:
     f._check_compatible(g)
     ops = get_operators(f.degree_cap)
     mom = f.coeffs[ops.moment_slots]
-    return HermiteSpectrum(f.degree_cap, ops.apply_gamma_coeffs(mom, g.coeffs))
+    out = ops.moment_stack @ np.outer(mom, g.coeffs).ravel()
+    return HermiteSpectrum(f.degree_cap, out)
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,13 @@ class _Workspace:
     def implicit_inverses(self, dt: float) -> list[np.ndarray]:
         """Dense inverses of (I + dt * L_block) per Hermite level.  A march
         uses one dt, so only the set of the most recent dt is kept."""
-        key = round(dt, 15)
-        if key not in self._solve_cache:
+        if dt not in self._solve_cache:
             self._solve_cache.clear()
-            self._solve_cache[key] = [
+            self._solve_cache[dt] = [
                 np.linalg.inv(np.eye(block.shape[0]) + dt * block)
                 for block in self.ops.level_blocks()
             ]
-        return self._solve_cache[key]
+        return self._solve_cache[dt]
 
     def norm_sq(self, c: np.ndarray) -> float:
         """Squared weighted norm: sum_eta <eta>^(2r) |c_eta|^2."""
@@ -510,9 +509,9 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# bytes of the work array of _grid_product, two blocks at the desk grid
-# (d_x = 1, N = 16), and of the half-spectrum block of the grid transforms:
-# larger blocks save little time but add their size to RSS
+# bytes of the block products of _grid_product and _grid_adjoint, two blocks
+# at the desk grid (d_x = 1, N = 16), and of the half-spectrum block of the
+# grid transforms: larger blocks save little time but add their size to RSS
 _BLOCK_BYTES = 2 << 20
 
 
@@ -545,23 +544,37 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _from_grid(ws, product)
 
 
+def _grid_adjoint(
+    stack: sp.csr_matrix, hx: np.ndarray, bx: np.ndarray, subscripts: str, out: np.ndarray
+) -> np.ndarray:
+    """Y = stack.T @ hx for stack = [A_0 | ... | A_9] real (M, 10 M), viewed
+    as (10, M, width) so Y[m] = A_m^T hx, contracted per block of grid points
+    with real grid values bx by the einsum `subscripts` into out (may be hx)."""
+    M, n = hx.shape
+    width = min(n, max(1, _BLOCK_BYTES // (80 * M)))
+    for start in range(0, n, width):
+        s = slice(start, min(start + width, n))
+        y = (stack.T @ hx[:, s]).reshape(10, M, -1)
+        np.einsum(subscripts, bx[:, s], y, out=out[:, s])
+    return out
+
+
 def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.ndarray:
     """U with sum(conj(h) * _bilinear(ws, mom, g)) == vdot(U, g) for every
-    real field g (mom and h real fields too): the transposed stack's grid
-    product."""
-    product = _grid_product(ws.ops.moment_stack_adjoint, _to_grid(ws, mom), _to_grid(ws, h))
-    return _from_grid(ws, product)
+    real field g (mom and h real fields too): a real grid scalar commutes
+    with each G_m, so U = sum_m mom_m (G_m^T h) on the grid."""
+    hx = _to_grid(ws, h)
+    _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, mom), "mx,max->ax", hx)
+    return _from_grid(ws, hx)
 
 
 def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """W (n_modes, 10) with sum(conj(h) * _bilinear(ws, mom, g)) ==
     sum(mom * W) for every real field mom (g and h real fields too): W[c, m]
-    is the coefficient at mode -c of sum_alpha h (G_m g) on the grid."""
-    gx = _to_grid(ws, g)
+    is the coefficient at mode -c of sum_alpha g (G_m^T h) on the grid."""
     hx = _to_grid(ws, h)
     out = np.empty((10, hx.shape[1]))
-    for m, G in enumerate(ws.ops.moment_operators):
-        out[m] = np.einsum("ax,ax->x", hx, G @ gx)
+    _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, g), "ax,max->mx", out)
     return _from_grid(ws, out)[::-1]
 
 

@@ -122,9 +122,15 @@ _SPECTRA = "t,kind,index,value\n0,hermite,0,1.0\n0,fourier,0,2.0\n"
         (_SPECTRA + "0,fourier,0,3.0\n", r"line 4: repeated \(0, fourier, 0\)"),
         (_SPECTRA + "0.1,hermite,0,1.0\n", "line 4: time 0.1 has no fourier rows"),
         (_SPECTRA + "0,hermite,1,x\n", "line 4: t or value is not a number"),
+        (_SPECTRA + "0,hermite,1,inf\n", "line 4: value 'inf' is not finite"),
+        (_SPECTRA + "0,hermite,1,nan\n", "line 4: value 'nan' is not finite"),
+        (_SPECTRA + "0,fourier,1,-1e-3\n", "line 4: value '-1e-3' is not finite and >= 0"),
+        (_SPECTRA + "inf,hermite,0,1.0\n", "line 4: time 'inf' is not finite"),
+        (_SPECTRA + "nan,fourier,0,1.0\n", "line 4: time 'nan' is not finite"),
     ],
     ids=["fields", "kind", "negative-index", "fractional-index", "repeat",
-         "missing-kind", "value"],
+         "missing-kind", "value", "inf-value", "nan-value", "negative-value",
+         "inf-time", "nan-time"],
 )
 def test_read_spectra_csv_names_the_bad_line(text, message):
     read_spectra_csv(_SPECTRA)  # the base file is valid

@@ -249,7 +249,9 @@ def test_gamma_conv_bilinear():
 
 def test_gamma_conv_matches_direct_sum():
     # brute force over mode pairs (a, b) with a - b on the lattice, each pair
-    # through the velocity-space bilinear term; non-Hermitian states
+    # through the velocity-space bilinear term gamma_apply, its first
+    # argument a spectrum holding only the ten moments; non-Hermitian states
+    from landau_hermite.hermite_core import HermiteSpectrum
     from landau_hermite.solver import _Workspace
 
     rng = np.random.default_rng(55)
@@ -258,13 +260,17 @@ def test_gamma_conv_matches_direct_sum():
         ws = _Workspace.for_config(cfg)
         f = random_state(cfg, rng)
         g = random_state(cfg, rng)
-        mom = f.c[:, ws.ops.moment_slots]
+        slots = ws.ops.moment_slots
         direct = np.zeros_like(g.c)
         for a, eta in enumerate(ws.modes):
             for b, zeta in enumerate(ws.modes):
                 diff = tuple(x - y for x, y in zip(eta, zeta))
                 if diff in ws.mode_index:
-                    direct[a] += ws.ops.apply_gamma_coeffs(mom[ws.mode_index[diff]], g.c[b])
+                    moments = np.zeros(ws.basis.size, dtype=np.complex128)
+                    moments[slots] = f.c[ws.mode_index[diff], slots]
+                    direct[a] += gamma_apply(
+                        HermiteSpectrum(cfg.N, moments), HermiteSpectrum(cfg.N, g.c[b])
+                    ).coeffs
         fast = gamma_conv(f, g)
         assert np.max(np.abs(direct - fast.c)) < 1e-12 * np.max(np.abs(direct))
 
@@ -697,6 +703,49 @@ def test_step_memory_is_one_grid():
     finally:
         tracemalloc.stop()
     assert peak <= grid_bytes + 2 * _BLOCK_BYTES + 2 * g0.c.nbytes
+
+
+@pytest.mark.parametrize("slot", ["f", "g"])
+def test_adjoint_memory_is_two_grids(slot):
+    # both adjoints hold the real grids of their two operands, the
+    # half-spectrum block of the grid transforms, the block of the
+    # transposed stack's product and a state-sized result (the operands are
+    # the caller's).  At this size a third grid, one per-moment product
+    # G_m @ g held at full size, would exceed the bound.
+    from landau_hermite.solver import (
+        _BLOCK_BYTES,
+        _Workspace,
+        _bilinear_adjoint_f,
+        _bilinear_adjoint_g,
+    )
+
+    cfg = small_config(N=8, K=7, d_x=3)
+    ws = _Workspace.for_config(cfg)
+    rng = np.random.default_rng(62)
+    g, h = (random_state(cfg, rng, real_field=True).c for _ in range(2))
+    if slot == "f":
+        adjoint, args = _bilinear_adjoint_f, (g, h)
+    else:
+        adjoint, args = _bilinear_adjoint_g, (g[:, ws.ops.moment_slots], h)
+    grid_bytes = ws.basis.size * math.prod(ws.grid_shape) * 8
+    tracemalloc.start()
+    try:
+        adjoint(ws, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid_bytes + 2 * _BLOCK_BYTES + g.nbytes
+
+
+def test_implicit_inverses_are_keyed_by_dt_itself():
+    # two time steps that agree to 15 decimals get their own inverses
+    from landau_hermite.solver import _Workspace
+
+    ws = _Workspace(6, 1, 1, 2.0)
+    ws.implicit_inverses(4e-16)
+    inverses = ws.implicit_inverses(1e-16)
+    for inv, block in zip(inverses, ws.ops.level_blocks()):
+        np.testing.assert_array_equal(inv, np.linalg.inv(np.eye(len(block)) + 1e-16 * block))
 
 
 @pytest.mark.parametrize("recipe", ["rough", "gaussian"])
