@@ -7,8 +7,9 @@ fit recorded spectra.
 
 `run` writes ledger.csv, spectra.csv and LNSP snapshots; with the picard
 scheme it also writes picard_report.json.  `verify` prints one JSON record
-per check and exits nonzero if any fails.  `fit` turns a spectra CSV into a
+per check and exits 1 if any fails.  `fit` turns a spectra CSV into a
 fitted-rates CSV.  Identical config and seed give byte-identical outputs.
+Rejected input (options, config, CSV) exits 2 with one stderr line.
 """
 
 from __future__ import annotations
@@ -29,8 +30,19 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _read_input(command: str, path: str, parse):
+    """parse(text) of the UTF-8 file at path; a file that cannot be read or
+    that parse rejects (OSError, ValueError) exits 2 with one stderr line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        print(f"landau-hermite {command}: error: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
 def cmd_run(config_path: str, out_dir: str) -> int:
-    cfg = sv.load_config(config_path)
+    cfg = _read_input("run", config_path, sv.parse_config_text)
     os.makedirs(out_dir, exist_ok=True)
     if cfg.scheme == "picard":
         trajectory, report = sv.picard_solve(sv.build_initial_state(cfg))
@@ -84,9 +96,7 @@ def cmd_verify(suite: str, out_dir: str | None) -> int:
 
 
 def cmd_fit(input_path: str, out_dir: str) -> int:
-    with open(input_path, "r", encoding="utf-8") as fh:
-        series = dg.read_spectra_csv(fh.read())
-    points = series.rate_points()
+    points = _read_input("fit", input_path, dg.read_spectra_csv).rate_points()
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "fitted_rates.csv"), dg.write_rates_csv(points))
     return 0

@@ -17,7 +17,7 @@ The perturbation is a real field, c(-eta) = conj(c(eta)), and the kernel
 acts on real fields only: a step's working set is one real (M, L**d_x)
 grid, reached through a 2 MiB half-spectrum block in each direction, the
 2 MiB block of `_grid_product` and a few state-sized arrays.  The march
-therefore rejects a datum that is not a real field.
+and `gamma_conv` therefore reject a state that is not a real field.
 
 Layout: c is stored Hermite-major (Fortran order), so c.T is a C-contiguous
 (M, n_modes) array and its float64 view (M, 2 n_modes) interleaves the real
@@ -280,18 +280,18 @@ class _Workspace:
 
         over real fields, the paper's setting and the kernel's domain.  It
         is found by alternating maximization from two seeded random starts,
-        hermitized, 30 sweeps each (the f slot has a closed-form optimum
-        because f enters through its ten moments per mode); every sweep maps
-        real fields to real fields.  The value is a certified lower bound on
-        the true constant over real fields: it is the exact ratio at an
-        explicit real triple.  Cached per workspace.
+        hermitized, 30 sweeps each.  f enters only through its ten moment
+        fields mom (n_modes, 10), so the search carries f as mom, whose
+        weighted norm is f's, and the f slot has a closed-form optimum;
+        every sweep maps real fields to real fields.  The value is a
+        certified lower bound on the true constant over real fields: it is
+        the exact ratio at an explicit real triple.  Cached per workspace.
         """
         if hasattr(self, "_c0_hat"):
             return self._c0_hat
         rng = np.random.default_rng(12345)
         w = self.h_weight
         basis, ops = self.basis, self.ops
-        slots = ops.moment_slots
 
         def ascent(x):  # metric-preconditioned direction, normalized
             out = _level_product(basis, ops.dissipation_metric_inverses, x)
@@ -299,18 +299,14 @@ class _Workspace:
             out /= np.linalg.norm(out)
             return out
 
-        def weighted_norm(c):
-            return math.sqrt(self.norm_sq(c))
-
         def seminorm_plus_norm(c):
-            return math.sqrt(self.dissipation_sq(c)) + weighted_norm(c)
+            return math.sqrt(self.dissipation_sq(c)) + math.sqrt(self.norm_sq(c))
 
-        def f_optimum(gc, hc):
-            fc = np.zeros_like(gc)
-            W = _bilinear_adjoint_f(self, gc, w[:, None] * hc)
-            fc[:, slots] = np.conj(W) / w[:, None]
-            n = np.linalg.norm(fc)
-            return fc / n if n > 0 else fc
+        def f_optimum(gc, hc):  # the moment fields W / w, normalized
+            mom = _bilinear_adjoint_f(self, gc, w[:, None] * hc)
+            mom /= w[:, None]
+            n = np.linalg.norm(mom)
+            return mom / n if n > 0 else mom
 
         best = 0.0
         mask = (basis.levels <= min(4, self.N))[None, :]
@@ -324,17 +320,16 @@ class _Workspace:
         for _ in range(2):
             gc = draw()
             hc = draw()
-            fc = f_optimum(gc, hc)
+            mom = f_optimum(gc, hc)
             for _ in range(30):
-                mom = fc[:, slots]
                 # h-gradient of the pairing
                 hc = ascent(w[:, None] * _bilinear(self, mom, gc))
                 # g-gradient
                 gc = ascent(_bilinear_adjoint_g(self, mom, w[:, None] * hc))
-                fc = f_optimum(gc, hc)
-            pairing = np.sum(w[:, None] * _bilinear(self, fc[:, slots], gc) * np.conj(hc))
+                mom = f_optimum(gc, hc)
+            pairing = np.sum(w[:, None] * _bilinear(self, mom, gc) * np.conj(hc))
             val = abs(pairing) / (
-                weighted_norm(fc) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc)
+                math.sqrt(self.norm_sq(mom)) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc)
             )
             best = max(best, float(val))
         self._c0_hat = best
@@ -376,6 +371,18 @@ def hermitian_defect(state: PhaseState) -> float:
     """How far the state is from representing a real function:
     max |c(-eta) - conj(c(eta))|."""
     return float(np.max(np.abs(state.c[::-1] - np.conj(state.c))))
+
+
+def _require_real_field(state: PhaseState, name: str, norm: float) -> None:
+    """Raise ValueError unless the state, of weighted norm `norm`, is a real
+    field: the bilinear kernel reads only half of the lattice, so its
+    Hermitian defect may not exceed rounding, 1e-12 of its norm."""
+    defect = hermitian_defect(state)
+    if defect > 1e-12 * norm:
+        raise ValueError(
+            f"{name} is not a real field: Hermitian defect {defect:.3g} "
+            f"exceeds 1e-12 of its weighted norm {norm:.3g}"
+        )
 
 
 def _real_view(c: np.ndarray) -> np.ndarray:
@@ -569,22 +576,13 @@ def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.nd
 
 
 def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """W (n_modes, 10) with sum(conj(h) * _bilinear(ws, mom, g)) ==
-    sum(mom * W) for every real field mom (g and h real fields too): W[c, m]
-    is the coefficient at mode -c of sum_alpha g (G_m^T h) on the grid."""
+    """The real moment fields W (n_modes, 10) with sum(conj(h) *
+    _bilinear(ws, mom, g)) == vdot(W, mom) for every real field mom (g and h
+    real fields too): W_m = sum_alpha g (G_m^T h) on the grid."""
     hx = _to_grid(ws, h)
     out = np.empty((10, hx.shape[1]))
     _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, g), "ax,max->mx", out)
-    return _from_grid(ws, out)[::-1]
-
-
-def _real_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real fields a, b with c = a + i b: a = (c + conj c(-eta)) / 2 and
-    b = (c - conj c(-eta)) / (2i)."""
-    a = _hermitize(c)
-    b = c - a
-    b *= -1j
-    return a, b
+    return _from_grid(ws, out)
 
 
 def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
@@ -593,17 +591,15 @@ def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     f-dependence entering only through per-mode moments.
 
     Out-of-lattice terms are dropped; `_bilinear` evaluates it on a real
-    grid of >= 3K+1 points per axis, in O(n_modes M) memory.  The states may
-    be complex: each splits into two real fields, c = a + i b, and the term
-    is the bilinear sum of the four real-field kernel calls.
+    grid of >= 3K+1 points per axis, in O(n_modes M) memory.  Both states
+    must be real fields (`_require_real_field`), the kernel's domain.
     """
     if f_state.config is not g_state.config and f_state.config != g_state.config:
         raise ValueError("states must share a config")
+    for name, state in (("f", f_state), ("g", g_state)):
+        _require_real_field(state, name, h_r_norm(state))
     ws = f_state.workspace
-    fa, fb = _real_parts(f_state.c[:, ws.ops.moment_slots])
-    ga, gb = _real_parts(g_state.c)
-    out = _bilinear(ws, fa, ga) - _bilinear(ws, fb, gb)
-    out += 1j * (_bilinear(ws, fa, gb) + _bilinear(ws, fb, ga))
+    out = _bilinear(ws, f_state.c[:, ws.ops.moment_slots], g_state.c)
     return PhaseState(f_state.config, out, g_state.time)
 
 
@@ -759,21 +755,15 @@ def _march(g0: PhaseState, gamma_on: bool, frozen: np.ndarray | None):
     fields frozen[k] unless frozen is None.
 
     Each state's norm is taken once.  A datum of non-finite norm raises
-    ValueError, and so does a datum that is not a real field: the bilinear
-    kernel reads only half of the lattice, so the datum's Hermitian defect
-    may not exceed rounding, 1e-12 of its norm.  A state whose norm is not
-    at most twice the datum's (NaN included) raises SolverDivergenceError.
+    ValueError, and so does a datum that is not a real field
+    (`_require_real_field`).  A state whose norm is not at most twice the
+    datum's (NaN included) raises SolverDivergenceError.
     """
     config = g0.config
     norm0 = h_r_norm(g0)
     if not math.isfinite(norm0):
         raise ValueError(f"initial datum has non-finite weighted norm {norm0}")
-    defect = hermitian_defect(g0)
-    if defect > 1e-12 * norm0:
-        raise ValueError(
-            f"initial datum is not a real field: Hermitian defect {defect:.3g} "
-            f"exceeds 1e-12 of its weighted norm {norm0:.3g}"
-        )
+    _require_real_field(g0, "initial datum", norm0)
     yield g0, norm0
     state = g0
     for k in range(1, config.n_steps + 1):

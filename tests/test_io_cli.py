@@ -218,6 +218,31 @@ def test_cli_verify_unknown_suite_fails():
         assert f"'{name}'" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "N = 8\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
+        ("run", CONFIG_TEXT.replace("N = 8", "N = 3"), "N must be at least 4"),
+        ("run", None, "No such file"),
+        ("fit", "t,kind,index,value\n0,hermite,0,inf\n", "line 2: value 'inf' is not finite"),
+        ("fit", None, "No such file"),
+    ],
+    ids=["unknown_key", "N_3", "missing_config", "csv_inf", "missing_csv"],
+)
+def test_cli_rejected_input_exits_2(tmp_path, command, text, message):
+    # bad input exits 2 with one stderr line, apart from a failing verify
+    # check (exit 1); the line names the offending line where there is one
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    flag = "--config" if command == "run" else "--input"
+    res = run_cli(command, flag, str(path), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.splitlines()
+    assert line.startswith(f"landau-hermite {command}: error: ") and message in line, line
+
+
 def test_cli_picard_scheme_writes_report(tmp_path):
     text = CONFIG_TEXT.replace("scheme = imex_euler", "scheme = picard")
     cfg_path = tmp_path / "cfg.txt"
