@@ -9,7 +9,8 @@ fit recorded spectra.
 scheme it also writes picard_report.json.  `verify` prints one JSON record
 per check and exits 1 if any fails.  `fit` turns a spectra CSV into a
 fitted-rates CSV.  Identical config and seed give byte-identical outputs.
-Rejected input (options, config, CSV) exits 2 with one stderr line.
+Rejected input (options, config, CSV) and an output directory that cannot
+be created exit 2 with one stderr line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+from typing import NoReturn
 
 from . import solver as sv
 from . import diagnostics as dg
@@ -30,6 +32,12 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _reject(command: str, exc: Exception) -> NoReturn:
+    """Exit 2 with one stderr line naming the command and the error."""
+    print(f"landau-hermite {command}: error: {exc}", file=sys.stderr)
+    sys.exit(2)
+
+
 def _read_input(command: str, path: str, parse):
     """parse(text) of the UTF-8 file at path; a file that cannot be read or
     that parse rejects (OSError, ValueError) exits 2 with one stderr line."""
@@ -37,13 +45,21 @@ def _read_input(command: str, path: str, parse):
         with open(path, "r", encoding="utf-8") as fh:
             return parse(fh.read())
     except (OSError, ValueError) as exc:
-        print(f"landau-hermite {command}: error: {exc}", file=sys.stderr)
-        sys.exit(2)
+        _reject(command, exc)
+
+
+def _make_out(command: str, out_dir: str) -> None:
+    """Create the output directory out_dir; one that cannot be created (an
+    existing file, say) exits 2 with one stderr line."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        _reject(command, exc)
 
 
 def cmd_run(config_path: str, out_dir: str) -> int:
     cfg = _read_input("run", config_path, sv.parse_config_text)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out("run", out_dir)
     if cfg.scheme == "picard":
         trajectory, report = sv.picard_solve(sv.build_initial_state(cfg))
         march = ((state, sv.h_r_norm(state)) for state in trajectory)
@@ -85,19 +101,20 @@ def cmd_run(config_path: str, out_dir: str) -> int:
 
 
 def cmd_verify(suite: str, out_dir: str | None) -> int:
+    if out_dir:
+        _make_out("verify", out_dir)
     records = run_suite(suite)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     for line in lines:
         print(line)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _write(os.path.join(out_dir, "verify.jsonl"), "\n".join(lines) + "\n")
     return 0 if all(r["status"] == "pass" for r in records) else 1
 
 
 def cmd_fit(input_path: str, out_dir: str) -> int:
     points = _read_input("fit", input_path, dg.read_spectra_csv).rate_points()
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out("fit", out_dir)
     _write(os.path.join(out_dir, "fitted_rates.csv"), dg.write_rates_csv(points))
     return 0
 

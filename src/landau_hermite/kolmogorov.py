@@ -42,6 +42,8 @@ class FourierGridState:
     dims: spatial dimension d in {1, 2, 3}; eta runs over the integer lattice
     {-eta_max..eta_max}^d and xi over a uniform grid of xi_points per axis on
     [-xi_max, xi_max]^d.  values has shape (2*eta_max+1,)*d + (xi_points,)*d.
+    A ValueError names the field unless eta_max >= 0, xi_points >= 2 and
+    xi_max is finite and > 0.
     """
 
     dims: int
@@ -56,6 +58,7 @@ class FourierGridState:
     def __post_init__(self):
         if self.dims not in (1, 2, 3):
             raise ValueError("dims must be 1, 2 or 3")
+        _check_grid(self.eta_max, self.xi_max, self.xi_points)
         shape = (2 * self.eta_max + 1,) * self.dims + (self.xi_points,) * self.dims
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != shape:
@@ -97,6 +100,16 @@ class FourierGridState:
         )
 
 
+def _check_grid(eta_max: int, xi_max: float, xi_points: int) -> None:
+    """ValueError naming the field unless eta_max >= 0, xi_points >= 2 and
+    xi_max is finite and > 0."""
+    if eta_max < 0:
+        raise ValueError(f"eta_max must be >= 0, got {eta_max!r}")
+    if xi_points < 2:
+        raise ValueError(f"xi_points must be at least 2, got {xi_points!r}")
+    _check_finite("xi_max", xi_max, positive=True)
+
+
 def gaussian_state(
     dims: int = 1,
     eta_max: int = 8,
@@ -106,6 +119,7 @@ def gaussian_state(
 ) -> FourierGridState:
     """Gaussian profile of width xi_width in xi times a Gaussian envelope of
     width 4 over the eta lattice."""
+    _check_grid(eta_max, xi_max, xi_points)
     shape_eta = (2 * eta_max + 1,) * dims
     shape_xi = (xi_points,) * dims
     eta = np.arange(-eta_max, eta_max + 1)
@@ -156,7 +170,7 @@ def _shift_axis_linear(arr: np.ndarray, axis: int, shift: float, xi_axis: np.nda
     return np.moveaxis(out, -1, axis), lost
 
 
-def _check_time(name: str, value: float, positive: bool) -> None:
+def _check_finite(name: str, value: float, positive: bool) -> None:
     """ValueError naming the argument unless value is finite and > 0 (or
     >= 0 where positive is False)."""
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
@@ -171,7 +185,7 @@ def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
     whose shift pushes more than 1e-12 of slice mass outside the lattice are
     flagged on the returned state.
     """
-    _check_time("t", t, positive=False)
+    _check_finite("t", t, positive=False)
     out = state.copy()
     if t == 0.0:
         return out
@@ -232,8 +246,8 @@ def imex_reference_march(
 
     Against exact_propagate the error is O(dt): halving dt halves it.
     """
-    _check_time("t", t, positive=False)
-    _check_time("dt", dt, positive=True)
+    _check_finite("t", t, positive=False)
+    _check_finite("dt", dt, positive=True)
     if not math.isfinite(t / dt):
         raise ValueError(f"dt = {dt!r} is too small: t / dt overflows")
     n_steps = int(round(t / dt))

@@ -212,25 +212,14 @@ class _Workspace:
         self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
         # the real grid of _bilinear, L >= 3K+1 points per axis, and its half
-        # spectrum: the real transforms halve the first axis, so the modes
-        # with eta_1 >= 0 are the tail modes[half_start:], in lexicographic
-        # order the box half_lattice = (K+1, 2K+1, ...).  Mode eta sits at
-        # (eta_1, eta_2 mod L, ...) of the half spectrum, so the box lands
-        # there in 2**(d_x-1) parts, eta_j < 0 and eta_j >= 0 per trailing
-        # axis: half_boxes pairs the index of each part in the box with its
-        # index in the half spectrum, each led by the axis of block rows
+        # spectrum, which holds the tail modes[half_start:] (eta_1 >= 0): tail
+        # mode eta sits at (eta_1, eta_2 mod L, ...), flattened in half_index
         L = _fast_len(3 * K + 1)
         self.grid_shape = (L,) * d_x
         self.half_shape = (L // 2 + 1,) + (L,) * (d_x - 1) if d_x else ()
-        self.half_lattice = (K + 1,) + (2 * K + 1,) * (d_x - 1) if d_x else ()
-        self.half_start = self.n_modes - math.prod(self.half_lattice)
-        split = ((slice(0, K), slice(L - K, L)), (slice(K, None), slice(0, K + 1)))
-        rows = slice(None)
-        self.half_boxes = [
-            ((rows, rows) + tuple(a for a, _ in parts),
-             (rows, slice(0, K + 1)) + tuple(b for _, b in parts))
-            for parts in itertools.product(split, repeat=max(d_x - 1, 0))
-        ]
+        self.half_start = self.n_modes // (2 * K + 1) * K  # the modes with eta_1 < 0
+        tail = self.eta[self.half_start :].astype(np.intp) % L
+        self.half_index = np.ravel_multi_index(tuple(tail.T), self.half_shape)
         self._solve_cache: dict = {}
 
     @cached_property
@@ -454,18 +443,12 @@ def _half_block(ws: _Workspace, P: int) -> np.ndarray:
     return np.zeros((rows,) + ws.half_shape, dtype=np.complex128)
 
 
-def _half_box(ws: _Workspace, c: np.ndarray, s: slice) -> np.ndarray:
-    """The columns s of the tail modes[half_start:] of c (n_modes, P) as a
-    (rows, K+1, 2K+1, ...) box; a view when c is Fortran-ordered."""
-    return c[ws.half_start :, s].T.reshape((s.stop - s.start,) + ws.half_lattice)
-
-
 def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     """Real grid values (P, L**d_x) of the real fields whose mode
     coefficients are the columns of c (n_modes, P); c is left unchanged.
-    Only the modes with eta_1 >= 0 are read.  Row blocks of c go through one
-    half-spectrum block: scattered, inverse-transformed over the trailing
-    axes in place, then real-transformed over the first axis into the grid."""
+    Only the tail modes[half_start:] is read: row blocks of it are scattered
+    through half_index into one half-spectrum block, inverse-transformed over
+    the trailing axes in place, then real-transformed over the first axis."""
     P = c.shape[1]
     if not ws.d_x:  # the one-point grid: a real field has real coefficients
         return c.real.T.copy()
@@ -476,9 +459,7 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
         s = slice(start, min(start + len(block), P))
         h = block[: s.stop - s.start]
         h[:, lattice] = 0.0
-        box = _half_box(ws, c, s)
-        for in_box, in_half in ws.half_boxes:
-            h[in_half] = box[in_box]
+        h.reshape(len(h), -1)[:, ws.half_index] = c[ws.half_start :, s].T
         if ws.d_x > 1:
             rows = h[:, lattice]
             np.fft.ifftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
@@ -489,10 +470,10 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
     modes off the lattice are dropped.  Row blocks of x are real-transformed
-    into one half-spectrum block, and the tail modes[half_start:] of the
-    sorted lattice copied from it.  The lower half modes[:centre], the
-    reversal of modes[centre + 1:], is then filled by conjugation, so the
-    result is Hermitian by construction.  x is left unchanged."""
+    into one half-spectrum block, and the tail modes[half_start:] gathered
+    from it through half_index.  The lower half modes[:centre], the reversal
+    of modes[centre + 1:], is then filled by conjugation, so the result is
+    Hermitian by construction.  x is left unchanged."""
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
@@ -507,9 +488,7 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
         if ws.d_x > 1:
             rows = h[:, lattice]
             np.fft.fftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
-        box = _half_box(ws, out, s)  # a view: out is Fortran-ordered
-        for in_box, in_half in ws.half_boxes:
-            box[in_box] = h[in_half]
+        out[ws.half_start :, s] = h.reshape(len(h), -1)[:, ws.half_index].T
     centre = ws.n_modes // 2  # the index of eta = 0
     out[centre].imag = 0.0  # a real field's mean is real: drop rounding
     np.conjugate(out[:centre:-1], out=out[:centre])

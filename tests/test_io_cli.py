@@ -226,17 +226,28 @@ def test_cli_verify_unknown_suite_fails():
         ("run", None, "No such file"),
         ("fit", "t,kind,index,value\n0,hermite,0,inf\n", "line 2: value 'inf' is not finite"),
         ("fit", None, "No such file"),
+        ("run", CONFIG_TEXT, "File exists"),
+        ("fit", "t,kind,index,value\n0,hermite,0,1\n0,fourier,0,1\n", "File exists"),
+        ("verify", None, "File exists"),
     ],
-    ids=["unknown_key", "N_3", "missing_config", "csv_inf", "missing_csv"],
+    ids=["unknown_key", "N_3", "missing_config", "csv_inf", "missing_csv",
+         "run_out_is_a_file", "fit_out_is_a_file", "verify_out_is_a_file"],
 )
 def test_cli_rejected_input_exits_2(tmp_path, command, text, message):
     # bad input exits 2 with one stderr line, apart from a failing verify
-    # check (exit 1); the line names the offending line where there is one
+    # check (exit 1); the line names the offending line where there is one.
+    # An --out that names an existing file cannot be created: bad input too
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text, encoding="utf-8")
-    flag = "--config" if command == "run" else "--input"
-    res = run_cli(command, flag, str(path), "--out", str(tmp_path / "o"))
+    out = tmp_path / "o"
+    if message == "File exists":
+        out.write_text("", encoding="utf-8")
+    if command == "verify":
+        args = ["--suite", "ladder"]
+    else:
+        args = ["--config" if command == "run" else "--input", str(path)]
+    res = run_cli(command, *args, "--out", str(out))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     [line] = res.stderr.splitlines()

@@ -1,5 +1,6 @@
 """Exact kinetic-transport propagator and the splitting march against it."""
 
+import dataclasses
 import math
 import warnings
 
@@ -147,6 +148,21 @@ def test_bad_time_arguments_rejected(call, name):
     s = gaussian_state(dims=1, eta_max=2, xi_max=4.0, xi_points=17)
     with pytest.raises(ValueError, match=rf"^{name} "):
         call(s)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("eta_max", -1), ("xi_points", 1), ("xi_max", 0.0), ("xi_max", math.nan)],
+)
+def test_bad_grid_fields_rejected(name, value):
+    # unchecked, gaussian_state with one of these fails elsewhere: numpy's
+    # "negative dimensions", a ZeroDivisionError or OverflowError in
+    # exact_propagate, a NaN cast to integer
+    good = dict(dims=1, eta_max=2, xi_max=4.0, xi_points=17)
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        gaussian_state(**{**good, name: value})
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        dataclasses.replace(gaussian_state(**good), **{name: value})
 
 
 def test_two_dimensional_smoke():

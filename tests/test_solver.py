@@ -354,6 +354,22 @@ def test_grid_round_trip():
         assert np.linalg.norm(back - c) <= 1e-15 * np.linalg.norm(c)
 
 
+@pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 2)])
+def test_to_grid_is_the_fourier_sum(d_x, K):
+    # _to_grid of real fields is sum_eta c_eta exp(i eta . x_j) at the grid
+    # points x_j = 2 pi j / L, in C order; a consistently permuted map would
+    # still pass the round trip, but not this
+    from landau_hermite.solver import _Workspace, _to_grid
+
+    cfg = small_config(d_x=d_x, K=K)
+    ws = _Workspace.for_config(cfg)
+    c = random_state(cfg, np.random.default_rng(64), real_field=True).c
+    L = ws.grid_shape[0]
+    j = np.array(list(itertools.product(range(L), repeat=d_x)))
+    direct = (np.exp(2j * np.pi / L * (j @ ws.eta.T)) @ c).T
+    assert np.linalg.norm(_to_grid(ws, c) - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
 @pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 1)])
 def test_bilinear_output_is_exactly_hermitian(d_x, K):
     # the kernel fills the lower half of the lattice by conjugation
