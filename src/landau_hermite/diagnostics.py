@@ -6,7 +6,9 @@ The smoothing signature is measured on two abscissas:
 * velocity side: log S_n against sqrt(2n+3), the square root of the
   harmonic-oscillator scale of level n.  Exponential decay on this axis is
   the Hermite-side analyticity gauge (a surrogate for the half-Laplacian
-  functional, which is not diagonal on Hermite levels).
+  functional, which is not diagonal on Hermite levels).  Every eigenvalue of
+  L at level k >= 3 is 2k + l(l+1) >= 2k, so the linear flow alone damps
+  level n at least like exp(-2nt): exponentially in n, not in sqrt(2n+3).
 * space side: log R_m against the shell radius m (analytic gauge).  A
   Gaussian profile, such as the exact kinetic-transport oracle's, is fitted
   on m^2 by passing that abscissa to `fit_decay_rate`.
@@ -195,8 +197,10 @@ def read_spectra_csv(text: str) -> DiagnosticsSeries:
     Raises ValueError naming the line for a row without 4 fields, a time or
     value that is not a number, a time that is not finite, a value that is
     not finite or is negative, an unknown kind, an index that is not a
-    non-negative integer, a repeated (t, kind, index), and a time that lacks
-    one of the two kinds (named at its first row).
+    non-negative integer, a repeated (t, kind, index), a time that lacks
+    one of the two kinds (named at its first row), and a gap in the indices
+    of one (t, kind), named at the first index past it before its array is
+    allocated: nothing is zero-filled, a huge index allocates nothing.
     """
     rows = text.strip().splitlines()
     if not rows or rows[0] != "t,kind,index,value":
@@ -227,7 +231,7 @@ def read_spectra_csv(text: str) -> DiagnosticsSeries:
         first_row.setdefault(t, lineno)
         if idx in entries:
             raise ValueError(f"line {lineno}: repeated ({t_s}, {kind}, {idx})")
-        entries[idx] = val
+        entries[idx] = (val, lineno)
     times = sorted(data)
     hermites, fouriers = [], []
     for t in times:
@@ -235,10 +239,13 @@ def read_spectra_csv(text: str) -> DiagnosticsSeries:
             entries = data[t][kind]
             if not entries:
                 raise ValueError(f"line {first_row[t]}: time {t!r} has no {kind} rows")
-            arr = np.zeros(max(entries) + 1)
-            for i, v in entries.items():
-                arr[i] = v
-            dest.append(arr)
+            n = len(entries)
+            if max(entries) >= n:  # distinct indices >= 0 fill 0..n-1, or skip one
+                gap = min(set(range(n)) - entries.keys())
+                past = min(i for i in entries if i > gap)
+                raise ValueError(f"line {entries[past][1]}: {kind} index {past} at "
+                                 f"time {t!r} follows a gap: index {gap} is missing")
+            dest.append(np.array([entries[i][0] for i in range(n)]))
     return DiagnosticsSeries(times, hermites, fouriers)
 
 

@@ -9,11 +9,12 @@ Hermite levels and splits as L = L1 + L2 with
 where P1, P2 project on Hermite levels 1 and 2.  L is level preserving,
 symmetric positive semidefinite, and annihilates exactly the five collision
 invariants (ground state, the three v_j modes, and the radial level-2
-combination).
+combination), the rows of `LandauOperators.collision_invariants`.
 
 The bilinear term B(f, g) (collision interaction of two perturbations) is
-trilinear in (f, g, test) and touches f only through ten low-order moments.
-Three independent routes to the same object are provided:
+trilinear in (f, g, test) and touches f only through ten low-order moments,
+its coefficients at the multi-indices `MOMENTS`.  Both tables are stated
+here only.  Three independent routes to the same object are provided:
 
 * ``gamma_weak_D``  - the seven-block ladder/rotation form, coded literally.
 * ``gamma_weak_E``  - an equivalent seven-block form using only coordinate
@@ -66,10 +67,16 @@ __all__ = [
     "gamma_quadrature_oracle",
     "QuadratureConvergenceError",
     "MOMENT_PAIRS",
+    "MOMENTS",
 ]
 
 # off-diagonal level-2 index pairs, 0-based axes, in slot order
 MOMENT_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# the multi-indices of the ten moments, in the order of `moment_stack`: 0, the
+# e_i, the 2 e_i, then e_i + e_j over MOMENT_PAIRS
+MOMENTS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0),
+           (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
 @dataclass
@@ -90,10 +97,11 @@ class CollisionMoments:
 
 class LandauOperators:
     """Every velocity-side matrix: L1, L2, L, the ten bilinear moment
-    operators G_m, stored only as their stack, the dissipation form Q and
-    its per-level metric inverses.  They depend on N alone: one instance per
-    degree cap, cached by :func:`get_operators`, serves every Fourier lattice.
-    Matrices are built once (the cached properties on first use), read-only.
+    operators G_m, stored only as their stack, the collision invariants, the
+    dissipation form Q and its per-level metric inverses.  They depend on N
+    alone: one instance per degree cap, cached by :func:`get_operators`,
+    serves every Fourier lattice.  Matrices are built once (the cached
+    properties on first use), read-only.
     """
 
     def __init__(self, N: int):
@@ -109,29 +117,10 @@ class LandauOperators:
         p2 = sp.diags((b.levels == 2).astype(np.float64))
         self.L2 = ((sphere - number2) @ p1 + (-sphere - number2) @ p2).tocsr()
         self.L = (self.L1 + self.L2).tocsr()
-        self.moment_slots = self._moment_slots()
+        self.moment_slots = np.array([b.index_of[m] for m in MOMENTS], dtype=np.int64)
         # [G_0 | ... | G_9] (M, 10 M), the one stored form of the G_m: read by
         # `gamma_apply`, `solver._bilinear` and, transposed, both its adjoints
         self.moment_stack = sp.hstack(self._build_moment_operators(), format="csr")
-
-    def _moment_slots(self) -> np.ndarray:
-        """Coefficient slots of the ten moment basis functions."""
-        ix = self.basis.index_of
-        slots = [ix[(0, 0, 0)]]
-        for i in range(3):
-            e = [0, 0, 0]
-            e[i] = 1
-            slots.append(ix[tuple(e)])
-        for i in range(3):
-            e = [0, 0, 0]
-            e[i] = 2
-            slots.append(ix[tuple(e)])
-        for a, bx in MOMENT_PAIRS:
-            e = [0, 0, 0]
-            e[a] = 1
-            e[bx] = 1
-            slots.append(ix[tuple(e)])
-        return np.array(slots, dtype=np.int64)
 
     def _build_moment_operators(self) -> list[sp.csr_matrix]:
         """For each moment slot m, the matrix G_m with
@@ -169,6 +158,16 @@ class LandauOperators:
         return ops
 
     @cached_property
+    def collision_invariants(self) -> np.ndarray:
+        """The five collision invariants, which span the kernel of L, as the
+        rows of a real (5, M) array: the mass Phi_0, the momenta Phi_{e_j}
+        and the energy Phi_{2e_1} + Phi_{2e_2} + Phi_{2e_3}."""
+        rows = np.zeros((5, self.basis.size))
+        rows[(0, 1, 2, 3, 4, 4, 4), self.moment_slots[:7]] = 1.0
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def dissipation_form(self) -> sp.csr_matrix:
         """Quadratic form Q of the dissipation seminorm of
         `solver.triple_norm`, as the operator sum (exact at the cap)."""
@@ -193,11 +192,7 @@ class LandauOperators:
 
     def level_blocks(self) -> list[np.ndarray]:
         """Dense blocks of L, one per Hermite level (L is level preserving)."""
-        blocks = []
-        Ld = self.L
-        for sl in self.basis.level_slices:
-            blocks.append(Ld[sl, sl].toarray())
-        return blocks
+        return [self.L[sl, sl].toarray() for sl in self.basis.level_slices]
 
 
 @cache
@@ -231,8 +226,7 @@ def collision_moments(f: HermiteSpectrum) -> CollisionMoments:
     """Read the ten bilinear-term moments directly off the coefficients."""
     if f.degree_cap < 2:
         raise ValueError("moments need degree cap >= 2")
-    slots = get_operators(f.degree_cap).moment_slots
-    c = f.coeffs[slots]
+    c = f.coeffs[get_operators(f.degree_cap).moment_slots]
     return CollisionMoments(
         m0=complex(c[0]), m1=c[1:4].copy(), m2d=c[4:7].copy(), m2o=c[7:10].copy()
     )

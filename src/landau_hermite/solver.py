@@ -648,13 +648,7 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
     if config.recipe == "zero":
         return PhaseState(config, c, 0.0)
     if config.recipe == "kernel":
-        zero_mode = ws.n_modes // 2
-        ix = ws.basis.index_of
-        c[zero_mode, ix[(0, 0, 0)]] = 1.0
-        for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            c[zero_mode, ix[e]] = 0.5
-        for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
-            c[zero_mode, ix[e]] = 0.3
+        c[ws.n_modes // 2] = (1.0, 0.5, 0.5, 0.5, 0.3) @ ws.ops.collision_invariants
     else:
         levels = ws.basis.levels
         # the noise: real parts drawn first, then imaginary parts, into c

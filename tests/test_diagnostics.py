@@ -1,7 +1,11 @@
 """Spectra, rate fitting, and the CSV round trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landau_hermite.solver import SolverConfig, h_r_norm, run
 from landau_hermite.diagnostics import (
@@ -127,15 +131,69 @@ _SPECTRA = "t,kind,index,value\n0,hermite,0,1.0\n0,fourier,0,2.0\n"
         (_SPECTRA + "0,fourier,1,-1e-3\n", "line 4: value '-1e-3' is not finite and >= 0"),
         (_SPECTRA + "inf,hermite,0,1.0\n", "line 4: time 'inf' is not finite"),
         (_SPECTRA + "nan,fourier,0,1.0\n", "line 4: time 'nan' is not finite"),
+        (_SPECTRA + "0,hermite,1,0.5\n0,hermite,5,0.1\n",
+         "line 5: hermite index 5 at time 0.0 follows a gap: index 2 is missing"),
     ],
     ids=["fields", "kind", "negative-index", "fractional-index", "repeat",
          "missing-kind", "value", "inf-value", "nan-value", "negative-value",
-         "inf-time", "nan-time"],
+         "inf-time", "nan-time", "gap"],
 )
 def test_read_spectra_csv_names_the_bad_line(text, message):
     read_spectra_csv(_SPECTRA)  # the base file is valid
     with pytest.raises(ValueError, match=message):
         read_spectra_csv(text)
+
+
+_TIMES = ["0", "0.5", "1"]
+_KINDS = ["hermite", "fourier"]
+_VALUES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_SPECTRA_ROW = st.tuples(
+    st.sampled_from(_TIMES), st.sampled_from(_KINDS), st.integers(0, 20), _VALUES
+)
+
+
+@st.composite
+def spectra_rows(draw):
+    """Rows that tile indices 0..n of each kind at a few times, shuffled, with
+    up to two rows dropped and up to two random rows added: files that parse
+    and files that break each rule."""
+    rows = [
+        (t, kind, i, draw(_VALUES))
+        for t in sorted(draw(st.sets(st.sampled_from(_TIMES), max_size=3)))
+        for kind in _KINDS
+        for i in range(draw(st.integers(1, 21)))
+    ]
+    rows = draw(st.permutations(rows))
+    drop = draw(st.sets(st.integers(0, max(len(rows) - 1, 0)), max_size=2))
+    kept = [row for j, row in enumerate(rows) if j not in drop]
+    return kept + draw(st.lists(_SPECTRA_ROW, max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectra_rows())
+def test_read_spectra_csv_reads_the_rows_or_refuses(rows):
+    # a file parses exactly when no (t, kind, index) repeats, every time has
+    # both kinds and each time's indices of each kind run 0..n; then every
+    # array entry is the value of exactly one row, with no filler
+    text = "t,kind,index,value\n" + "".join(f"{t},{k},{i},{v!r}\n" for t, k, i, v in rows)
+    value = {(float(t), k, i): v for t, k, i, v in rows}
+    count = Counter((t, k) for t, k, _ in value)
+    times = sorted({t for t, _ in count})
+    valid = len(value) == len(rows) and all(
+        (t, k) in count and all((t, k, i) in value for i in range(count[t, k]))
+        for t in times for k in _KINDS
+    )
+    try:
+        series = read_spectra_csv(text)
+    except ValueError as exc:
+        assert not valid, exc
+        assert str(exc).startswith("line "), exc
+        return
+    assert valid
+    assert series.times == times
+    for t, S, R in zip(series.times, series.hermite, series.fourier):
+        for kind, arr in (("hermite", S), ("fourier", R)):
+            assert list(arr) == [value[t, kind, i] for i in range(count[t, kind])]
 
 
 def test_rates_csv_shape():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -145,13 +146,20 @@ def test_snapshot_rejects_payload_of_another_size(tmp_path):
             read_snapshot(path)
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "landau_hermite.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        preexec_fn=preexec_fn,
     )
+
+
+def limit_address_space():
+    """In the child: a 2 GiB address-space limit, so an input that reached
+    the allocator with a huge size would fail fast instead of paging."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 @pytest.mark.parametrize("scheme", ["imex_euler", "picard"])
@@ -226,17 +234,21 @@ def test_cli_verify_unknown_suite_fails():
         ("run", None, "No such file"),
         ("fit", "t,kind,index,value\n0,hermite,0,inf\n", "line 2: value 'inf' is not finite"),
         ("fit", None, "No such file"),
+        ("fit", "t,kind,index,value\n0,hermite,1000000000000,1\n0,fourier,0,1\n",
+         "line 2: hermite index 1000000000000 at time 0.0 follows a gap: index 0 is missing"),
         ("run", CONFIG_TEXT, "File exists"),
         ("fit", "t,kind,index,value\n0,hermite,0,1\n0,fourier,0,1\n", "File exists"),
         ("verify", None, "File exists"),
     ],
     ids=["unknown_key", "N_3", "missing_config", "csv_inf", "missing_csv",
-         "run_out_is_a_file", "fit_out_is_a_file", "verify_out_is_a_file"],
+         "csv_huge_index", "run_out_is_a_file", "fit_out_is_a_file", "verify_out_is_a_file"],
 )
 def test_cli_rejected_input_exits_2(tmp_path, command, text, message):
     # bad input exits 2 with one stderr line, apart from a failing verify
     # check (exit 1); the line names the offending line where there is one.
-    # An --out that names an existing file cannot be created: bad input too
+    # An --out that names an existing file cannot be created: bad input too.
+    # Each case runs under an address-space limit: refused input allocates
+    # nothing large
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text, encoding="utf-8")
@@ -247,7 +259,7 @@ def test_cli_rejected_input_exits_2(tmp_path, command, text, message):
         args = ["--suite", "ladder"]
     else:
         args = ["--config" if command == "run" else "--input", str(path)]
-    res = run_cli(command, *args, "--out", str(out))
+    res = run_cli(command, *args, "--out", str(out), preexec_fn=limit_address_space)
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     [line] = res.stderr.splitlines()

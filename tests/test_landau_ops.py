@@ -70,6 +70,46 @@ def test_collision_invariants_in_kernel():
         assert apply_L(s).norm() < 1e-12
 
 
+def test_collision_invariants_table_rows():
+    # each row of the table is the sum of the basis functions it stands for
+    for N in (4, 9):
+        rows = get_operators(N).collision_invariants
+        want = [unit_spectrum(N, ZERO)] + [unit_spectrum(N, e) for e in E]
+        want.append(radial_level2(N))
+        assert rows.shape == (5, get_basis(N).size) and rows.dtype == np.float64
+        for row, s in zip(rows, want):
+            assert np.array_equal(row, s.coeffs)
+
+
+def closed_form_level_spectrum(k):
+    """Ascending eigenvalues of L on Hermite level k: 2k + l(l+1) for
+    l = k, k-2, ..., k mod 2, each 2l+1 times, at k >= 3; the level-2
+    projection leaves 0 once and 12 five times, the level-1 projection 0."""
+    if k < 2:
+        return np.zeros((k + 1) * (k + 2) // 2)
+    if k == 2:
+        return np.array([0.0] + [12.0] * 5)
+    return np.sort(np.concatenate(
+        [np.full(2 * l + 1, 2.0 * k + l * (l + 1)) for l in range(k % 2, k + 1, 2)]
+    ))
+
+
+def test_L_spectrum_closed_form():
+    # every eigenvalue of every level block, against the closed form; the
+    # five zero eigenvalues are the kernel, which the invariant table spans
+    N = 16
+    zeros = 0
+    for k, block in enumerate(level_blocks_L(N)):
+        got = np.linalg.eigvalsh(block)
+        want = closed_form_level_spectrum(k)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-12
+        zeros += int(np.sum(np.abs(got) < 1e-12))
+    assert zeros == 5
+    ops = get_operators(N)
+    assert np.max(np.abs(ops.L @ ops.collision_invariants.T)) < 1e-12
+
+
 def test_L_example_eigenvector():
     N = 8
     s = unit_spectrum(N, (1, 1, 0))
