@@ -43,8 +43,10 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import operator
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -138,6 +140,13 @@ class SolverConfig:
             raise ValueError("d_x must be 0..3")
         if self.K < 0:
             raise ValueError("K must be >= 0")
+        try:  # the largest weight <eta>^(2r), at the lattice corner
+            (1.0 + self.K**2 * self.d_x) ** self.r
+        except OverflowError:  # r * ln(1 + K^2 d_x) above about 709.8
+            raise ValueError(
+                f"r = {self.r:g} overflows the weight (1 + K^2 d_x)^r at "
+                f"K = {self.K}, d_x = {self.d_x}"
+            ) from None
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.recipe not in RECIPES:
@@ -817,40 +826,79 @@ class PicardReport:
         return max(finite) if finite else math.inf
 
 
+def _unfold(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (..., n_modes), the coefficients of real fields along its
+    last axis, from half (..., n_modes - n_modes // 2), their modes from
+    eta = 0 on; returns out.  The lower half is the conjugated mirror, as in
+    `_from_grid`, but its imaginary parts are 0.0 - y rather than -y: a zero
+    becomes the +0.0 a march holds there, not -0.0."""
+    centre = out.shape[-1] // 2
+    out[..., centre:] = half
+    mirror, lower = half[..., :0:-1], out[..., :centre]
+    lower.real = mirror.real
+    np.subtract(0.0, mirror.imag, out=lower.imag)
+    return out
+
+
+class _Trajectory(Sequence):
+    """The states of a march from g0, read-only: state k is rebuilt on
+    access, as a new Fortran-ordered PhaseState at time g0.time + k dt, from
+    half[k], the real-field half of its c.T that `_unfold` completes."""
+
+    def __init__(self, g0: PhaseState, half: np.ndarray):
+        self._config, self._t0, self._half = g0.config, g0.time, half
+
+    def __len__(self) -> int:
+        return len(self._half)
+
+    def __getitem__(self, k) -> PhaseState:
+        k = range(len(self._half))[operator.index(k)]
+        ws = _Workspace.for_config(self._config)
+        c = np.empty((ws.n_modes, ws.basis.size), dtype=np.complex128, order="F")
+        _unfold(self._half[k], c.T)
+        return PhaseState(self._config, c, self._t0 + k * self._config.dt)
+
+
 def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -> tuple[float, float]:
     """March the linear equation with a frozen bilinear argument (the step
     leaving time step k uses the moment fields frozen[k]; None drops the
-    bilinear term) from g0, whose coefficients traj[0] holds, overwriting
-    traj[1:] step by step; traj[k] (M, n_modes) holds step k's c.T.
+    bilinear term) from g0, whose half traj[0] holds, overwriting traj[1:]
+    step by step; traj[k] (M, n_modes - n_modes // 2) holds the modes from
+    eta = 0 on of step k's c.T, the half of a real field that `_unfold`
+    completes.
 
     Returns the sup-in-time weighted distance between the new trajectory and
     the one it overwrote, and the new trajectory's sup-in-time weighted norm.
-    If a step trips the divergence guard, the steps before it are already
-    overwritten.
+    The old step is rebuilt into one full-size work array, so the distance
+    is taken on whole states.  If a step trips the divergence guard, the
+    steps before it are already overwritten.
     """
     ws = g0.workspace
+    centre = ws.n_modes // 2
+    old = np.empty(g0.c.T.shape, dtype=np.complex128)
     sup_distance, sup_norm = 0.0, 0.0
     for k, (state, norm) in enumerate(_march(g0, frozen is not None, frozen)):
         if k:
-            old = traj[k]
-            old -= state.c.T  # the difference is taken in the slot it leaves
+            _unfold(traj[k], old)
+            old -= state.c.T
             sup_distance = max(sup_distance, math.sqrt(ws.norm_sq(old.T)))
-            old[...] = state.c.T
+            traj[k] = state.c.T[:, centre:]
         sup_norm = max(sup_norm, norm)
     return sup_distance, sup_norm
 
 
-def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
+def picard_solve(g0: PhaseState) -> tuple[Sequence[PhaseState], PicardReport]:
     """Linearization sequence: iterate n+1 solves the linear equation whose
     bilinear term freezes the first argument on iterate n; the seed iterate
     is the free linear flow of the datum.  The horizon T, the tolerance
     picard_tol and the iterate cap picard_max_iter come from g0's config.
 
-    Returns the final iterate's trajectory (states at every step) and a
-    contraction report with the sup-in-time distances of successive
-    iterates.  A sequence that uses up picard_max_iter iterates without a
-    distance <= picard_tol and without a guard firing reports reason
-    "max_iter".  The non-contraction guard fires (data too large) when
+    Returns the final iterate's trajectory (a read-only Sequence of the
+    states at every step) and a contraction report with the sup-in-time
+    distances of successive iterates.  A sequence that uses up
+    picard_max_iter iterates without a distance <= picard_tol and without a
+    guard firing reports reason "max_iter".  The non-contraction guard fires
+    (data too large) when
 
     * an observed distance ratio reaches 1, or
     * the smallness condition 16 * sup_t ||iterate|| * C0 < 1 is violated,
@@ -868,17 +916,25 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
     evidence.  The config keeps the paper's rule r > 3/2, which covers
     d_x <= 3.
 
-    Memory: one complex trajectory buffer of (n_steps+1) * M * n_modes
-    coefficients, each step's c.T, which each iterate overwrites step by
-    step while its distance and norm are taken, plus the frozen moment
-    fields of two iterates, O(n_steps * n_modes) each.  The returned states
-    are views of that buffer.
+    Memory: one complex trajectory buffer of (n_steps+1) * M *
+    (n_modes - n_modes // 2) coefficients, the real-field half of each
+    step's c.T (the modes from eta = 0 on), which each iterate overwrites
+    step by step while its distance and norm are taken; one full-size work
+    array per iterate; and the frozen moment fields of two iterates,
+    (n_steps+1) * n_modes * 10 each.  The returned trajectory is a read-only
+    Sequence over that buffer that rebuilds state k on access, so reading
+    it once holds one full state at a time.  A datum whose Hermitian defect
+    is nonzero (the march allows up to 1e-12 of its norm) is marched as
+    given but stored, and returned as state 0, as its real-field half.
     """
     config = g0.config
     ws = g0.workspace
+    centre = ws.n_modes // 2
     # zeros, not empty: the seed march's distance (discarded) reads the buffer
-    traj = np.zeros((config.n_steps + 1,) + g0.c.T.shape, dtype=np.complex128)
-    traj[0] = g0.c.T
+    traj = np.zeros(
+        (config.n_steps + 1, ws.basis.size, ws.n_modes - centre), dtype=np.complex128
+    )
+    traj[0] = g0.c.T[:, centre:]
     frozen = None  # the moment fields that produced the iterate in traj
     _, sup_norm = _march_linear(g0, traj, frozen)
     c0_hat = ws.trilinear_constant()
@@ -891,7 +947,9 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
         if smallness >= 1.0:
             reason = "smallness"
             break
-        prev_frozen, frozen = frozen, traj[:, ws.ops.moment_slots].transpose(0, 2, 1)
+        prev_frozen = frozen  # frees the fields before it
+        moments = np.empty((len(traj), 10, ws.n_modes), dtype=np.complex128)
+        frozen = _unfold(traj[:, ws.ops.moment_slots], moments).transpose(0, 2, 1)
         try:
             d, sup_norm = _march_linear(g0, traj, frozen)
         except SolverDivergenceError:
@@ -912,11 +970,8 @@ def picard_solve(g0: PhaseState) -> tuple[list[PhaseState], PicardReport]:
             break
     else:
         reason = "max_iter"
-    trajectory = [
-        PhaseState(config, traj[k].T, g0.time + k * config.dt)
-        for k in range(config.n_steps + 1)
-    ]
-    return trajectory, PicardReport(distances, lambdas, it, reason, c0_hat, smallness)
+    report = PicardReport(distances, lambdas, it, reason, c0_hat, smallness)
+    return _Trajectory(g0, traj), report
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,16 @@ def test_snapshot_rejects_non_finite_time(tmp_path, time):
         read_snapshot(path)
 
 
+def test_snapshot_rejects_header_whose_r_overflows_the_weight(tmp_path):
+    path = tmp_path / "state.lnsp"
+    write_snapshot(path, build_initial_state(small_config()))
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = struct.pack("<d", 400.0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="r = 400 overflows"):
+        read_snapshot(path)
+
+
 # reads, under a 1 GiB address-space limit, a 36-byte file whose header
 # claims d_x = 3, K = 4000: an 8001^3-mode workspace if it were trusted
 OVERSIZED_HEADER_CHILD = """
@@ -231,6 +241,7 @@ def test_cli_verify_unknown_suite_fails():
     [
         ("run", "N = 8\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
         ("run", CONFIG_TEXT.replace("N = 8", "N = 3"), "N must be at least 4"),
+        ("run", CONFIG_TEXT.replace("r = 2.0", "r = 400"), "r = 400 overflows the weight"),
         ("run", None, "No such file"),
         ("fit", "t,kind,index,value\n0,hermite,0,inf\n", "line 2: value 'inf' is not finite"),
         ("fit", None, "No such file"),
@@ -240,7 +251,7 @@ def test_cli_verify_unknown_suite_fails():
         ("fit", "t,kind,index,value\n0,hermite,0,1\n0,fourier,0,1\n", "File exists"),
         ("verify", None, "File exists"),
     ],
-    ids=["unknown_key", "N_3", "missing_config", "csv_inf", "missing_csv",
+    ids=["unknown_key", "N_3", "r400", "missing_config", "csv_inf", "missing_csv",
          "csv_huge_index", "run_out_is_a_file", "fit_out_is_a_file", "verify_out_is_a_file"],
 )
 def test_cli_rejected_input_exits_2(tmp_path, command, text, message):

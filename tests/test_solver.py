@@ -72,6 +72,15 @@ def test_config_validation():
         small_config(d_x=4)
 
 
+def test_config_rejects_an_r_that_overflows_the_weight():
+    # the largest weight (1 + K^2 d_x)^r, at the lattice corner, must be a
+    # float64: r ln(65) below about 709.8 at K=8, d_x=1
+    with pytest.raises(ValueError, match=r"r = 400 overflows .* K = 8, d_x = 1"):
+        SolverConfig(N=4, K=8, d_x=1, r=400)
+    cfg = SolverConfig(N=4, K=8, d_x=1, r=169)
+    assert math.isfinite(solver._Workspace.for_config(cfg).h_weight.max())
+
+
 def test_config_parse_roundtrip():
     text = """
     # desk scale
@@ -712,8 +721,9 @@ def test_record_states_cadence():
 
 
 def test_picard_memory_is_one_trajectory():
-    # one (n_steps+1, n_modes, M) buffer; the frozen moment fields and the
-    # per-step temporaries stay within a quarter of it
+    # one buffer of the real-field halves, (n_steps+1, M, n_modes - n_modes//2),
+    # 4/7 of the full states here; with the frozen moment fields and the
+    # per-step temporaries the peak stays below 3/4 of the full states
     cfg = small_config(N=12, K=3, T=1.5, recipe="rough", g0_norm=1e-3, seed=5)
     g0 = build_initial_state(cfg)
     tracemalloc.start()
@@ -723,7 +733,35 @@ def test_picard_memory_is_one_trajectory():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert peak <= 1.25 * len(traj) * g0.c.nbytes
+    assert peak <= 0.75 * len(traj) * g0.c.nbytes
+
+
+@pytest.mark.parametrize("recipe", ["rough", "kernel"])
+def test_picard_trajectory_is_the_march_bytes(monkeypatch, recipe):
+    # the buffer keeps half of each step; every state rebuilt from it, and
+    # every frozen moment field, is the march's own bytes, signed zeros too
+    cfg = small_config(N=6, K=2, d_x=2, T=0.03, recipe=recipe, seed=3)
+    g0 = build_initial_state(cfg)
+    march = solver._march
+    frozen = []
+
+    def recorded(g0, gamma_on, fields):
+        frozen.append(fields)
+        return march(g0, gamma_on, fields)
+
+    monkeypatch.setattr(solver, "_march", recorded)
+    traj, report = picard_solve(g0)
+    assert report.converged and len(frozen) == report.iterations + 1
+    expected = [s.c.tobytes() for s, _ in march(g0, True, frozen[-1])]
+    assert [s.c.tobytes() for s in traj] == expected
+    assert traj[-1].c.tobytes() == expected[-1]
+    with pytest.raises(IndexError):
+        traj[len(traj)]
+    # the last iterate froze the moment fields of the one before it
+    slots = g0.workspace.ops.moment_slots
+    previous = march(g0, frozen[-2] is not None, frozen[-2])
+    for k, (state, _) in enumerate(previous):
+        assert frozen[-1][k].tobytes() == state.c[:, slots].tobytes(), k
 
 
 def test_step_memory_is_one_grid():
@@ -837,10 +875,9 @@ def test_states_are_hermite_major(tmp_path):
     states.append(PhaseState(cfg, np.ascontiguousarray(g0.c)))
     for state in states:
         assert state.c.flags.f_contiguous
-    # the trajectory is views of one buffer, not copies
-    buffer = traj[0].c.base
-    assert buffer.size == len(traj) * g0.c.size
-    assert all(s.c.base is buffer for s in traj)
+    # the trajectory holds one buffer of the real-field halves of its states
+    ws = g0.workspace
+    assert traj._half.size == len(traj) * ws.basis.size * (ws.n_modes - ws.n_modes // 2)
 
 
 def test_level_product_is_the_row_product():
