@@ -158,6 +158,14 @@ class LandauOperators:
         return ops
 
     @cached_property
+    def moment_widths(self) -> tuple[int, ...]:
+        """Per moment slot m, the Hermite indices G_m reads: the leading
+        comb(N - |MOMENTS[m]| + 3, 3), the levels <= N - |MOMENTS[m]|.  G_m
+        raises the level by |MOMENTS[m]| and the cap truncates, so block m
+        of `moment_stack` stores no column past that width."""
+        return tuple(math.comb(self.N - sum(m) + 3, 3) for m in MOMENTS)
+
+    @cached_property
     def collision_invariants(self) -> np.ndarray:
         """The five collision invariants, which span the kernel of L, as the
         rows of a real (5, M) array: the mass Phi_0, the momenta Phi_{e_j}

@@ -14,10 +14,12 @@ explicitly.  The bilinear term touches its first argument only through ten
 moments; `_bilinear` evaluates its mode convolutions pseudo-spectrally on a
 dealiased grid, in O(n_modes * M) memory for M Hermite coefficients per mode.
 The perturbation is a real field, c(-eta) = conj(c(eta)), and the kernel
-acts on real fields only: a step's working set is one real (M, L**d_x)
-grid, reached through a 2 MiB half-spectrum block in each direction, the
-2 MiB block of `_grid_product` and a few state-sized arrays.  The march
-and `gamma_conv` therefore reject a state that is not a real field.
+acts on real fields only: it reads the eta_1 >= 0 half of the lattice and
+maps it to one real (M, L**d_x) grid and back by per-axis DFT matrices,
+applied as BLAS products on row blocks of at most 2 MiB of intermediates.
+A step's working set is that grid, those blocks, the 2 MiB block of
+`_grid_product` and a few state-sized arrays.  The march and `gamma_conv`
+therefore reject a state that is not a real field.
 
 Layout: c is stored Hermite-major (Fortran order), so c.T is a C-contiguous
 (M, n_modes) array and its float64 view (M, 2 n_modes) interleaves the real
@@ -26,7 +28,8 @@ acts on the Hermite index alone, the same way on every mode: L's per-level
 implicit solve, the dissipation form Q, the ten moment operators and the
 v_j of transport.  Each is therefore one real product on that view, with no
 transposed copy and no complex upcast, and the norms are one real reduction
-per mode on it.  The snapshot format stores the logical (eta, alpha) order
+per mode on it.  The kernel's grid transforms read and write the
+eta_1 >= 0 tail of the same view in place.  The snapshot format stores the logical (eta, alpha) order
 and does not depend on the layout.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
@@ -54,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hermite_core import get_basis
-from .landau_ops import get_operators
+from .landau_ops import LandauOperators, get_operators
 
 __all__ = [
     "SolverConfig",
@@ -204,11 +207,14 @@ class _Workspace:
     configuration, and its weight <eta>^(2r); read-only after construction
     apart from caches filled on first use.
 
-    The lattice is sorted lexicographically, which fixes two facts used
+    The lattice is sorted lexicographically, which fixes three facts used
     throughout: eta -> -eta reverses the order (the mirror of a state c is
-    c[::-1]), and eta = 0 is row n_modes // 2.  Every velocity-side matrix
-    depends on N alone and lives in the per-cap `basis` and `ops`, so
-    building a workspace assembles no operator.
+    c[::-1]), eta = 0 is row n_modes // 2, and the modes with eta_1 >= 0
+    are the tail modes[half_start:], the kernel's half of a real field.
+    Every velocity-side matrix depends on N alone and lives in the per-cap
+    `basis` and `ops`, so building a workspace assembles no operator; the
+    kernel's DFT matrices are built on its first use, so a snapshot read
+    or a norm builds none.
     """
 
     _cache: dict = {}
@@ -220,20 +226,52 @@ class _Workspace:
         self.eta = np.array(self.modes, dtype=np.float64).reshape(self.n_modes, d_x)
         self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
-        # the real grid of _bilinear, L >= 3K+1 points per axis, and its half
-        # spectrum, which holds the tail modes[half_start:] (eta_1 >= 0): tail
-        # mode eta sits at (eta_1, eta_2 mod L, ...), flattened in half_index
-        L = _fast_len(3 * K + 1)
-        self.grid_shape = (L,) * d_x
-        self.half_shape = (L // 2 + 1,) + (L,) * (d_x - 1) if d_x else ()
+        # the real grid of _bilinear: L = 3K+1 points per axis, the fewest at
+        # which the 3/2 rule holds; the kernel reads the tail modes[half_start:]
+        # (eta_1 >= 0), a (K+1, 2K+1, ..., 2K+1) block in C order
+        self.grid_shape = (3 * K + 1,) * d_x
         self.half_start = self.n_modes // (2 * K + 1) * K  # the modes with eta_1 < 0
-        tail = self.eta[self.half_start :].astype(np.intp) % L
-        self.half_index = np.ravel_multi_index(tuple(tail.T), self.half_shape)
         self._solve_cache: dict = {}
 
     @cached_property
     def mode_index(self) -> dict:
         return {m: i for i, m in enumerate(self.modes)}
+
+    @cached_property
+    def to_grid_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real, read-only DFT matrices of `_to_grid`, built on first
+        kernel use.  first (2(K+1), L): the rows w cos(eta_1 x) and
+        -w sin(eta_1 x) of each half mode eta_1 = 0..K, w = 1 at eta_1 = 0 and
+        2 elsewhere (the conjugate half), take its (re, im) pair to real
+        values at the L points x.  trailing (2(2K+1), 2L): e^{i eta x} for
+        eta = -K..K, as a right factor from a row of (re, im) pairs to the
+        split layout, L real parts then L imaginary parts; its transpose, as
+        a left factor, does the same to columns."""
+        L = self.grid_shape[0]
+        cos, sin = _dft_angles(self.K, L, 0)
+        w = np.full((self.K + 1, 1), 2.0)
+        w[0] = 1.0
+        first = np.stack((w * cos, -w * sin), axis=1).reshape(-1, L)
+        cos, sin = _dft_angles(self.K, L, -self.K)
+        pairs = (np.concatenate((cos, sin), axis=1), np.concatenate((-sin, cos), axis=1))
+        trailing = np.stack(pairs, axis=1).reshape(-1, 2 * L)
+        first.flags.writeable = trailing.flags.writeable = False
+        return first, trailing
+
+    @cached_property
+    def from_grid_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The real, read-only DFT matrices of `_from_grid`, built on first
+        kernel use.  first (L, 2(K+1)): the columns cos(eta_1 x) / L and
+        -sin(eta_1 x) / L take L real values to the (re, im) pair of each
+        half mode eta_1 = 0..K.  trailing (2L, 2(2K+1)): e^{-i x eta} / L
+        from the split layout back to (re, im) pairs, the transpose of
+        `to_grid_matrices`' trailing matrix over L."""
+        L = self.grid_shape[0]
+        cos, sin = _dft_angles(self.K, L, 0)
+        first = np.stack((cos.T / L, -sin.T / L), axis=2).reshape(L, -1)
+        trailing = self.to_grid_matrices[1].T / L
+        first.flags.writeable = trailing.flags.writeable = False
+        return first, trailing
 
     @cached_property
     def basis(self):
@@ -435,93 +473,125 @@ def apply_transport(state: PhaseState) -> PhaseState:
     return PhaseState(state.config, out, state.time)
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 2,3,5-smooth integer >= n: an FFT-friendly grid length."""
-    k = n
-    for p in (2, 3, 5):
-        while k % p == 0:
-            k //= p
-    return n if k == 1 else _fast_len(n + 1)
+def _dft_angles(K: int, L: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of eta * x at the L grid points x = 2 pi j / L, for the
+    modes eta = first..K (rows) and j = 0..L-1 (columns); eta * j is reduced
+    mod L in integers before it is scaled."""
+    theta = 2.0 * np.pi / L * (np.outer(np.arange(first, K + 1), np.arange(L)) % L)
+    return np.cos(theta), np.sin(theta)
 
 
-def _half_block(ws: _Workspace, P: int) -> np.ndarray:
-    """The half-spectrum work array of the grid transforms: a block of rows
-    of at most _BLOCK_BYTES, and at least one row.  Zeroed: `_to_grid`
-    relies on the first-axis rows past the lattice staying zero."""
-    rows = min(P, max(1, _BLOCK_BYTES // (16 * math.prod(ws.half_shape))))
-    return np.zeros((rows,) + ws.half_shape, dtype=np.complex128)
+# bytes of the intermediates of the grid transforms and of the work blocks of
+# _grid_product and _grid_adjoint (_grid_product covers the desk grid, d_x = 1,
+# N = 16, in two blocks): larger blocks save little time but add their size
+# to RSS
+_BLOCK_BYTES = 2 << 20
+
+
+def _transform_rows(ws: _Workspace, P: int) -> int:
+    """Rows of a block of the grid transforms of P fields: at most
+    _BLOCK_BYTES of intermediates and at least one row.  Per row these are
+    (K+1)(2K+1)^(d_x-2) rows of 2L split values next to the last axis and,
+    at d_x = 3, 2(K+1) L^2 values next to the first one."""
+    L, K = ws.grid_shape[0], ws.K
+    row = (K + 1) * (2 * K + 1) ** (ws.d_x - 2) * 2 * L
+    if ws.d_x == 3:
+        row += 2 * (K + 1) * L * L
+    return min(P, max(1, _BLOCK_BYTES // (8 * row)))
 
 
 def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     """Real grid values (P, L**d_x) of the real fields whose mode
     coefficients are the columns of c (n_modes, P); c is left unchanged.
-    Only the tail modes[half_start:] is read: row blocks of it are scattered
-    through half_index into one half-spectrum block, inverse-transformed over
-    the trailing axes in place, then real-transformed over the first axis."""
+    Only the tail modes[half_start:] (eta_1 >= 0) is read, as the float64
+    view of c.T, which interleaves real and imaginary parts.  Row blocks of
+    it are multiplied by the DFT matrices of `_Workspace.to_grid_matrices`:
+    the last axis to the split layout, the middle one at d_x = 3, then the
+    first axis to real values, each product written into its destination.
+    At d_x = 1 this is one product on the view itself."""
     P = c.shape[1]
     if not ws.d_x:  # the one-point grid: a real field has real coefficients
         return c.real.T.copy()
-    grid = np.empty((P,) + ws.grid_shape)
-    block = _half_block(ws, P)
-    lattice = slice(0, ws.K + 1)  # first-axis rows that hold lattice modes
-    for start in range(0, P, len(block)):
-        s = slice(start, min(start + len(block), P))
-        h = block[: s.stop - s.start]
-        h[:, lattice] = 0.0
-        h.reshape(len(h), -1)[:, ws.half_index] = c[ws.half_start :, s].T
-        if ws.d_x > 1:
-            rows = h[:, lattice]
-            np.fft.ifftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
-        np.fft.irfft(h, n=ws.grid_shape[0], axis=1, norm="forward", out=grid[s])
-    return grid.reshape(P, -1)
+    first, trailing = ws.to_grid_matrices
+    L = ws.grid_shape[0]
+    tail = np.asfortranarray(c).T[:, ws.half_start :].view(np.float64)
+    grid = np.empty((P, L**ws.d_x))
+    if ws.d_x == 1:
+        return np.matmul(tail, first, out=grid)
+    tail = tail.reshape(P, -1, len(trailing))  # the last axis's pairs per row
+    rows = _transform_rows(ws, P)
+    split = np.empty((rows, tail.shape[1], 2 * L))
+    if ws.d_x == 3:
+        middle = np.empty((rows, ws.K + 1, 2 * L, L))
+    for start in range(0, P, rows):
+        s = slice(start, min(start + rows, P))
+        n = s.stop - s.start
+        t = np.matmul(tail[s], trailing, out=split[:n])
+        if ws.d_x == 3:  # per (field, eta_1): the (eta_2, re/im) rows
+            t2 = middle[:n].reshape(-1, 2 * L, L)
+            t = np.matmul(trailing.T, t.reshape(len(t2), -1, L), out=t2)
+        np.matmul(first.T, t.reshape(n, len(first), -1), out=grid[s].reshape(n, L, -1))
+    return grid
 
 
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
-    modes off the lattice are dropped.  Row blocks of x are real-transformed
-    into one half-spectrum block, and the tail modes[half_start:] gathered
-    from it through half_index.  The lower half modes[:centre], the reversal
-    of modes[centre + 1:], is then filled by conjugation, so the result is
-    Hermitian by construction.  x is left unchanged."""
+    modes off the lattice are dropped.  Row blocks of x are multiplied by the
+    DFT matrices of `_Workspace.from_grid_matrices`: the first axis to the
+    half modes eta_1 = 0..K in the split layout, the middle one at d_x = 3,
+    then the last axis to interleaved pairs written straight into the tail
+    modes[half_start:] of the result.  The lower half modes[:centre], the
+    reversal of modes[centre + 1:], is then filled by conjugation, so the
+    result is Hermitian by construction.  x is left unchanged."""
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
+    first, trailing = ws.from_grid_matrices
+    L = ws.grid_shape[0]
     out = np.empty((ws.n_modes, P), dtype=np.complex128, order="F")
-    grid = x.reshape((P,) + ws.grid_shape)
-    block = _half_block(ws, P)
-    lattice = slice(0, ws.K + 1)
-    for start in range(0, P, len(block)):
-        s = slice(start, min(start + len(block), P))
-        h = block[: s.stop - s.start]
-        np.fft.rfft(grid[s], axis=1, norm="forward", out=h)
-        if ws.d_x > 1:
-            rows = h[:, lattice]
-            np.fft.fftn(rows, axes=tuple(range(2, ws.d_x + 1)), norm="forward", out=rows)
-        out[ws.half_start :, s] = h.reshape(len(h), -1)[:, ws.half_index].T
+    tail = out.T[:, ws.half_start :].view(np.float64)
+    if ws.d_x == 1:
+        np.matmul(x, first, out=tail)
+    else:
+        tail = tail.reshape(P, -1, trailing.shape[1])  # the last axis's pairs per row
+        grid = x.reshape(P, L, -1)
+        rows = _transform_rows(ws, P)
+        half = np.empty((rows, first.shape[1], grid.shape[2]))
+        if ws.d_x == 3:
+            middle = np.empty((rows, tail.shape[1], 2 * L))
+        for start in range(0, P, rows):
+            s = slice(start, min(start + rows, P))
+            n = s.stop - s.start
+            t = np.matmul(first.T, grid[s], out=half[:n])
+            if ws.d_x == 3:  # per (field, eta_1): the (re/im, x_2) rows
+                t2 = middle[:n].reshape(-1, trailing.shape[1], L)
+                t = np.matmul(trailing.T, t.reshape(len(t2), -1, L), out=t2)
+            np.matmul(t.reshape(n, -1, 2 * L), trailing, out=tail[s])
     centre = ws.n_modes // 2  # the index of eta = 0
     out[centre].imag = 0.0  # a real field's mean is real: drop rounding
     np.conjugate(out[:centre:-1], out=out[:centre])
     return out
 
 
-# bytes of the block products of _grid_product and _grid_adjoint, two blocks
-# at the desk grid (d_x = 1, N = 16), and of the half-spectrum block of the
-# grid transforms: larger blocks save little time but add their size to RSS
-_BLOCK_BYTES = 2 << 20
-
-
-def _grid_product(stack: sp.csr_matrix, ax: np.ndarray, bx: np.ndarray) -> np.ndarray:
-    """sum_m A_m (ax[m] * bx) for stack = [A_0 | ... | A_9] real (M, 10 M) and
-    real grid values ax (10, n), bx (M, n); overwrites and returns bx.
-    Works on blocks of grid points."""
+def _grid_product(ops: LandauOperators, ax: np.ndarray, bx: np.ndarray) -> np.ndarray:
+    """sum_m A_m (ax[m] * bx) for ops.moment_stack = [A_0 | ... | A_9] real
+    (M, 10 M) and real grid values ax (10, n), bx (M, n); overwrites and
+    returns bx.  Works on blocks of grid points: each block of bx is copied
+    once into contiguous work memory, and A_m's factor is formed only on
+    the rows :ops.moment_widths[m] that A_m reads; the rows past it hold
+    whatever the work array held and the sparse product never reads them."""
     M, n = bx.shape
-    width = min(n, max(1, _BLOCK_BYTES // (80 * M)))
-    work = np.empty(10 * M * width)
+    width = min(n, max(1, _BLOCK_BYTES // (88 * M)))
+    work = np.empty(11 * M * width)
     for start in range(0, n, width):
         s = slice(start, min(start + width, n))
-        prod = work[: 10 * M * (s.stop - s.start)].reshape(10, M, -1)
-        np.multiply(ax[:, None, s], bx[None, :, s], out=prod)
-        bx[:, s] = stack @ prod.reshape(10 * M, -1)
+        w = s.stop - s.start
+        b = work[: M * w].reshape(M, w)
+        b[...] = bx[:, s]
+        prod = work[M * w : 11 * M * w].reshape(10, M, w)
+        for m, rows in enumerate(ops.moment_widths):
+            np.multiply(ax[m, s], b[:rows], out=prod[m, :rows])
+        bx[:, s] = ops.moment_stack @ prod.reshape(10 * M, w)
     return bx
 
 
@@ -531,11 +601,11 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     moment fields mom (n_modes, 10).  Both arguments are real fields, and so
     is the result.
 
-    Both factors are multiplied on a grid of L >= 3K+1 points per axis; the
+    Both factors are multiplied on a grid of L = 3K+1 points per axis; the
     product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
     there, so the truncated convolution is exact (Orszag's 3/2 rule).
     """
-    product = _grid_product(ws.ops.moment_stack, _to_grid(ws, mom), _to_grid(ws, g))
+    product = _grid_product(ws.ops, _to_grid(ws, mom), _to_grid(ws, g))
     return _from_grid(ws, product)
 
 
@@ -579,7 +649,7 @@ def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     f-dependence entering only through per-mode moments.
 
     Out-of-lattice terms are dropped; `_bilinear` evaluates it on a real
-    grid of >= 3K+1 points per axis, in O(n_modes M) memory.  Both states
+    grid of 3K+1 points per axis, in O(n_modes M) memory.  Both states
     must be real fields (`_require_real_field`), the kernel's domain.
     """
     if f_state.config is not g_state.config and f_state.config != g_state.config:

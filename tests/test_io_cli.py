@@ -1,19 +1,25 @@
 """Snapshot format, CLI subcommands, determinism of emitted artifacts."""
 
 import json
+import math
 import os
 import resource
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landau_hermite import solver
 from landau_hermite.solver import (
     SolverConfig,
     build_initial_state,
+    parse_config_text,
     run,
     write_snapshot,
     read_snapshot,
@@ -154,6 +160,118 @@ def test_snapshot_rejects_payload_of_another_size(tmp_path):
         path.write_bytes(cut)
         with pytest.raises(ValueError, match="payload"):
             read_snapshot(path)
+
+
+FIELD_NAMES = tuple(f.name for f in fields(SolverConfig))
+
+
+def names_a_field(message: str) -> bool:
+    """A SolverConfig refusal starts with the name of the field it refuses."""
+    return message.split(" ", 1)[0] in FIELD_NAMES
+
+
+# values near and past each field's range; text without '#', '=' or a line
+# break, so each drawn pair stays one key = value line
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["0", "1e-3", "2e-3", "0.01", "0.05", "1.4", "2.0", "400", "1e999",
+                     "nan", "-inf", "9" * 5000]),
+    st.floats().map(repr),
+    st.sampled_from(solver.SCHEMES + solver.RECIPES),
+    st.text(st.characters(categories=["L", "N", "P", "S", "Zs"], exclude_characters="#="),
+            max_size=6),
+)
+
+
+# a value each field accepts together with the others' defaults
+GOOD_VALUES = dict(N="8", K="3", d_x="2", dt="0.005", T="0.05", r="2.5", scheme="picard",
+                   picard_tol="1e-9", picard_max_iter="5", seed="3", recipe="kernel",
+                   g0_norm="0.01", record_every="5", snapshot_every="0")
+
+
+@st.composite
+def config_lines(draw):
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "blank", "comment", "junk"]))
+    if kind == "pair":
+        key = draw(st.sampled_from(FIELD_NAMES + ("bogus",)))
+        value = draw(st.one_of(st.just(GOOD_VALUES.get(key, "1")), CONFIG_VALUES))
+        return f"{key} = {value}" + draw(st.sampled_from(["", "  # note"]))
+    return {"blank": "", "comment": "# a comment", "junk": draw(CONFIG_VALUES).replace("=", "")}[kind]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(config_lines(), max_size=8))
+def test_parse_config_text_parses_or_names_the_line_or_field(lines):
+    # any text either parses, with every key set once to its converted
+    # value, or raises a ValueError that names its line or its field; the
+    # config is only parsed, never marched
+    text = "\n".join(lines)
+    try:
+        cfg = parse_config_text(text)
+    except ValueError as exc:
+        assert str(exc).startswith("line ") or names_a_field(str(exc)), exc
+        return
+    pairs = [line.split("#", 1)[0].partition("=") for line in lines]
+    pairs = [(key.strip(), val.strip()) for key, eq, val in pairs if eq]
+    assert len({key for key, _ in pairs}) == len(pairs)
+    for key, val in pairs:
+        assert getattr(cfg, key) == solver._CONFIG_TYPES[key](val), key
+
+
+# values that a header field may not hold, or may: r and time take any float
+BAD_HEADER = dict(
+    magic=st.just(b"LNSQ"),
+    version=st.sampled_from([0, 2]),
+    d_x=st.sampled_from([4, 2**32 - 1]),
+    K=st.sampled_from([4000, 2**32 - 1]),
+    N=st.sampled_from([0, 3, 2**32 - 1]),
+    r=st.floats(),
+    time=st.floats(),
+    length=st.sampled_from([3, 20, 35]),  # the header cut short
+    size=st.sampled_from([-16, 16, None]),  # payload bytes off the claim; None: none
+)
+
+
+@st.composite
+def snapshot_bytes(draw):
+    """A valid snapshot with up to two header fields, the header length or
+    the payload size replaced from BAD_HEADER."""
+    f = dict(magic=b"LNSP", version=1, d_x=draw(st.integers(0, 3)), K=draw(st.integers(0, 3)),
+             N=draw(st.integers(4, 9)), r=draw(st.sampled_from([1.75, 2.0, 3.0])),
+             time=draw(st.floats(allow_nan=False, allow_infinity=False)), length=36, size=0)
+    for name in draw(st.lists(st.sampled_from(list(BAD_HEADER)), max_size=2, unique=True)):
+        f[name] = draw(BAD_HEADER[name])
+    header = struct.pack("<4sIIIIdd", *(f[k] for k in ("magic", "version", "d_x", "K", "N", "r", "time")))
+    size = (2 * f["K"] + 1) ** min(f["d_x"], 4) * math.comb(f["N"] + 3, 3) * 16
+    size = 0 if f["size"] is None or size > 1 << 20 else size + f["size"]
+    payload = np.random.default_rng(draw(st.integers(0, 2**16))).bytes(size)
+    return header[: f["length"]] + payload, tuple(f[k] for k in ("d_x", "K", "N", "r", "time"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapshot_bytes())
+def test_read_snapshot_reads_the_header_or_names_the_field(case):
+    # any file either reads back as the header's config, time and payload,
+    # building no DFT matrix of the kernel, or raises a ValueError that names
+    # the header field or the payload it refuses
+    raw, (d_x, K, N, r, time) = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Workspace, "_cache", {})
+        path = os.path.join(tmp, "state.lnsp")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            state = read_snapshot(path)
+        except ValueError as exc:
+            message = str(exc)
+            named = ("LNSP", "header", "version", "time", "payload")
+            assert any(word in message for word in named) or names_a_field(message), exc
+            return
+        cfg = state.config
+        assert (cfg.d_x, cfg.K, cfg.N, cfg.r, state.time) == (d_x, K, N, r, time)
+        assert state.c.astype("<c16", order="C").tobytes() == raw[36:]
+        ws = state.workspace
+        assert "to_grid_matrices" not in vars(ws) and "from_grid_matrices" not in vars(ws)
 
 
 def run_cli(*args, cwd=None, preexec_fn=None):

@@ -1,6 +1,9 @@
 """Linearized operator: kernel, blocks, eigenvalues, coercivity identity."""
 
+import math
+
 import numpy as np
+import pytest
 
 from landau_hermite.hermite_core import (
     get_basis,
@@ -18,6 +21,7 @@ from landau_hermite.landau_ops import (
     level_blocks_L,
     collision_moments,
     get_operators,
+    MOMENTS,
 )
 
 ZERO = (0, 0, 0)
@@ -216,3 +220,18 @@ def test_collision_moments_match_inner_products():
         alpha[a] = 1
         alpha[b] = 1
         assert abs(m.m2o[p] - inner_product(f, unit_spectrum(N, tuple(alpha)))) < 1e-14
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_moment_widths_bound_the_stored_columns(N):
+    # G_m raises the level by |MOMENTS[m]|, so block m of the stack stores
+    # no column past the levels <= N - |MOMENTS[m]|, the leading
+    # comb(N - |m| + 3, 3) indices
+    ops = get_operators(N)
+    M = ops.basis.size
+    assert ops.moment_widths == tuple(math.comb(N - sum(m) + 3, 3) for m in MOMENTS)
+    cols = ops.moment_stack.indices
+    for m, width in enumerate(ops.moment_widths):
+        block = cols[(cols >= m * M) & (cols < (m + 1) * M)] - m * M
+        assert block.size and block.max() < width, m
+        assert ops.basis.levels[width - 1] == N - sum(MOMENTS[m])

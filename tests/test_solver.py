@@ -379,6 +379,58 @@ def test_to_grid_is_the_fourier_sum(d_x, K):
     assert np.linalg.norm(_to_grid(ws, c) - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
+@pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 2)])
+def test_from_grid_is_the_truncated_fourier_sum(d_x, K):
+    # _from_grid of real grid values u is (1/L^d_x) sum_j u_j exp(-i eta . x_j)
+    # on every lattice mode eta.  A random grid holds modes past the lattice,
+    # up to L/2: a map that aliased one of them onto the lattice would still
+    # pass the round trip, which starts from lattice modes, but not this
+    from landau_hermite.solver import _Workspace, _from_grid
+
+    ws = _Workspace.for_config(small_config(d_x=d_x, K=K))
+    L = ws.grid_shape[0]
+    x = np.random.default_rng(65).standard_normal((4, L**d_x))
+    j = np.array(list(itertools.product(range(L), repeat=d_x)))
+    direct = np.exp(-2j * np.pi / L * (ws.eta @ j.T)) @ x.T / L**d_x
+    assert np.linalg.norm(_from_grid(ws, x) - direct) <= 1e-13 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("d_x, K", [(1, 3), (3, 2)])
+def test_grid_product_is_the_broadcast_product(d_x, K):
+    # each block of grid points is copied once and each factor formed only
+    # on the rows its A_m reads: the same bits as the broadcast product of
+    # every moment with every row, in one sparse product
+    from landau_hermite.solver import _BLOCK_BYTES, _Workspace, _grid_product
+
+    ws = _Workspace.for_config(small_config(d_x=d_x, K=K))
+    stack, M = ws.ops.moment_stack, ws.basis.size
+    n = math.prod(ws.grid_shape)
+    if d_x == 3:  # a last block narrower than the others
+        assert n > _BLOCK_BYTES // (88 * M) and n % (_BLOCK_BYTES // (88 * M))
+    rng = np.random.default_rng(66)
+    ax, bx = rng.standard_normal((10, n)), rng.standard_normal((M, n))
+    expected = stack @ (ax[:, None, :] * bx[None, :, :]).reshape(10 * M, n)
+    assert np.array_equal(_grid_product(ws.ops, ax, bx), expected)
+
+
+def test_dft_matrices_are_built_on_first_kernel_use(monkeypatch, tmp_path):
+    # a datum, its norms and a snapshot round trip build no DFT matrix; the
+    # first bilinear term builds both directions, read-only
+    from landau_hermite.solver import _Workspace
+
+    monkeypatch.setattr(_Workspace, "_cache", {})
+    cfg = small_config(d_x=2, K=2)
+    g0 = build_initial_state(cfg)
+    h_r_norm(g0), triple_norm(g0)
+    solver.write_snapshot(tmp_path / "g0.lnsp", g0)
+    solver.read_snapshot(tmp_path / "g0.lnsp", cfg)
+    names = ("to_grid_matrices", "from_grid_matrices")
+    assert not any(name in vars(g0.workspace) for name in names)
+    gamma_conv(g0, g0)
+    for name in names:
+        assert all(not m.flags.writeable for m in getattr(g0.workspace, name))
+
+
 @pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 1)])
 def test_bilinear_output_is_exactly_hermitian(d_x, K):
     # the kernel fills the lower half of the lattice by conjugation
@@ -765,7 +817,7 @@ def test_picard_trajectory_is_the_march_bytes(monkeypatch, recipe):
 
 
 def test_step_memory_is_one_grid():
-    # one real (M, L^3) float64 grid, the half-spectrum block of the grid
+    # one real (M, L^3) float64 grid, the intermediates of the grid
     # transforms, the _grid_product work block and two state arrays (the
     # datum is the caller's).  At this size the grid dominates: a step that
     # held a complex grid would exceed the bound.
@@ -788,7 +840,7 @@ def test_step_memory_is_one_grid():
 @pytest.mark.parametrize("slot", ["f", "g"])
 def test_adjoint_memory_is_two_grids(slot):
     # both adjoints hold the real grids of their two operands, the
-    # half-spectrum block of the grid transforms, the block of the
+    # intermediates of the grid transforms, the block of the
     # transposed stack's product and a state-sized result (the operands are
     # the caller's).  At this size a third grid, one per-moment product
     # G_m @ g held at full size, would exceed the bound.
