@@ -81,7 +81,7 @@ class HermiteBasis:
 
     Instances are cached by :func:`get_basis`; they are immutable after
     construction.  The derived operators are built on first use and cached
-    per instance by `functools.cache`.
+    per instance, so a repeated call returns the same matrix.
     """
 
     def __init__(self, N: int):
@@ -100,6 +100,11 @@ class HermiteBasis:
             start += width
         self._raising = [self._build_raising(axis) for axis in range(3)]
         self._lowering = [R.T.tocsr() for R in self._raising]
+        # the caches live on the instance: functools.cache on the methods
+        # would live on the class and keep every basis alive
+        for name in ("coordinate", "derivative", "rotation", "number_operator",
+                     "sphere_laplacian"):
+            setattr(self, name, cache(getattr(self, name)))
 
     def _build_raising(self, axis: int) -> sp.csr_matrix:
         rows, cols, vals = [], [], []
@@ -123,17 +128,14 @@ class HermiteBasis:
         """Matrix of a[-,axis] (0-based axis); the transpose of raising."""
         return self._lowering[axis]
 
-    @cache
     def coordinate(self, axis: int) -> sp.csr_matrix:
         """Matrix of multiplication by v_axis."""
         return (self._raising[axis] + self._lowering[axis]).tocsr()
 
-    @cache
     def derivative(self, axis: int) -> sp.csr_matrix:
         """Matrix of d/dv_axis."""
         return (0.5 * (self._lowering[axis] - self._raising[axis])).tocsr()
 
-    @cache
     def rotation(self, k: int, j: int) -> sp.csr_matrix:
         """Matrix of L[k,j] = v_j d/dv_k - v_k d/dv_j (0-based axes, k != j)."""
         if k == j:
@@ -141,12 +143,10 @@ class HermiteBasis:
         A = self._raising[j] @ self._lowering[k] - self._raising[k] @ self._lowering[j]
         return A.tocsr()
 
-    @cache
     def number_operator(self) -> sp.csr_matrix:
         """Matrix of sum_j a[+,j] a[-,j]; diagonal with entries |alpha|."""
         return sp.diags(self.levels.astype(np.float64)).tocsr()
 
-    @cache
     def sphere_laplacian(self) -> sp.csr_matrix:
         """Matrix of the Laplace-Beltrami operator (1/2) sum_{j!=k} L[k,j]^2."""
         acc = sp.csr_matrix((self.size, self.size), dtype=np.float64)

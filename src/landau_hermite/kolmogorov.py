@@ -170,6 +170,18 @@ def _shift_axis_linear(arr: np.ndarray, axis: int, shift: float, xi_axis: np.nda
     return np.moveaxis(out, -1, axis), lost
 
 
+def _transport_shift(sl: np.ndarray, eta: np.ndarray, t: float, xi_axis: np.ndarray):
+    """The eta slice sl sampled at xi + t eta: `_shift_axis_linear` along
+    each axis of nonzero eta in turn.  Returns (shifted, lost_mass_sq), the
+    squared content lost over all axes."""
+    lost_sq = 0.0
+    for ax in range(len(eta)):
+        if eta[ax] != 0:
+            sl, lost = _shift_axis_linear(sl, ax, t * float(eta[ax]), xi_axis)
+            lost_sq += lost
+    return sl, lost_sq
+
+
 def _check_finite(name: str, value: float, positive: bool) -> None:
     """ValueError naming the argument unless value is finite and > 0 (or
     >= 0 where positive is False)."""
@@ -195,12 +207,7 @@ def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
     xi = np.stack(np.meshgrid(*([xi_axis] * d), indexing="ij"), axis=-1)
     for mode in state.eta_modes():
         eta = state.eta_of(mode)
-        sl = state.values[mode]
-        lost_sq = 0.0
-        for ax in range(d):
-            if eta[ax] != 0:
-                sl, lost = _shift_axis_linear(sl, ax, t * float(eta[ax]), xi_axis)
-                lost_sq += lost
+        sl, lost_sq = _transport_shift(state.values[mode], eta, t, xi_axis)
         expo = transport_dissipation_integral(t, eta, xi)
         out.values[mode] = np.exp(-expo) * sl
         lost_mass = lost_sq * measure
@@ -261,11 +268,7 @@ def imex_reference_march(
     damp = 1.0 / (1.0 + dt * xi_sq)
     for _ in range(n_steps):
         for mode in state.eta_modes():
-            eta = state.eta_of(mode)
-            sl = state.values[mode]
-            for ax in range(d):
-                if eta[ax] != 0:
-                    sl, _ = _shift_axis_linear(sl, ax, dt * float(eta[ax]), xi_axis)
+            sl, _ = _transport_shift(state.values[mode], state.eta_of(mode), dt, xi_axis)
             state.values[mode] = damp * sl
         state.time += dt
     return state

@@ -98,10 +98,12 @@ class CollisionMoments:
 class LandauOperators:
     """Every velocity-side matrix: L1, L2, L, the ten bilinear moment
     operators G_m, stored only as their stack, the collision invariants, the
-    dissipation form Q and its per-level metric inverses.  They depend on N
-    alone: one instance per degree cap, cached by :func:`get_operators`,
+    dissipation form Q, and the per-level inverses of I + Q and of the
+    implicit step's I + dt L (`level_inverses` builds both).  They depend on
+    N alone: one instance per degree cap, cached by :func:`get_operators`,
     serves every Fourier lattice.  Matrices are built once (the cached
-    properties on first use), read-only.
+    properties on first use; the implicit inverses for the latest dt),
+    read-only.
     """
 
     def __init__(self, N: int):
@@ -121,6 +123,7 @@ class LandauOperators:
         # [G_0 | ... | G_9] (M, 10 M), the one stored form of the G_m: read by
         # `gamma_apply`, `solver._bilinear` and, transposed, both its adjoints
         self.moment_stack = sp.hstack(self._build_moment_operators(), format="csr")
+        self._implicit: tuple = (None, [])  # (dt, inverses) of the latest dt
 
     def _build_moment_operators(self) -> list[sp.csr_matrix]:
         """For each moment slot m, the matrix G_m with
@@ -189,14 +192,27 @@ class LandauOperators:
             Q = Q + 0.5 * (A.T @ A)
         return Q.tocsr()
 
-    @cached_property
-    def dissipation_metric_inverses(self) -> list[np.ndarray]:
-        """Per-level inverses of (Q + I), Q the dissipation quadratic form."""
-        Q = self.dissipation_form
+    def level_inverses(self, form: sp.csr_matrix, scale: float) -> list[np.ndarray]:
+        """Dense inverses of I + scale * form[sl, sl], one per Hermite level
+        sl, for a level-preserving form (L or Q)."""
         return [
-            np.linalg.inv(Q[sl, sl].toarray() + np.eye(sl.stop - sl.start))
+            np.linalg.inv(np.eye(sl.stop - sl.start) + scale * form[sl, sl].toarray())
             for sl in self.basis.level_slices
         ]
+
+    @cached_property
+    def dissipation_metric_inverses(self) -> list[np.ndarray]:
+        """Per-level inverses of (I + Q), Q the dissipation quadratic form."""
+        return self.level_inverses(self.dissipation_form, 1.0)
+
+    def implicit_inverses(self, dt: float) -> list[np.ndarray]:
+        """Per-level inverses of (I + dt L), the implicit solve of a step of
+        size dt.  A march uses one dt, so only the set of the most recent dt
+        is kept, shared by every lattice at this degree cap; dt is compared
+        exactly, so nearby steps get their own inverses."""
+        if self._implicit[0] != dt:
+            self._implicit = (dt, self.level_inverses(self.L, dt))
+        return self._implicit[1]
 
     def level_blocks(self) -> list[np.ndarray]:
         """Dense blocks of L, one per Hermite level (L is level preserving)."""
@@ -358,35 +374,30 @@ def _contract(T: np.ndarray, tables) -> np.ndarray:
     return T
 
 
+def _exponents(*axes: int) -> tuple:
+    """The exponent triple of the monomial prod v_axis over axes (0-based,
+    repeats raise the power)."""
+    e = [0, 0, 0]
+    for axis in axes:
+        e[axis] += 1
+    return tuple(e)
+
+
 @cache
 def _a_matrix_terms(k: int, j: int) -> tuple:
     """Separated monomial expansion of the collision matrix entry
     a_kj(v - v*) = delta_kj |v - v*|^2 - (v_k - v*_k)(v_j - v*_j), as
     (coefficient, v-exponents, v*-exponents) triples.  0-based axes."""
+    one = _exponents()
+    if k != j:
+        ekj = _exponents(k, j)
+        return ((-1.0, ekj, one), (1.0, _exponents(k), _exponents(j)),
+                (1.0, _exponents(j), _exponents(k)), (-1.0, one, ekj))
     terms = []
-    if k == j:
-        for axis in range(3):
-            if axis == k:
-                continue
-            ev = [0, 0, 0]
-            ev[axis] = 2
-            e1 = [0, 0, 0]
-            e1[axis] = 1
-            terms.append((1.0, tuple(ev), (0, 0, 0)))
-            terms.append((-2.0, tuple(e1), tuple(e1)))
-            terms.append((1.0, (0, 0, 0), tuple(ev)))
-    else:
-        ek = [0, 0, 0]
-        ek[k] = 1
-        ej = [0, 0, 0]
-        ej[j] = 1
-        ekj = [0, 0, 0]
-        ekj[k] += 1
-        ekj[j] += 1
-        terms.append((-1.0, tuple(ekj), (0, 0, 0)))
-        terms.append((1.0, tuple(ek), tuple(ej)))
-        terms.append((1.0, tuple(ej), tuple(ek)))
-        terms.append((-1.0, (0, 0, 0), tuple(ekj)))
+    for axis in range(3):
+        if axis != k:
+            e2, e1 = _exponents(axis, axis), _exponents(axis)
+            terms += [(1.0, e2, one), (-2.0, e1, e1), (1.0, one, e2)]
     return tuple(terms)
 
 

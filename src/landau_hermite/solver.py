@@ -209,12 +209,13 @@ class _Workspace:
 
     The lattice is sorted lexicographically, which fixes three facts used
     throughout: eta -> -eta reverses the order (the mirror of a state c is
-    c[::-1]), eta = 0 is row n_modes // 2, and the modes with eta_1 >= 0
-    are the tail modes[half_start:], the kernel's half of a real field.
-    Every velocity-side matrix depends on N alone and lives in the per-cap
-    `basis` and `ops`, so building a workspace assembles no operator; the
-    kernel's DFT matrices are built on its first use, so a snapshot read
-    or a norm builds none.
+    c[::-1]), eta = 0 is row `centre` = n_modes // 2, and the modes with
+    eta_1 >= 0 are the tail modes[half_start:], the kernel's half of a real
+    field.  Every velocity-side matrix depends on N alone and lives in the
+    per-cap `basis` and `ops`, the implicit step's per-level inverses
+    included, so building a workspace assembles no operator; the kernel's
+    DFT matrices, one table for both directions, are built on its first
+    use, so a snapshot read or a norm builds none.
     """
 
     _cache: dict = {}
@@ -223,6 +224,7 @@ class _Workspace:
         self.N, self.K, self.d_x, self.r = N, K, d_x, r
         self.modes = sorted(itertools.product(range(-K, K + 1), repeat=d_x))  # d_x=0: [()]
         self.n_modes = len(self.modes)
+        self.centre = self.n_modes // 2  # the row of eta = 0
         self.eta = np.array(self.modes, dtype=np.float64).reshape(self.n_modes, d_x)
         self.eta_sq = np.sum(self.eta**2, axis=1)
         self.h_weight = (1.0 + self.eta_sq) ** r  # <eta>^(2r)
@@ -231,47 +233,42 @@ class _Workspace:
         # (eta_1 >= 0), a (K+1, 2K+1, ..., 2K+1) block in C order
         self.grid_shape = (3 * K + 1,) * d_x
         self.half_start = self.n_modes // (2 * K + 1) * K  # the modes with eta_1 < 0
-        self._solve_cache: dict = {}
 
     @cached_property
     def mode_index(self) -> dict:
         return {m: i for i, m in enumerate(self.modes)}
 
     @cached_property
-    def to_grid_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real, read-only DFT matrices of `_to_grid`, built on first
-        kernel use.  first (2(K+1), L): the rows w cos(eta_1 x) and
-        -w sin(eta_1 x) of each half mode eta_1 = 0..K, w = 1 at eta_1 = 0 and
-        2 elsewhere (the conjugate half), take its (re, im) pair to real
-        values at the L points x.  trailing (2(2K+1), 2L): e^{i eta x} for
-        eta = -K..K, as a right factor from a row of (re, im) pairs to the
-        split layout, L real parts then L imaginary parts; its transpose, as
-        a left factor, does the same to columns."""
-        L = self.grid_shape[0]
-        cos, sin = _dft_angles(self.K, L, 0)
-        w = np.full((self.K + 1, 1), 2.0)
-        w[0] = 1.0
-        first = np.stack((w * cos, -w * sin), axis=1).reshape(-1, L)
-        cos, sin = _dft_angles(self.K, L, -self.K)
+    def dft_matrices(self) -> tuple[np.ndarray, ...]:
+        """The real, read-only DFT matrices of the kernel's grid transforms,
+        built on first kernel use: (first, trailing) of `_to_grid`, then
+        those of `_from_grid`.
+
+        `_to_grid`: first (2(K+1), L), the rows w cos(eta_1 x) and
+        -w sin(eta_1 x) of each half mode eta_1 = 0..K, w = 1 at eta_1 = 0
+        and 2 elsewhere (the conjugate half), takes its (re, im) pair to
+        real values at the L points x.  trailing (2(2K+1), 2L): e^{i eta x}
+        for eta = -K..K, as a right factor from a row of (re, im) pairs to
+        the split layout, L real parts then L imaginary parts; its
+        transpose, as a left factor, does the same to columns.
+
+        `_from_grid`: first (L, 2(K+1)), the forward first matrix without
+        its w, transposed, over L, takes L real values to the (re, im) pair
+        of each half mode; trailing (2L, 2(2K+1)), the forward trailing
+        matrix transposed over L, takes the split layout back to (re, im)
+        pairs.  The backward first matrix is stored C-contiguous: BLAS
+        rounds a product differently on a transposed layout."""
+        L, K = self.grid_shape[0], self.K
+        cos, sin = _dft_angles(K, L, -K)
+        half = np.stack((cos[K:], -sin[K:]), axis=1).reshape(-1, L)
+        w = np.full((len(half), 1), 2.0)
+        w[:2] = 1.0
         pairs = (np.concatenate((cos, sin), axis=1), np.concatenate((-sin, cos), axis=1))
         trailing = np.stack(pairs, axis=1).reshape(-1, 2 * L)
-        first.flags.writeable = trailing.flags.writeable = False
-        return first, trailing
-
-    @cached_property
-    def from_grid_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """The real, read-only DFT matrices of `_from_grid`, built on first
-        kernel use.  first (L, 2(K+1)): the columns cos(eta_1 x) / L and
-        -sin(eta_1 x) / L take L real values to the (re, im) pair of each
-        half mode eta_1 = 0..K.  trailing (2L, 2(2K+1)): e^{-i x eta} / L
-        from the split layout back to (re, im) pairs, the transpose of
-        `to_grid_matrices`' trailing matrix over L."""
-        L = self.grid_shape[0]
-        cos, sin = _dft_angles(self.K, L, 0)
-        first = np.stack((cos.T / L, -sin.T / L), axis=2).reshape(L, -1)
-        trailing = self.to_grid_matrices[1].T / L
-        first.flags.writeable = trailing.flags.writeable = False
-        return first, trailing
+        out = (w * half, trailing, np.ascontiguousarray(half.T) / L, trailing.T / L)
+        for m in out:
+            m.flags.writeable = False
+        return out
 
     @cached_property
     def basis(self):
@@ -289,15 +286,8 @@ class _Workspace:
         return cls._cache[key]
 
     def implicit_inverses(self, dt: float) -> list[np.ndarray]:
-        """Dense inverses of (I + dt * L_block) per Hermite level.  A march
-        uses one dt, so only the set of the most recent dt is kept."""
-        if dt not in self._solve_cache:
-            self._solve_cache.clear()
-            self._solve_cache[dt] = [
-                np.linalg.inv(np.eye(block.shape[0]) + dt * block)
-                for block in self.ops.level_blocks()
-            ]
-        return self._solve_cache[dt]
+        """Per-level inverses of (I + dt L): `LandauOperators.implicit_inverses`."""
+        return self.ops.implicit_inverses(dt)
 
     def norm_sq(self, c: np.ndarray) -> float:
         """Squared weighted norm: sum_eta <eta>^(2r) |c_eta|^2."""
@@ -505,14 +495,14 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     coefficients are the columns of c (n_modes, P); c is left unchanged.
     Only the tail modes[half_start:] (eta_1 >= 0) is read, as the float64
     view of c.T, which interleaves real and imaginary parts.  Row blocks of
-    it are multiplied by the DFT matrices of `_Workspace.to_grid_matrices`:
+    it are multiplied by the DFT matrices of `_Workspace.dft_matrices`:
     the last axis to the split layout, the middle one at d_x = 3, then the
     first axis to real values, each product written into its destination.
     At d_x = 1 this is one product on the view itself."""
     P = c.shape[1]
     if not ws.d_x:  # the one-point grid: a real field has real coefficients
         return c.real.T.copy()
-    first, trailing = ws.to_grid_matrices
+    first, trailing = ws.dft_matrices[:2]
     L = ws.grid_shape[0]
     tail = np.asfortranarray(c).T[:, ws.half_start :].view(np.float64)
     grid = np.empty((P, L**ws.d_x))
@@ -537,7 +527,7 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
     modes off the lattice are dropped.  Row blocks of x are multiplied by the
-    DFT matrices of `_Workspace.from_grid_matrices`: the first axis to the
+    DFT matrices of `_Workspace.dft_matrices`: the first axis to the
     half modes eta_1 = 0..K in the split layout, the middle one at d_x = 3,
     then the last axis to interleaved pairs written straight into the tail
     modes[half_start:] of the result.  The lower half modes[:centre], the
@@ -546,7 +536,7 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
-    first, trailing = ws.from_grid_matrices
+    first, trailing = ws.dft_matrices[2:]
     L = ws.grid_shape[0]
     out = np.empty((ws.n_modes, P), dtype=np.complex128, order="F")
     tail = out.T[:, ws.half_start :].view(np.float64)
@@ -567,9 +557,8 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
                 t2 = middle[:n].reshape(-1, trailing.shape[1], L)
                 t = np.matmul(trailing.T, t.reshape(len(t2), -1, L), out=t2)
             np.matmul(t.reshape(n, -1, 2 * L), trailing, out=tail[s])
-    centre = ws.n_modes // 2  # the index of eta = 0
-    out[centre].imag = 0.0  # a real field's mean is real: drop rounding
-    np.conjugate(out[:centre:-1], out=out[:centre])
+    out[ws.centre].imag = 0.0  # a real field's mean is real: drop rounding
+    np.conjugate(out[: ws.centre : -1], out=out[: ws.centre])
     return out
 
 
@@ -727,7 +716,7 @@ def build_initial_state(config: SolverConfig) -> PhaseState:
     if config.recipe == "zero":
         return PhaseState(config, c, 0.0)
     if config.recipe == "kernel":
-        c[ws.n_modes // 2] = (1.0, 0.5, 0.5, 0.5, 0.3) @ ws.ops.collision_invariants
+        c[ws.centre] = (1.0, 0.5, 0.5, 0.5, 0.3) @ ws.ops.collision_invariants
     else:
         levels = ws.basis.levels
         # the noise: real parts drawn first, then imaginary parts, into c
@@ -944,7 +933,6 @@ def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -
     steps before it are already overwritten.
     """
     ws = g0.workspace
-    centre = ws.n_modes // 2
     old = np.empty(g0.c.T.shape, dtype=np.complex128)
     sup_distance, sup_norm = 0.0, 0.0
     for k, (state, norm) in enumerate(_march(g0, frozen is not None, frozen)):
@@ -952,7 +940,7 @@ def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -
             _unfold(traj[k], old)
             old -= state.c.T
             sup_distance = max(sup_distance, math.sqrt(ws.norm_sq(old.T)))
-            traj[k] = state.c.T[:, centre:]
+            traj[k] = state.c.T[:, ws.centre :]
         sup_norm = max(sup_norm, norm)
     return sup_distance, sup_norm
 
@@ -999,7 +987,7 @@ def picard_solve(g0: PhaseState) -> tuple[Sequence[PhaseState], PicardReport]:
     """
     config = g0.config
     ws = g0.workspace
-    centre = ws.n_modes // 2
+    centre = ws.centre
     # zeros, not empty: the seed march's distance (discarded) reads the buffer
     traj = np.zeros(
         (config.n_steps + 1, ws.basis.size, ws.n_modes - centre), dtype=np.complex128

@@ -96,6 +96,11 @@ def _ratio(num, den, limit):
     return np.where(nonzero, num / np.where(nonzero, den, 1.0), limit)
 
 
+def _scalar(out: np.ndarray) -> np.ndarray | float:
+    """out, as a float when it is 0-d (the result of scalar inputs)."""
+    return float(out) if out.shape == () else out
+
+
 def _sinh_excess(x):
     """(sinh x - x) / x^3: below |x| = 1 its Taylor series, sum over n of
     x^(2n) / (2n+3)!, to rounding (n <= 8); above, the formula."""
@@ -159,10 +164,7 @@ def psi(t, eta, xi, c0: float) -> np.ndarray | float:
     input).
     """
     r = _ray(t, eta, xi)
-    val = 0.5 * c0 * r.t * (r.b + r.k * r.a)
-    if val.shape == ():
-        return float(val)
-    return val
+    return _scalar(0.5 * c0 * r.t * (r.b + r.k * r.a))
 
 
 def psi_gradient_xi(t, eta, xi, c0: float) -> np.ndarray:
@@ -200,10 +202,7 @@ def log_weight_F(params: WeightParams, eta, xi, psi_val=None) -> np.ndarray | fl
         psi_val = psi(params.t, eta, xi, params.c0)
     psi_val = np.asarray(psi_val, dtype=np.float64)
     log_den1 = np.logaddexp(0.0, np.log(params.delta) + psi_val)
-    out = psi_val - log_den1 - params.r * np.log1p(params.delta_prime * psi_val)
-    if out.shape == ():
-        return float(out)
-    return out
+    return _scalar(psi_val - log_den1 - params.r * np.log1p(params.delta_prime * psi_val))
 
 
 def weight_F(params: WeightParams, eta, xi, psi_val=None) -> np.ndarray | float:
@@ -232,10 +231,7 @@ def bracket_factor(params: WeightParams, psi_val) -> np.ndarray | float:
     psi_val = np.asarray(psi_val, dtype=np.float64)
     a = np.exp(-np.logaddexp(0.0, np.log(params.delta) + psi_val))
     b = params.r * params.delta_prime / (1.0 + params.delta_prime * psi_val)
-    out = a - b
-    if out.shape == ():
-        return float(out)
-    return out
+    return _scalar(a - b)
 
 
 def transport_identity_residual(t, eta, xi, c0: float) -> float:

@@ -1,6 +1,8 @@
 """Ladder algebra: enumeration, operator actions, exact identities."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from landau_hermite.hermite_core import (
     angular,
     inner_product,
     HermiteSpectrum,
+    HermiteBasis,
 )
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -196,3 +199,18 @@ def test_angular_consistency_with_v_and_d():
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         HermiteSpectrum(3, np.zeros(5))
+
+
+def test_used_basis_is_freed():
+    # the operator caches live on the instance: a repeated call returns the
+    # same matrix, and a basis whose operators were read can still be freed
+    def read(b):
+        return (b.coordinate(0), b.derivative(1), b.rotation(0, 1),
+                b.number_operator(), b.sphere_laplacian())
+
+    basis = HermiteBasis(4)
+    assert all(a is b for a, b in zip(read(basis), read(basis)))
+    ref = weakref.ref(basis)
+    del basis
+    gc.collect()
+    assert ref() is None

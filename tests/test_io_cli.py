@@ -271,7 +271,7 @@ def test_read_snapshot_reads_the_header_or_names_the_field(case):
         assert (cfg.d_x, cfg.K, cfg.N, cfg.r, state.time) == (d_x, K, N, r, time)
         assert state.c.astype("<c16", order="C").tobytes() == raw[36:]
         ws = state.workspace
-        assert "to_grid_matrices" not in vars(ws) and "from_grid_matrices" not in vars(ws)
+        assert "dft_matrices" not in vars(ws)
 
 
 def run_cli(*args, cwd=None, preexec_fn=None):

@@ -13,6 +13,7 @@ from landau_hermite.landau_ops import (
     gamma_apply,
     gamma_quadrature_oracle,
     QuadratureConvergenceError,
+    _a_matrix_terms,
     _hermite_value_tables,
     _oracle_at_order,
 )
@@ -166,3 +167,20 @@ def test_oracle_convergence_guard_trips_on_tiny_order():
     # moves the result and the guard must fire
     with pytest.raises(QuadratureConvergenceError):
         gamma_quadrature_oracle(f, g, order=2)
+
+
+def test_collision_matrix_terms_match_their_definition():
+    # summing the separated monomials of a_kj gives
+    # delta_kj |v - v*|^2 - (v_k - v*_k)(v_j - v*_j) at random (v, v*), to
+    # rounding relative to the size of the terms, |v|^2 + |v*|^2
+    rng = np.random.default_rng(71)
+    for v, w in rng.standard_normal((5, 2, 3)):
+        d = v - w
+        for k in range(3):
+            for j in range(3):
+                total = sum(
+                    coef * np.prod(v**np.array(pexp)) * np.prod(w**np.array(qexp))
+                    for coef, pexp, qexp in _a_matrix_terms(k, j)
+                )
+                exact = (k == j) * d @ d - d[k] * d[j]
+                assert abs(total - exact) <= 1e-12 * (v @ v + w @ w), (k, j)

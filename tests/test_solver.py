@@ -415,7 +415,7 @@ def test_grid_product_is_the_broadcast_product(d_x, K):
 
 def test_dft_matrices_are_built_on_first_kernel_use(monkeypatch, tmp_path):
     # a datum, its norms and a snapshot round trip build no DFT matrix; the
-    # first bilinear term builds both directions, read-only
+    # first bilinear term builds the one table of both directions, read-only
     from landau_hermite.solver import _Workspace
 
     monkeypatch.setattr(_Workspace, "_cache", {})
@@ -424,11 +424,11 @@ def test_dft_matrices_are_built_on_first_kernel_use(monkeypatch, tmp_path):
     h_r_norm(g0), triple_norm(g0)
     solver.write_snapshot(tmp_path / "g0.lnsp", g0)
     solver.read_snapshot(tmp_path / "g0.lnsp", cfg)
-    names = ("to_grid_matrices", "from_grid_matrices")
-    assert not any(name in vars(g0.workspace) for name in names)
+    assert "dft_matrices" not in vars(g0.workspace)
     gamma_conv(g0, g0)
-    for name in names:
-        assert all(not m.flags.writeable for m in getattr(g0.workspace, name))
+    matrices = vars(g0.workspace)["dft_matrices"]
+    assert len(matrices) == 4
+    assert all(not m.flags.writeable for m in matrices)
 
 
 @pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 1)])
@@ -484,6 +484,7 @@ def test_workspaces_share_the_velocity_operators():
     assert a.ops.dissipation_form is b.ops.dissipation_form
     assert a.ops.moment_stack is b.ops.moment_stack
     assert a.basis.coordinate(0) is b.basis.coordinate(0)
+    assert a.implicit_inverses(1e-3) is b.implicit_inverses(1e-3)
 
 
 def test_gamma_conv_conservation_per_mode():
@@ -880,6 +881,28 @@ def test_implicit_inverses_are_keyed_by_dt_itself():
         np.testing.assert_array_equal(inv, np.linalg.inv(np.eye(len(block)) + 1e-16 * block))
 
 
+@pytest.mark.parametrize("N, seed", [(8, 2), (12, 3)])
+def test_homogeneous_linear_march_converges_to_the_exact_flow(N, seed):
+    # at d_x = 0 without the bilinear term the march is implicit Euler for
+    # L, whose exact flow exp(-t L) is one eigendecomposition per level
+    # block: the error at T is first order, halving with dt
+    from landau_hermite.landau_ops import level_blocks_L
+
+    T = 0.5
+    g0 = build_initial_state(small_config(N=N, d_x=0, T=T, g0_norm=1.0, seed=seed))
+    exact = np.empty_like(g0.c)
+    for sl, block in zip(g0.workspace.basis.level_slices, level_blocks_L(N)):
+        lam, vec = np.linalg.eigh(block)
+        exact[:, sl] = g0.c[:, sl] @ (vec * np.exp(-T * lam)) @ vec.T
+    errors = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        cfg = small_config(N=N, d_x=0, dt=dt, T=T, g0_norm=1.0, seed=seed)
+        final = run(cfg, gamma_on=False).snapshots[-1][1]
+        errors.append(np.linalg.norm(final.c - exact) / np.linalg.norm(exact))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios - 2.0) <= 0.25), (errors, ratios)
+
+
 @pytest.mark.parametrize("recipe", ["rough", "gaussian"])
 def test_initial_datum_is_lean(recipe):
     # the noise is drawn into one complex array, all real parts first, and
@@ -997,13 +1020,14 @@ def test_mode_index_is_built_on_first_use():
 
 
 def test_implicit_inverses_keep_the_latest_dt():
-    # a dt sweep leaves the inverse set of its last dt only
+    # a dt sweep leaves the inverse set of its last dt only, held once per
+    # degree cap
     from landau_hermite.solver import _Workspace
 
     ws = _Workspace(6, 1, 1, 2.0)
     for k in range(1, 11):
         inverses = ws.implicit_inverses(k * 1e-3)
-    assert len(ws._solve_cache) == 1
+    assert ws.ops._implicit == (10e-3, inverses)
     assert ws.implicit_inverses(10e-3) is inverses
 
 
