@@ -16,9 +16,12 @@ dealiased grid, in O(n_modes * M) memory for M Hermite coefficients per mode.
 The perturbation is a real field, c(-eta) = conj(c(eta)), and the kernel
 acts on real fields only: it reads the eta_1 >= 0 half of the lattice and
 maps it to one real (M, L**d_x) grid and back by per-axis DFT matrices,
-applied as BLAS products on row blocks of at most 2 MiB of intermediates.
-A step's working set is that grid, those blocks, the 2 MiB block of
-`_grid_product` and a few state-sized arrays.  The march and `gamma_conv`
+applied as BLAS products on row blocks of at most 2 MiB of intermediates,
+and returns that half; a caller that needs the whole lattice fills the rest
+by conjugation.  The step computes only the modes from eta = 0 on and
+fills the mirror of its new state once.  A step's working set is that
+grid, those blocks, the work block of `_grid_product` (at most 3 MiB),
+half-size temporaries and the new state.  The march and `gamma_conv`
 therefore reject a state that is not a real field.
 
 Layout: c is stored Hermite-major (Fortran order), so c.T is a C-contiguous
@@ -28,9 +31,10 @@ acts on the Hermite index alone, the same way on every mode: L's per-level
 implicit solve, the dissipation form Q, the ten moment operators and the
 v_j of transport.  Each is therefore one real product on that view, with no
 transposed copy and no complex upcast, and the norms are one real reduction
-per mode on it.  The kernel's grid transforms read and write the
-eta_1 >= 0 tail of the same view in place.  The snapshot format stores the logical (eta, alpha) order
-and does not depend on the layout.
+per mode on it.  The kernel's grid transforms read the eta_1 >= 0 tail
+of the same view in place and write the tail they return in the same
+layout.  The snapshot format stores the logical (eta, alpha) order and
+does not depend on the layout.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
@@ -210,12 +214,12 @@ class _Workspace:
     The lattice is sorted lexicographically, which fixes three facts used
     throughout: eta -> -eta reverses the order (the mirror of a state c is
     c[::-1]), eta = 0 is row `centre` = n_modes // 2, and the modes with
-    eta_1 >= 0 are the tail modes[half_start:], the kernel's half of a real
-    field.  Every velocity-side matrix depends on N alone and lives in the
-    per-cap `basis` and `ops`, the implicit step's per-level inverses
-    included, so building a workspace assembles no operator; the kernel's
-    DFT matrices, one table for both directions, are built on its first
-    use, so a snapshot read or a norm builds none.
+    eta_1 >= 0 are the tail modes[half_start:], the half of a real field
+    that the kernel reads and returns.  Every velocity-side matrix depends
+    on N alone and lives in the per-cap `basis` and `ops`, the implicit
+    step's per-level inverses included, so building a workspace assembles
+    no operator; the kernel's DFT matrices, one table for both directions,
+    are built on its first use, so a snapshot read or a norm builds none.
     """
 
     _cache: dict = {}
@@ -349,11 +353,11 @@ class _Workspace:
             mom = f_optimum(gc, hc)
             for _ in range(30):
                 # h-gradient of the pairing
-                hc = ascent(w[:, None] * _bilinear(self, mom, gc))
+                hc = ascent(w[:, None] * _whole(self, _bilinear(self, mom, gc)))
                 # g-gradient
                 gc = ascent(_bilinear_adjoint_g(self, mom, w[:, None] * hc))
                 mom = f_optimum(gc, hc)
-            pairing = np.sum(w[:, None] * _bilinear(self, mom, gc) * np.conj(hc))
+            pairing = np.sum(w[:, None] * _whole(self, _bilinear(self, mom, gc)) * np.conj(hc))
             val = abs(pairing) / (
                 math.sqrt(self.norm_sq(mom)) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc)
             )
@@ -395,8 +399,10 @@ def h_r_norm(state: PhaseState) -> float:
 
 def hermitian_defect(state: PhaseState) -> float:
     """How far the state is from representing a real function:
-    max |c(-eta) - conj(c(eta))|."""
-    return float(np.max(np.abs(state.c[::-1] - np.conj(state.c))))
+    max |c(-eta) - conj(c(eta))|.  The pairs (eta, -eta) and (-eta, eta)
+    give the same float, so each pair is read once, from eta = 0 on."""
+    centre = state.workspace.centre
+    return float(np.max(np.abs(state.c[centre::-1] - np.conj(state.c[centre:]))))
 
 
 def _require_real_field(state: PhaseState, name: str, norm: float) -> None:
@@ -425,11 +431,15 @@ def _mode_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ak,ak->k", x, y).reshape(-1, 2).sum(axis=1)
 
 
-def _level_product(basis, mats: list[np.ndarray], c: np.ndarray) -> np.ndarray:
+def _level_product(
+    basis, mats: list[np.ndarray], c: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The rows c[:, sl] @ m for the real (w, w) matrix m of each Hermite
-    level sl, in a new Fortran-ordered array: per level one real product
-    m.T @ (a contiguous row block of the real view of c)."""
-    out = np.empty_like(c, order="F")
+    level sl, written into out (a new Fortran-ordered array if None) and
+    returned: per level one real product m.T @ (a contiguous row block of
+    the real view of c)."""
+    if out is None:
+        out = np.empty_like(c, order="F")
     x, y = _real_view(c), _real_view(out)
     for sl, m in zip(basis.level_slices, mats):
         np.matmul(m.T, x[sl], out=y[sl])
@@ -443,12 +453,15 @@ def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
     return (M @ _real_view(c)).view(np.complex128).T
 
 
-def _add_transport(ws: _Workspace, c: np.ndarray, out: np.ndarray, scale: complex) -> np.ndarray:
-    """out += scale * sum_j eta_j * (v_j on the slice) for the modes of c;
-    returns out.  Every axis's term is scaled in place and added into out."""
-    for j in range(ws.d_x):
-        vc = _sparse_right(c, ws.basis.coordinate(j))
-        vc *= scale * ws.eta[:, j, None]
+def _add_transport(
+    basis, eta: np.ndarray, c: np.ndarray, out: np.ndarray, scale: complex
+) -> np.ndarray:
+    """out += scale * sum_j eta_j * (v_j on the slice) for the rows of c,
+    the modes whose coordinates are the rows of eta; returns out.  Every
+    axis's term is scaled in place and added into out."""
+    for j in range(eta.shape[1]):
+        vc = _sparse_right(c, basis.coordinate(j))
+        vc *= scale * eta[:, j, None]
         out += vc
         del vc  # freed before the next axis allocates its product
     return out
@@ -459,7 +472,8 @@ def apply_transport(state: PhaseState) -> PhaseState:
 
     Skew-Hermitian in the weighted pairing, so it moves no norm.
     """
-    out = _add_transport(state.workspace, state.c, np.zeros_like(state.c), 1j)
+    ws = state.workspace
+    out = _add_transport(ws.basis, ws.eta, state.c, np.zeros_like(state.c), 1j)
     return PhaseState(state.config, out, state.time)
 
 
@@ -525,21 +539,22 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
 
 
 def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
-    """Lattice coefficients (n_modes, P) of real grid values x (P, L**d_x);
-    modes off the lattice are dropped.  Row blocks of x are multiplied by the
-    DFT matrices of `_Workspace.dft_matrices`: the first axis to the
-    half modes eta_1 = 0..K in the split layout, the middle one at d_x = 3,
-    then the last axis to interleaved pairs written straight into the tail
-    modes[half_start:] of the result.  The lower half modes[:centre], the
-    reversal of modes[centre + 1:], is then filled by conjugation, so the
-    result is Hermitian by construction.  x is left unchanged."""
+    """The tail modes[half_start:] (eta_1 >= 0) of the lattice coefficients
+    of real grid values x (P, L**d_x), as a Fortran-ordered (n_modes -
+    half_start, P) array; modes off the lattice are dropped.  The rest of a
+    real field's lattice is the conjugated mirror of this tail (`_whole`).
+    Row blocks of x are multiplied by the DFT matrices of
+    `_Workspace.dft_matrices`: the first axis to the half modes
+    eta_1 = 0..K in the split layout, the middle one at d_x = 3, then the
+    last axis to interleaved pairs written straight into the result.  x is
+    left unchanged."""
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
     first, trailing = ws.dft_matrices[2:]
     L = ws.grid_shape[0]
-    out = np.empty((ws.n_modes, P), dtype=np.complex128, order="F")
-    tail = out.T[:, ws.half_start :].view(np.float64)
+    out = np.empty((ws.n_modes - ws.half_start, P), dtype=np.complex128, order="F")
+    tail = out.T.view(np.float64)
     if ws.d_x == 1:
         np.matmul(x, first, out=tail)
     else:
@@ -557,8 +572,16 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
                 t2 = middle[:n].reshape(-1, trailing.shape[1], L)
                 t = np.matmul(trailing.T, t.reshape(len(t2), -1, L), out=t2)
             np.matmul(t.reshape(n, -1, 2 * L), trailing, out=tail[s])
-    out[ws.centre].imag = 0.0  # a real field's mean is real: drop rounding
-    np.conjugate(out[: ws.centre : -1], out=out[: ws.centre])
+    out[ws.centre - ws.half_start].imag = 0.0  # a real field's mean is real: drop rounding
+    return out
+
+
+def _whole(ws: _Workspace, tail: np.ndarray) -> np.ndarray:
+    """The whole lattice (n_modes, P), Fortran-ordered, of the real fields
+    whose tail modes[half_start:] `_from_grid` returned: the modes from
+    eta = 0 on are copied and the rest filled by `_unfold`."""
+    out = np.empty((ws.n_modes, tail.shape[1]), dtype=np.complex128, order="F")
+    _unfold(tail[ws.centre - ws.half_start :].T, out.T)
     return out
 
 
@@ -568,12 +591,15 @@ def _grid_product(ops: LandauOperators, ax: np.ndarray, bx: np.ndarray) -> np.nd
     returns bx.  Works on blocks of grid points: each block of bx is copied
     once into contiguous work memory, and A_m's factor is formed only on
     the rows :ops.moment_widths[m] that A_m reads; the rows past it hold
-    whatever the work array held and the sparse product never reads them."""
+    whatever the work array held and the sparse product never reads them.
+    The n points are split into round(n / cap) near-equal blocks, cap the
+    width whose work array is _BLOCK_BYTES, so no block is narrower than
+    cap / 2 and the work array stays within 1.5 _BLOCK_BYTES."""
     M, n = bx.shape
-    width = min(n, max(1, _BLOCK_BYTES // (88 * M)))
-    work = np.empty(11 * M * width)
-    for start in range(0, n, width):
-        s = slice(start, min(start + width, n))
+    blocks = max(1, round(n / max(1, _BLOCK_BYTES // (88 * M))))
+    work = np.empty(11 * M * -(-n // blocks))
+    for k in range(blocks):
+        s = slice(n * k // blocks, n * (k + 1) // blocks)
         w = s.stop - s.start
         b = work[: M * w].reshape(M, w)
         b[...] = bx[:, s]
@@ -588,7 +614,8 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_m G_m (mom[:, m] * g), * the mode convolution truncated to the
     lattice: the bilinear term with its first argument given by its ten
     moment fields mom (n_modes, 10).  Both arguments are real fields, and so
-    is the result.
+    is the result, returned as its tail modes[half_start:] (`_from_grid`;
+    `_whole` completes it).
 
     Both factors are multiplied on a grid of L = 3K+1 points per axis; the
     product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
@@ -614,22 +641,24 @@ def _grid_adjoint(
 
 
 def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """U with sum(conj(h) * _bilinear(ws, mom, g)) == vdot(U, g) for every
-    real field g (mom and h real fields too): a real grid scalar commutes
-    with each G_m, so U = sum_m mom_m (G_m^T h) on the grid."""
+    """U with sum(conj(h) * B) == vdot(U, g) for B = _whole(ws,
+    _bilinear(ws, mom, g)) and every real field g (mom and h real fields
+    too): a real grid scalar commutes with each G_m, so U = sum_m mom_m
+    (G_m^T h) on the grid."""
     hx = _to_grid(ws, h)
     _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, mom), "mx,max->ax", hx)
-    return _from_grid(ws, hx)
+    return _whole(ws, _from_grid(ws, hx))
 
 
 def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The real moment fields W (n_modes, 10) with sum(conj(h) *
-    _bilinear(ws, mom, g)) == vdot(W, mom) for every real field mom (g and h
-    real fields too): W_m = sum_alpha g (G_m^T h) on the grid."""
+    """The real moment fields W (n_modes, 10) with sum(conj(h) * B) ==
+    vdot(W, mom) for B = _whole(ws, _bilinear(ws, mom, g)) and every real
+    field mom (g and h real fields too): W_m = sum_alpha g (G_m^T h) on the
+    grid."""
     hx = _to_grid(ws, h)
     out = np.empty((10, hx.shape[1]))
     _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, g), "ax,max->mx", out)
-    return _from_grid(ws, out)
+    return _whole(ws, _from_grid(ws, out))
 
 
 def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
@@ -646,7 +675,7 @@ def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     for name, state in (("f", f_state), ("g", g_state)):
         _require_real_field(state, name, h_r_norm(state))
     ws = f_state.workspace
-    out = _bilinear(ws, f_state.c[:, ws.ops.moment_slots], g_state.c)
+    out = _whole(ws, _bilinear(ws, f_state.c[:, ws.ops.moment_slots], g_state.c))
     return PhaseState(f_state.config, out, g_state.time)
 
 
@@ -659,17 +688,29 @@ def step_imex(
     """One IMEX Euler step: transport and the bilinear term explicit, L
     implicit through per-level dense solves shared by all modes.
 
+    The state must be a real field, as the march and `gamma_conv` require
+    of theirs: the step computes transport, the bilinear term, their sum
+    and the level solves only on the modes from eta = 0 on, and fills the
+    rest of the new state once as their conjugated mirror (`_unfold`), so
+    the result is a real field exactly.  Its temporaries are half-size.
+
     `frozen_moment_fields` (shape (n_modes, 10)) substitutes the moments of a
     frozen first argument in the bilinear term (Picard mode).
     """
     ws = state.workspace
-    rhs = _add_transport(ws, state.c, state.c.copy(order="F"), -1j * dt)
+    centre = ws.centre
+    half = state.c[centre:]
+    rhs = _add_transport(ws.basis, ws.eta[centre:], half, half.copy(order="F"), -1j * dt)
     if gamma_on:
         mom = frozen_moment_fields
         if mom is None:
             mom = state.c[:, ws.ops.moment_slots]
-        rhs += dt * _bilinear(ws, mom, state.c)
-    out = _level_product(ws.basis, ws.implicit_inverses(dt), rhs)
+        term = _bilinear(ws, mom, state.c)[centre - ws.half_start :]
+        term *= dt
+        rhs += term
+    out = np.empty_like(state.c, order="F")
+    _level_product(ws.basis, ws.implicit_inverses(dt), rhs, out[centre:])
+    _unfold(out.T[:, centre:], out.T)  # the half is in place: no copy
     return PhaseState(state.config, out, state.time + dt)
 
 
@@ -888,9 +929,9 @@ class PicardReport:
 def _unfold(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out (..., n_modes), the coefficients of real fields along its
     last axis, from half (..., n_modes - n_modes // 2), their modes from
-    eta = 0 on; returns out.  The lower half is the conjugated mirror, as in
-    `_from_grid`, but its imaginary parts are 0.0 - y rather than -y: a zero
-    becomes the +0.0 a march holds there, not -0.0."""
+    eta = 0 on; returns out.  The lower half is the conjugated mirror, with
+    imaginary parts 0.0 - y rather than -y: a zero becomes +0.0, not -0.0.
+    half may be the upper half of out itself; numpy then skips the copy."""
     centre = out.shape[-1] // 2
     out[..., centre:] = half
     mirror, lower = half[..., :0:-1], out[..., :centre]
