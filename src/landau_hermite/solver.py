@@ -315,54 +315,122 @@ class _Workspace:
         weighted norm is f's, and the f slot has a closed-form optimum;
         every sweep maps real fields to real fields.  The value is a
         certified lower bound on the true constant over real fields: it is
-        the exact ratio at an explicit real triple.  Cached per workspace.
+        the exact ratio at an explicit real triple.  Thirty sweeps do not
+        converge everywhere: at the desk grid (N=16, K=8, d_x=1, r=2) the
+        value is 2.0600, against about 2.0798 after 60 sweeps.
+
+        A sweep updates h, then g, then mom, and transforms each new
+        iterate to the grid once (w h, g, mom); the grids of g and mom are
+        carried to the next step that reads them.  The h step takes
+        B(mom, g) from `_grid_product`, which overwrites g's grid, unread
+        after it.  The g and f steps are the two contractions of
+        Y = stack^T (w h) (`_grid_adjoint`): when the grid fits in one
+        block of `_adjoint_blocks`, Y is computed once and both read it,
+        otherwise each computes it block by block, so one block is held
+        at a time.  Per-mode weights multiply float64 views (a division by
+        w as the product with 1/w, which is how numpy divides a complex by
+        a real, so the bits are kept); the ascent's level product and the
+        weights of B and W act on the modes from eta = 0 on, and `_unfold`
+        fills the mirror before a norm is taken.
+
+        Cached per workspace, with the search's diagnostic in `_c0_search`:
+        per start, its sweeps and the relative change of its ratio in the
+        last sweep.  The ratio before that sweep is taken from the
+        B(mom, g) the sweep computes first, so it costs no kernel call.
         """
         if hasattr(self, "_c0_hat"):
             return self._c0_hat
         rng = np.random.default_rng(12345)
         w = self.h_weight
         basis, ops = self.basis, self.ops
+        stack_t = ops.moment_stack.T
+        centre, n_modes = self.centre, self.n_modes
+        tc = centre - self.half_start  # eta = 0 in a tail of `_from_grid`
+        w2 = np.repeat(w, 2)  # per column of a real view
+        w2_half, inv_w2_half = w2[2 * centre :], np.repeat(1.0 / w, 2)[2 * centre :]
+        n = math.prod(self.grid_shape)
+        shared = _adjoint_width(basis.size, n) == n
+        # one work array per search: a new one per product left the heap
+        # to be trimmed and faulted in again while the shared Y was held
+        work = _product_work(basis.size, n)
+        sweeps = 30
 
-        def ascent(x):  # metric-preconditioned direction, normalized
-            out = _level_product(basis, ops.dissipation_metric_inverses, x)
-            out /= w[:, None]
-            out /= np.linalg.norm(out)
+        def ascent(tail):  # metric-preconditioned direction, normalized
+            out = np.empty((n_modes, tail.shape[1]), dtype=np.complex128, order="F")
+            _level_product(basis, ops.dissipation_metric_inverses, tail[tc:], out[centre:])
+            x = _real_view(out[centre:])
+            x *= inv_w2_half
+            _unfold(out.T[:, centre:], out.T)
+            x = _real_view(out)
+            x *= 1.0 / np.linalg.norm(out)
             return out
+
+        def f_optimum(tail):  # the moment fields W / w, normalized
+            x = _real_view(tail[tc:])
+            x *= inv_w2_half
+            mom = _whole(self, tail)
+            norm = np.linalg.norm(mom)
+            return mom / norm if norm > 0 else mom
+
+        def weighted_grid(hc):  # the grid of w h
+            return _to_grid(self, (_real_view(hc) * w2).view(np.complex128).T)
 
         def seminorm_plus_norm(c):
             return math.sqrt(self.dissipation_sq(c)) + math.sqrt(self.norm_sq(c))
 
-        def f_optimum(gc, hc):  # the moment fields W / w, normalized
-            mom = _bilinear_adjoint_f(self, gc, w[:, None] * hc)
-            mom /= w[:, None]
-            n = np.linalg.norm(mom)
-            return mom / n if n > 0 else mom
+        def ratio(b, mom, gc, hc):  # at the triple whose B(mom, g) has the tail b
+            pairing = np.sum(w[:, None] * _whole(self, b) * np.conj(hc))
+            return float(
+                abs(pairing)
+                / (math.sqrt(self.norm_sq(mom)) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc))
+            )
 
         best = 0.0
         mask = (basis.levels <= min(4, self.N))[None, :]
-        shape = (self.n_modes, basis.size)
+        shape = (n_modes, basis.size)
 
         def draw():
             c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
             c = _hermitize(np.asfortranarray(c))
             return c / np.linalg.norm(c)
 
+        starts = []
         for _ in range(2):
             gc = draw()
             hc = draw()
-            mom = f_optimum(gc, hc)
-            for _ in range(30):
+            hx = weighted_grid(hc)
+            gx = _to_grid(self, gc)
+            y = _adjoint_blocks(stack_t, hx)
+            ratios = []
+            for sweep in range(sweeps + 1):
+                # f slot: the optimum for g and h, then B(mom, g) on g's grid
+                mom = f_optimum(_from_grid(self, _grid_adjoint(y, gx, "ax,max->mx", np.empty((10, n)))))
+                del hx, y
+                momx = _to_grid(self, mom)
+                b = _from_grid(self, _grid_product(ops, momx, gx, work))
+                del gx
+                if sweep >= sweeps - 1:
+                    ratios.append(ratio(b, mom, gc, hc))
+                if sweep == sweeps:
+                    break
                 # h-gradient of the pairing
-                hc = ascent(w[:, None] * _whole(self, _bilinear(self, mom, gc)))
+                x = _real_view(b[tc:])
+                x *= w2_half
+                hc = ascent(b)
+                del b, x, gc
+                hx = weighted_grid(hc)
+                y = _adjoint_blocks(stack_t, hx)
+                if shared:
+                    y = list(y)
                 # g-gradient
-                gc = ascent(_bilinear_adjoint_g(self, mom, w[:, None] * hc))
-                mom = f_optimum(gc, hc)
-            pairing = np.sum(w[:, None] * _whole(self, _bilinear(self, mom, gc)) * np.conj(hc))
-            val = abs(pairing) / (
-                math.sqrt(self.norm_sq(mom)) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc)
-            )
-            best = max(best, float(val))
-        self._c0_hat = best
+                gc = ascent(_from_grid(self, _grid_adjoint(y, momx, "mx,max->ax", np.empty_like(hx))))
+                gx = _to_grid(self, gc)
+                if not shared:
+                    y = _adjoint_blocks(stack_t, hx)
+            before, val = ratios
+            starts.append((sweeps, abs(val - before) / val))
+            best = max(best, val)
+        self._c0_hat, self._c0_search = best, tuple(starts)
         return best
 
 
@@ -486,7 +554,7 @@ def _dft_angles(K: int, L: int, first: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # bytes of the intermediates of the grid transforms and of the work blocks of
-# _grid_product and _grid_adjoint (_grid_product covers the desk grid, d_x = 1,
+# _grid_product and _adjoint_blocks (_grid_product covers the desk grid, d_x = 1,
 # N = 16, in two blocks): larger blocks save little time but add their size
 # to RSS
 _BLOCK_BYTES = 2 << 20
@@ -585,19 +653,35 @@ def _whole(ws: _Workspace, tail: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_product(ops: LandauOperators, ax: np.ndarray, bx: np.ndarray) -> np.ndarray:
+def _product_blocks(M: int, n: int) -> int:
+    """Blocks of `_grid_product` for M Hermite rows and n grid points:
+    round(n / cap), cap the width whose work array is _BLOCK_BYTES, so no
+    block is narrower than cap / 2 and the work array stays within
+    1.5 _BLOCK_BYTES."""
+    return max(1, round(n / max(1, _BLOCK_BYTES // (88 * M))))
+
+
+def _product_work(M: int, n: int) -> np.ndarray:
+    """An uninitialised work array of `_grid_product` for M Hermite rows and
+    n grid points."""
+    return np.empty(11 * M * -(-n // _product_blocks(M, n)))
+
+
+def _grid_product(
+    ops: LandauOperators, ax: np.ndarray, bx: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """sum_m A_m (ax[m] * bx) for ops.moment_stack = [A_0 | ... | A_9] real
     (M, 10 M) and real grid values ax (10, n), bx (M, n); overwrites and
-    returns bx.  Works on blocks of grid points: each block of bx is copied
-    once into contiguous work memory, and A_m's factor is formed only on
-    the rows :ops.moment_widths[m] that A_m reads; the rows past it hold
-    whatever the work array held and the sparse product never reads them.
-    The n points are split into round(n / cap) near-equal blocks, cap the
-    width whose work array is _BLOCK_BYTES, so no block is narrower than
-    cap / 2 and the work array stays within 1.5 _BLOCK_BYTES."""
+    returns bx.  Works on `_product_blocks` near-equal blocks of grid
+    points: each block of bx is copied once into contiguous work memory
+    (`_product_work`, a new one if work is None), and A_m's factor is
+    formed only on the rows :ops.moment_widths[m] that A_m reads; the rows
+    past it hold whatever the work array held and the sparse product never
+    reads them."""
     M, n = bx.shape
-    blocks = max(1, round(n / max(1, _BLOCK_BYTES // (88 * M))))
-    work = np.empty(11 * M * -(-n // blocks))
+    blocks = _product_blocks(M, n)
+    if work is None:
+        work = _product_work(M, n)
     for k in range(blocks):
         s = slice(n * k // blocks, n * (k + 1) // blocks)
         w = s.stop - s.start
@@ -625,40 +709,40 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _from_grid(ws, product)
 
 
-def _grid_adjoint(
-    stack: sp.csr_matrix, hx: np.ndarray, bx: np.ndarray, subscripts: str, out: np.ndarray
-) -> np.ndarray:
-    """Y = stack.T @ hx for stack = [A_0 | ... | A_9] real (M, 10 M), viewed
-    as (10, M, width) so Y[m] = A_m^T hx, contracted per block of grid points
-    with real grid values bx by the einsum `subscripts` into out (may be hx)."""
+def _adjoint_width(M: int, n: int) -> int:
+    """Grid points per block of `_adjoint_blocks` for M Hermite rows and n
+    points: a (10 M, width) product block of at most _BLOCK_BYTES, and at
+    least one point."""
+    return min(n, max(1, _BLOCK_BYTES // (80 * M)))
+
+
+def _adjoint_blocks(stack_t: sp.csc_matrix, hx: np.ndarray):
+    """Y = stack_t @ hx for the transpose stack_t (10 M, M) of the real stack
+    [A_0 | ... | A_9] (M, 10 M) and real grid values hx (M, n), viewed as
+    (10, M, width) so Y[m] = A_m^T hx, block by block: yields
+    (s, Y[:, :, s]) for blocks s of `_adjoint_width` grid points, each
+    computed when it is read."""
     M, n = hx.shape
-    width = min(n, max(1, _BLOCK_BYTES // (80 * M)))
+    width = _adjoint_width(M, n)
     for start in range(0, n, width):
         s = slice(start, min(start + width, n))
-        y = (stack.T @ hx[:, s]).reshape(10, M, -1)
+        yield s, (stack_t @ hx[:, s]).reshape(10, M, -1)
+
+
+def _grid_adjoint(blocks, bx: np.ndarray, subscripts: str, out: np.ndarray) -> np.ndarray:
+    """Contract each block (s, y) of `_adjoint_blocks` with the real grid
+    values bx[:, s] by the einsum `subscripts` into out[:, s]; returns out.
+
+    These are the two adjoints of the kernel on the grid of Y from a real
+    field h, since a real grid scalar commutes with each G_m.  With the
+    grid of the moment fields mom, "mx,max->ax" gives the grid of
+    U = sum_m mom_m (G_m^T h), and sum(conj(h) * B) == vdot(U, g) for
+    B = _whole(ws, _bilinear(ws, mom, g)) and every real field g.  With
+    the grid of g, "ax,max->mx" gives the grid of the real moment fields
+    W_m = sum_alpha g (G_m^T h), and the same pairing is vdot(W, mom)."""
+    for s, y in blocks:
         np.einsum(subscripts, bx[:, s], y, out=out[:, s])
     return out
-
-
-def _bilinear_adjoint_g(ws: _Workspace, mom: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """U with sum(conj(h) * B) == vdot(U, g) for B = _whole(ws,
-    _bilinear(ws, mom, g)) and every real field g (mom and h real fields
-    too): a real grid scalar commutes with each G_m, so U = sum_m mom_m
-    (G_m^T h) on the grid."""
-    hx = _to_grid(ws, h)
-    _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, mom), "mx,max->ax", hx)
-    return _whole(ws, _from_grid(ws, hx))
-
-
-def _bilinear_adjoint_f(ws: _Workspace, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The real moment fields W (n_modes, 10) with sum(conj(h) * B) ==
-    vdot(W, mom) for B = _whole(ws, _bilinear(ws, mom, g)) and every real
-    field mom (g and h real fields too): W_m = sum_alpha g (G_m^T h) on the
-    grid."""
-    hx = _to_grid(ws, h)
-    out = np.empty((10, hx.shape[1]))
-    _grid_adjoint(ws.ops.moment_stack, hx, _to_grid(ws, g), "ax,max->mx", out)
-    return _whole(ws, _from_grid(ws, out))
 
 
 def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
@@ -699,8 +783,10 @@ def step_imex(
     """
     ws = state.workspace
     centre = ws.centre
-    half = state.c[centre:]
-    rhs = _add_transport(ws.basis, ws.eta[centre:], half, half.copy(order="F"), -1j * dt)
+    rhs = state.c[centre:].copy(order="F")
+    # transport reads one contiguous copy of the half, freed after it:
+    # scipy would copy the strided rows of state.c once per axis
+    _add_transport(ws.basis, ws.eta[centre:], rhs.copy(order="F"), rhs, -1j * dt)
     if gamma_on:
         mom = frozen_moment_fields
         if mom is None:
@@ -907,6 +993,9 @@ class PicardReport:
     reason: str | None = None
     c0_estimate: float = math.nan
     smallness_product: float = math.nan
+    # per start of the C0 search: (sweeps, relative change of its ratio in
+    # the last sweep), the search's convergence (`trilinear_constant`)
+    c0_search: tuple = ()
 
     @property
     def converged(self) -> bool:
@@ -1010,10 +1099,11 @@ def picard_solve(g0: PhaseState) -> tuple[Sequence[PhaseState], PicardReport]:
     lattice can fail the test on the same datum.  On the d_x=1, N=6 ladder
     K = 2, 4, 8, 16, 32, C0 at r=0.5 grows from 1.59 to 3.07, by 0.34-0.39
     per doubling, while at r=2 it rises from 1.40 to 1.656 and is flat from
-    K=16.  C0 comes from a search over explicit triples, so it is a
-    certified lower bound: the growth is proven, the saturation only
-    evidence.  The config keeps the paper's rule r > 3/2, which covers
-    d_x <= 3.
+    K=16.  These are the values of the 30-sweep search, which need not have
+    converged (`c0_search` reports its last change).  C0 comes from a
+    search over explicit triples, so it is a certified lower bound: the
+    growth is proven, the saturation only evidence.  The config keeps the
+    paper's rule r > 3/2, which covers d_x <= 3.
 
     Memory: one complex trajectory buffer of (n_steps+1) * M *
     (n_modes - n_modes // 2) coefficients, the real-field half of each
@@ -1069,7 +1159,7 @@ def picard_solve(g0: PhaseState) -> tuple[Sequence[PhaseState], PicardReport]:
             break
     else:
         reason = "max_iter"
-    report = PicardReport(distances, lambdas, it, reason, c0_hat, smallness)
+    report = PicardReport(distances, lambdas, it, reason, c0_hat, smallness, ws._c0_search)
     return _Trajectory(g0, traj), report
 
 

@@ -282,14 +282,18 @@ def test_gamma_conv_matches_direct_sum():
         assert np.max(np.abs(direct - fast.c)) < 1e-12 * np.max(np.abs(direct))
 
 
+def _slot_adjoint(ws, hx, bx, subscripts, out):
+    # one contraction of the C0 search, taken back to the lattice's tail
+    from landau_hermite.solver import _adjoint_blocks, _from_grid, _grid_adjoint
+
+    blocks = _adjoint_blocks(ws.ops.moment_stack.T, hx)
+    return _from_grid(ws, _grid_adjoint(blocks, bx, subscripts, out))
+
+
 def test_trilinear_adjoints_match_weighted_pairing():
     # the g-slot and f-slot contractions of trilinear_constant are adjoints
     # of the kernel in the weighted pairing (B(f, g), h)_w, on real fields
-    from landau_hermite.solver import (
-        _Workspace,
-        _bilinear_adjoint_f,
-        _bilinear_adjoint_g,
-    )
+    from landau_hermite.solver import _Workspace, _to_grid, _whole
 
     rng = np.random.default_rng(60)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -299,8 +303,11 @@ def test_trilinear_adjoints_match_weighted_pairing():
         mom = f.c[:, ws.ops.moment_slots]
         wh = ws.h_weight[:, None] * h.c
         pairing = np.sum(gamma_conv(f, g).c * np.conj(wh))
-        g_slot = np.vdot(_bilinear_adjoint_g(ws, mom, wh), g.c)
-        f_slot = np.vdot(_bilinear_adjoint_f(ws, g.c, wh), mom)
+        hx = _to_grid(ws, wh)
+        u = _slot_adjoint(ws, hx, _to_grid(ws, mom), "mx,max->ax", np.empty_like(hx))
+        w = _slot_adjoint(ws, hx, _to_grid(ws, g.c), "ax,max->mx", np.empty((10, hx.shape[1])))
+        g_slot = np.vdot(_whole(ws, u), g.c)
+        f_slot = np.vdot(_whole(ws, w), mom)
         assert abs(g_slot - pairing) <= 1e-12 * abs(pairing)
         assert abs(f_slot - pairing) <= 1e-12 * abs(pairing)
 
@@ -323,6 +330,7 @@ def test_gamma_conv_rejects_a_state_that_is_not_a_real_field():
         ((8, 3, 1, 2.0), 1.6275398054980237),
         ((6, 2, 2, 2.0), 1.7982477424414147),
         ((6, 1, 3, 2.0), 1.6843513884978358),
+        ((16, 8, 1, 2.0), 2.0600008378172165),
     ],
 )
 def test_trilinear_constant_is_pinned(args, c0):
@@ -331,6 +339,38 @@ def test_trilinear_constant_is_pinned(args, c0):
     from landau_hermite.solver import _Workspace
 
     assert abs(_Workspace(*args).trilinear_constant() - c0) <= 1e-12 * c0
+
+
+def test_trilinear_constant_does_not_depend_on_the_adjoint_blocks(monkeypatch):
+    # a grid of one adjoint block shares Y = stack^T (w h) between the g and
+    # f steps; in several blocks each step computes it: the same bits
+    from landau_hermite.solver import _Workspace, _adjoint_width
+
+    args = (8, 3, 1, 2.0)
+    one_block = _Workspace(*args).trilinear_constant()
+    ws = _Workspace(*args)
+    M, n = ws.basis.size, math.prod(ws.grid_shape)
+    assert _adjoint_width(M, n) == n
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 80 * M * 3)
+    assert _adjoint_width(M, n) == 3
+    assert ws.trilinear_constant() == one_block
+
+
+@pytest.mark.parametrize("args, converged", [((16, 8, 1, 2.0), False), ((6, 2, 2, 2.0), True)])
+def test_trilinear_constant_reports_its_last_change(args, converged):
+    # per start, the sweeps and the relative change of the ratio in the last
+    # one: 30 sweeps leave the desk grid's search moving by more than 1e-4,
+    # and converge this d_x = 2 one below 1e-6
+    from landau_hermite.solver import _Workspace
+
+    ws = _Workspace(*args)
+    ws.trilinear_constant()
+    sweeps, changes = zip(*ws._c0_search)
+    assert sweeps == (30, 30)
+    if converged:
+        assert max(changes) < 1e-6
+    else:
+        assert min(changes) > 1e-4
 
 
 def test_sparse_right_real_view_is_exact():
@@ -807,6 +847,7 @@ def test_picard_contracts_and_matches_direct_march():
     assert report.converged
     assert not report.non_contraction
     assert report.contraction_factor < 1.0
+    assert report.c0_search == g0.workspace._c0_search and len(report.c0_search) == 2
     # the fixed point satisfies exactly the direct nonlinear IMEX recursion
     state = g0.copy()
     for _ in range(int(round(cfg.T / cfg.dt))):
@@ -902,30 +943,27 @@ def test_step_memory_is_one_grid():
 
 @pytest.mark.parametrize("slot", ["f", "g"])
 def test_adjoint_memory_is_two_grids(slot):
-    # both adjoints hold the real grids of their two operands, the
-    # intermediates of the grid transforms, the block of the
-    # transposed stack's product and a state-sized result (the operands are
-    # the caller's).  At this size a third grid, one per-moment product
-    # G_m @ g held at full size, would exceed the bound.
-    from landau_hermite.solver import (
-        _BLOCK_BYTES,
-        _Workspace,
-        _bilinear_adjoint_f,
-        _bilinear_adjoint_g,
-    )
+    # both contractions of the C0 search hold the real grids of their two
+    # operands (the g slot's result is a grid too, its operand the small
+    # grid of the moment fields), the intermediates of the grid transforms,
+    # one block of Y = stack^T h and the tail of the result (the operands
+    # are the caller's).  At this size a third grid, Y or one per-moment
+    # product G_m @ g held at full size, would exceed the bound.
+    from landau_hermite.solver import _BLOCK_BYTES, _Workspace, _to_grid
 
     cfg = small_config(N=8, K=7, d_x=3)
     ws = _Workspace.for_config(cfg)
     rng = np.random.default_rng(62)
     g, h = (random_state(cfg, rng, real_field=True).c for _ in range(2))
-    if slot == "f":
-        adjoint, args = _bilinear_adjoint_f, (g, h)
-    else:
-        adjoint, args = _bilinear_adjoint_g, (g[:, ws.ops.moment_slots], h)
     grid_bytes = ws.basis.size * math.prod(ws.grid_shape) * 8
     tracemalloc.start()
     try:
-        adjoint(ws, *args)
+        hx = _to_grid(ws, h)
+        if slot == "f":
+            _slot_adjoint(ws, hx, _to_grid(ws, g), "ax,max->mx", np.empty((10, hx.shape[1])))
+        else:
+            bx = _to_grid(ws, g[:, ws.ops.moment_slots])
+            _slot_adjoint(ws, hx, bx, "mx,max->ax", np.empty_like(hx))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
