@@ -28,6 +28,10 @@ here only.  Three independent routes to the same object are provided:
 (v, v*) with tensor Gauss-Hermite quadrature and pointwise Hermite function
 evaluation - no ladder algebra - as an independent reference for the three
 routes above.
+
+Each route computes every operator product it needs once per call and reads
+it from every block that uses it; no product is shared between routes, so
+they stay independent checks of each other.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "apply_L2",
     "apply_L",
     "level_blocks_L",
+    "closed_form_level_spectrum",
     "collision_moments",
     "gamma_weak_D",
     "gamma_weak_E",
@@ -246,6 +251,21 @@ def level_blocks_L(N: int) -> list[np.ndarray]:
     return get_operators(N).level_blocks()
 
 
+def closed_form_level_spectrum(k: int) -> np.ndarray:
+    """Ascending eigenvalues of L on Hermite level k: 2k + l(l+1) for
+    l = k, k-2, ..., k mod 2, each 2l+1 times, at k >= 3; the level-2
+    projection leaves 0 once and 12 five times, the level-1 projection 0.
+    The formula of Lerner, Morimoto, Pravda-Starov and Xu (Kinet. Relat.
+    Models 6, 2013) at d = 3."""
+    if k < 2:
+        return np.zeros((k + 1) * (k + 2) // 2)
+    if k == 2:
+        return np.array([0.0] + [12.0] * 5)
+    return np.sort(np.concatenate(
+        [np.full(2 * l + 1, 2.0 * k + l * (l + 1)) for l in range(k % 2, k + 1, 2)]
+    ))
+
+
 def collision_moments(f: HermiteSpectrum) -> CollisionMoments:
     """Read the ten bilinear-term moments directly off the coefficients."""
     if f.degree_cap < 2:
@@ -260,22 +280,29 @@ def gamma_weak_D(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> 
     """Seven-block ladder/rotation form of (B(f,g), h).
 
     Exact on the truncated space for h of any degree; identical to the E form
-    when g and h have degree <= cap-2.
+    when g and h have degree <= cap-2.  Each ladder and rotation product of g
+    and h is computed once (21 per call) and read by every block that uses
+    it.
     """
     mom = collision_moments(f)
     pair_slot = {(a + 1, b + 1): p for p, (a, b) in enumerate(MOMENT_PAIRS)}
+    pairs = list(itertools.permutations(range(1, 4), 2))
+    up_g = {i: raise_op(i, g) for i in range(1, 4)}
+    lo_g = {i: lower_op(i, g) for i in range(1, 4)}
+    lo_h = {i: lower_op(i, h) for i in range(1, 4)}
+    ang_g = {(i, j): angular(i, j, g) for i, j in pairs}
+    ang_h = {(i, j): angular(i, j, h) for i, j in pairs}
     d1 = d2 = d3 = d4 = d5 = d6 = d7 = 0.0 + 0.0j
-    for i, j in itertools.permutations(range(1, 4), 2):
-        lo_i_h = lower_op(i, h)
-        d1 += mom.m2d[j - 1] * inner_product(raise_op(i, g), lo_i_h)
-        d2 -= mom.m0 * inner_product(lower_op(i, g), lo_i_h)
+    for i, j in pairs:
+        lo_i_h, ang_ij_g, ang_ij_h = lo_h[i], ang_g[i, j], ang_h[i, j]
+        d1 += mom.m2d[j - 1] * inner_product(up_g[i], lo_i_h)
+        d2 -= mom.m0 * inner_product(lo_g[i], lo_i_h)
         key = (i, j) if i < j else (j, i)
-        d3 -= mom.m2o[pair_slot[key]] * inner_product(raise_op(j, g), lo_i_h)
+        d3 -= mom.m2o[pair_slot[key]] * inner_product(up_g[j], lo_i_h)
         d4 += mom.m1[i - 1] * inner_product(g, lo_i_h)
-        ang_ij_h = angular(i, j, h)
-        d5 -= 0.5 * mom.m0 * inner_product(angular(i, j, g), ang_ij_h)
-        d6 += mom.m1[j - 1] * inner_product(angular(i, j, g), lo_i_h)
-        d7 -= mom.m1[j - 1] * inner_product(raise_op(i, g), ang_ij_h)
+        d5 -= 0.5 * mom.m0 * inner_product(ang_ij_g, ang_ij_h)
+        d6 += mom.m1[j - 1] * inner_product(ang_ij_g, lo_i_h)
+        d7 -= mom.m1[j - 1] * inner_product(up_g[i], ang_ij_h)
     return complex(math.sqrt(2.0) * d1 + d2 + d3 + d4 + d5 + d6 + d7)
 
 
@@ -283,38 +310,43 @@ def gamma_weak_E(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> 
     """Seven-block coordinate/derivative form of (B(f,g), h).
 
     Uses only multiply_v and differentiate_v on g and h, so compositions
-    truncate: agrees with the D form for g, h of degree <= cap-2.
+    truncate: agrees with the D form for g, h of degree <= cap-2.  Each
+    coordinate and derivative product of g and h, and each moment of f, is
+    computed once (36 products per call) and read by every block that uses
+    it; the rotation v_j d_k - v_k d_j is a difference of the shared
+    products v_j (d_k s).
     """
     N = f.degree_cap
+    axes = range(1, 4)
+    pairs = list(itertools.permutations(axes, 2))
+    # moments of f: (f, v_b v_a Phi_0) as fm2[a, b], (f, v_a Phi_0), (f, Phi_0)
     phi0 = unit_spectrum(N, (0, 0, 0))
+    v_phi0 = {a: multiply_v(a, phi0) for a in axes}
+    fm0 = inner_product(f, phi0)
+    fm1 = {a: inner_product(f, v_phi0[a]) for a in axes}
+    fm2 = {(a, b): inner_product(f, multiply_v(b, v_phi0[a])) for a in axes for b in axes}
 
-    def fmom(*axes: int) -> complex:
-        w = phi0
-        for ax in axes:
-            w = multiply_v(ax, w)
-        return inner_product(f, w)
-
-    def grad_minus_half_v(ax: int, s: HermiteSpectrum) -> HermiteSpectrum:
-        return differentiate_v(ax, s) - 0.5 * multiply_v(ax, s)
-
-    def rot(jj: int, kk: int, s: HermiteSpectrum) -> HermiteSpectrum:
-        # v_j d_k - v_k d_j
-        return multiply_v(jj, differentiate_v(kk, s)) - multiply_v(
-            kk, differentiate_v(jj, s)
-        )
+    d_g = {a: differentiate_v(a, g) for a in axes}
+    v_g = {a: multiply_v(a, g) for a in axes}
+    d_h = {a: differentiate_v(a, h) for a in axes}
+    v_h = {a: multiply_v(a, h) for a in axes}
+    vd_g = {(a, b): multiply_v(a, d_g[b]) for a, b in pairs}
+    vd_h = {(a, b): multiply_v(a, d_h[b]) for a, b in pairs}
+    grad_minus_half_v_g = {a: d_g[a] - 0.5 * v_g[a] for a in axes}
+    minus_a_h = {a: -1.0 * (d_h[a] + 0.5 * v_h[a]) for a in axes}
 
     e1 = e2 = e3 = e4 = e5 = e6 = e7 = 0.0 + 0.0j
-    for k, j in itertools.permutations(range(1, 4), 2):
-        minus_ak_h = -1.0 * (differentiate_v(k, h) + 0.5 * multiply_v(k, h))
-        e1 += fmom(j, j) * inner_product(grad_minus_half_v(k, g), minus_ak_h)
-        e2 -= fmom(k, j) * inner_product(grad_minus_half_v(j, g), minus_ak_h)
-        e3 += fmom() * inner_product(multiply_v(k, g), minus_ak_h)
-        e4 -= fmom(k) * inner_product(g, minus_ak_h)
-        rot_g = rot(j, k, g)
-        rot_h = rot(j, k, h)
-        e5 -= 0.5 * fmom() * inner_product(rot_g, rot_h)
-        e6 -= fmom(j) * inner_product(rot_g, minus_ak_h)
-        e7 += fmom(j) * inner_product(grad_minus_half_v(k, g), rot_h)
+    for k, j in pairs:
+        minus_ak_h, gmh_k = minus_a_h[k], grad_minus_half_v_g[k]
+        rot_g = vd_g[j, k] - vd_g[k, j]
+        rot_h = vd_h[j, k] - vd_h[k, j]
+        e1 += fm2[j, j] * inner_product(gmh_k, minus_ak_h)
+        e2 -= fm2[k, j] * inner_product(grad_minus_half_v_g[j], minus_ak_h)
+        e3 += fm0 * inner_product(v_g[k], minus_ak_h)
+        e4 -= fm1[k] * inner_product(g, minus_ak_h)
+        e5 -= 0.5 * fm0 * inner_product(rot_g, rot_h)
+        e6 -= fm1[j] * inner_product(rot_g, minus_ak_h)
+        e7 += fm1[j] * inner_product(gmh_k, rot_h)
     return complex(e1 + e2 + e3 + e4 + e5 + e6 + e7)
 
 
@@ -438,17 +470,26 @@ def _oracle_at_order(
     mu_fac = (2.0 * math.pi) ** (-0.75)
     f_val, f_ladder = profiles(f.coeffs)
     g_val, g_ladder = profiles(g.coeffs)
+    # the v*-side sums of w3 v*^e times a profile, for every exponent triple
+    # e <= (2, 2, 2), by one axis-by-axis contraction per profile: w* is
+    # indexed by the monomial's exponents, x*[j] by them and j
+    powers = (w * x ** np.arange(3)[:, None]).T
+    w_star = mu_fac * _contract(f_val, [powers] * 3)
+    x_star = [mu_fac * _contract(fl, [powers] * 3) for fl in f_ladder]
+    terms = {(k, j): _a_matrix_terms(k, j) for k in range(3) for j in range(3)}
+    mono = {pexp: monomial(pexp) for ts in terms.values() for _, pexp, _ in ts}
     out = np.zeros((N + 1,) * 3, dtype=np.complex128)
     for k in range(3):
-        integrand = np.zeros(w3.shape, dtype=np.complex128)
+        # the integrand as sum_j ladder_fac[j] g_ladder[j] - val_fac g_val,
+        # each factor a sum of v-monomials, then one back-contraction
+        ladder_fac = [0.0, 0.0, 0.0]
+        val_fac = 0.0
         for j in range(3):
-            for coef, pexp, qexp in _a_matrix_terms(k, j):
-                qw = w3 * monomial(qexp)
-                w_star = mu_fac * np.sum(qw * f_val)
-                x_star = mu_fac * np.sum(qw * f_ladder[j])
-                integrand += (coef * monomial(pexp)) * (
-                    w_star * g_ladder[j] - x_star * g_val
-                )
+            for coef, pexp, qexp in terms[k, j]:
+                p = coef * mono[pexp]
+                ladder_fac[j] = ladder_fac[j] + p * w_star[qexp]
+                val_fac = val_fac + p * x_star[j][qexp]
+        integrand = sum(fac * gl for fac, gl in zip(ladder_fac, g_ladder)) - val_fac * g_val
         out -= _contract(w3 * integrand, [A.T for A in tables(k)])
     return out[slots]
 
@@ -466,8 +507,10 @@ def gamma_quadrature_oracle(
     cap.  The separable polynomial collision matrix lets the 6-D tensor sum
     factor into 3-D sums, and the tensor-product basis lets each 3-D sum be
     contracted axis by axis: the coefficients of f and g go onto the grid by
-    three 1-D contractions per profile, and the integrand of each test
-    direction k comes back by three more.  The result is identical to a
+    three 1-D contractions per profile, the v*-side sums of f's profiles
+    against the monomials of the collision matrix take three more per
+    profile, and the integrand of each test direction k comes back by three
+    more.  The result is identical to a
     literal 6-D evaluation up to summation order.
 
     Non-finite coefficients are rejected with a ValueError.  The degree of f

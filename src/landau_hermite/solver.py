@@ -555,8 +555,8 @@ def _dft_angles(K: int, L: int, first: int) -> tuple[np.ndarray, np.ndarray]:
 
 # bytes of the intermediates of the grid transforms and of the work blocks of
 # _grid_product and _adjoint_blocks (_grid_product covers the desk grid, d_x = 1,
-# N = 16, in two blocks): larger blocks save little time but add their size
-# to RSS
+# N = 16, in one block of its 25 points): larger blocks save little time but
+# add their size to RSS
 _BLOCK_BYTES = 2 << 20
 
 

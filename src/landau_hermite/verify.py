@@ -48,33 +48,62 @@ def _record(suite, check, values, tol, at_least=False):
 # ---------------------------------------------------------------------------
 
 
-def _ladder_checks():
+def _draws(N, rng, n, per_draw):
+    """n draws of per_draw random spectra (levels <= N - 2), in draw order,
+    each stacked as the columns of one (M, n) block."""
+    cols = [[hc.random_spectrum(N, rng, max_level=N - 2).coeffs for _ in range(per_draw)]
+            for _ in range(n)]
+    return [np.stack(block, axis=1) for block in zip(*cols)]
+
+
+def _rows(X):
+    """The columns of a block as contiguous rows, so that each draw's inner
+    products and norms see the same memory layout as a lone spectrum."""
+    return np.ascontiguousarray(X.T)
+
+
+def _pairings(X, Y):
+    """Per draw n, the inner product (X[n], Y[n]) of two blocks of rows."""
+    return [complex(np.vdot(y, x)) for x, y in zip(X, Y)]
+
+
+def _ladder_residuals():
+    """Per-draw residuals of the four ladder checks, each (draws, 3): the
+    100 pairs (s, s2) at N = 12 are the columns of two blocks, and each
+    basis matrix is applied once to a block (the derivatives once per
+    rotation that reads them, so that few blocks are alive at a time)."""
     N = 12
-    rng = np.random.default_rng(100)
-    tol = 1e-12
+    b = hc.get_basis(N)
+    S, S2 = _draws(N, np.random.default_rng(100), 100, 2)
+    s, s2 = _rows(S), _rows(S2)
     comm, adj, skew, ident = [], [], [], []
-    for _ in range(100):
-        s = hc.random_spectrum(N, rng, max_level=N - 2)
-        s2 = hc.random_spectrum(N, rng, max_level=N - 2)
-        for j in (1, 2, 3):
-            c = (
-                hc.lower_op(j, hc.raise_op(j, s)) - hc.raise_op(j, hc.lower_op(j, s))
-            ).coeffs - s.coeffs
-            comm.append(np.max(np.abs(c)))
-            adj.append(abs(hc.inner_product(hc.raise_op(j, s), s2)
-                           - hc.inner_product(s, hc.lower_op(j, s2))))
-        for k, j in ((1, 2), (2, 3), (3, 1)):
-            skew.append(abs(hc.inner_product(hc.angular(k, j, s), s2)
-                            + hc.inner_product(s, hc.angular(k, j, s2))))
-            ladder = (
-                hc.multiply_v(j, hc.differentiate_v(k, s))
-                - hc.multiply_v(k, hc.differentiate_v(j, s))
-            )
-            ident.append(np.max(np.abs(hc.angular(k, j, s).coeffs - ladder.coeffs)))
-    yield _record("ladder", "commutation", comm, tol)
-    yield _record("ladder", "adjointness", adj, tol)
-    yield _record("ladder", "rotation_skew", skew, tol)
-    yield _record("ladder", "rotation_ladder_identity", ident, tol)
+    for ax in range(3):
+        R, Lw = b.raising(ax), b.lowering(ax)
+        RS = R @ S
+        comm.append(np.max(np.abs(Lw @ RS - R @ (Lw @ S) - S), axis=0))
+        up = _pairings(_rows(RS), s2)
+        del RS
+        down = _pairings(s, _rows(Lw @ S2))
+        adj.append([abs(u - d) for u, d in zip(up, down)])
+    for k, j in ((0, 1), (1, 2), (2, 0)):
+        A = b.rotation(k, j)
+        AS = A @ S
+        ladder = (b.coordinate(j) @ (b.derivative(k) @ S)
+                  - b.coordinate(k) @ (b.derivative(j) @ S))
+        ident.append(np.max(np.abs(AS - ladder), axis=0))
+        del ladder
+        there = _pairings(_rows(AS), s2)
+        del AS
+        back = _pairings(s, _rows(A @ S2))
+        skew.append([abs(t + u) for t, u in zip(there, back)])
+    return {name: np.array(v).T for name, v in
+            (("commutation", comm), ("adjointness", adj), ("rotation_skew", skew),
+             ("rotation_ladder_identity", ident))}
+
+
+def _ladder_checks():
+    for name, residuals in _ladder_residuals().items():
+        yield _record("ladder", name, residuals, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -82,37 +111,49 @@ def _ladder_checks():
 # ---------------------------------------------------------------------------
 
 
+def _coercivity_residuals():
+    """Per-draw residuals |(L1 g, g) - (|||g|||_v^2 - 3 |g|^2)| of the 100
+    spectra g at N = 10, the columns of one block to which each basis matrix
+    is applied once; each draw's sum adds its terms in the same order."""
+    N = 10
+    b = hc.get_basis(N)
+    (G,) = _draws(N, np.random.default_rng(101), 100, 1)
+    g = _rows(G)
+    lhs = [z.real for z in _pairings(_rows(lo.get_operators(N).L1 @ G), g)]
+    terms = []  # (weight, matrix) in the order each draw's sum adds them
+    for ax in range(3):
+        terms += [(2.0, b.derivative(ax)), (0.5, b.coordinate(ax))]
+    terms += [(0.5, b.rotation(k, j)) for k in range(3) for j in range(3) if k != j]
+    total = [0.0] * len(g)
+    for weight, op in terms:
+        for n, row in enumerate(_rows(op @ G)):
+            total[n] += weight * float(np.linalg.norm(row)) ** 2
+    return np.array([abs(lhs[n] - (total[n] - 3.0 * float(np.linalg.norm(g[n])) ** 2))
+                     for n in range(len(g))])
+
+
 def _linear_op_checks():
     N = 10
-    rng = np.random.default_rng(101)
     invariants = lo.get_operators(N).collision_invariants
     kernel = [lo.apply_L(hc.HermiteSpectrum(N, row)).norm() for row in invariants]
     yield _record("linear_op", "collision_invariant_kernel", kernel, 1e-12)
 
     blocks = lo.level_blocks_L(N)
     sym = [np.max(np.abs(b - b.T)) for b in blocks]
-    eigs = [np.linalg.eigvalsh(b).min() for b in blocks]
+    spectra = [np.linalg.eigvalsh(b) for b in blocks]
     yield _record("linear_op", "blocks_symmetric", sym, 1e-12)
-    yield _record("linear_op", "blocks_psd", eigs, -1e-10, at_least=True)
+    yield _record("linear_op", "blocks_psd", [e.min() for e in spectra], -1e-10, at_least=True)
+    closed = []
+    for k, got in enumerate(spectra):
+        want = lo.closed_form_level_spectrum(k)
+        closed.append(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)))
+    yield _record("linear_op", "L_spectrum_closed_form", closed, 1e-12)
 
     s = hc.unit_spectrum(N, (1, 1, 0))
     eig_res = np.abs(lo.apply_L(s).coeffs - 12.0 * s.coeffs)
     yield _record("linear_op", "level2_eigenvalue_12", eig_res, 1e-10)
 
-    coer = []
-    for _ in range(100):
-        g = hc.random_spectrum(N, rng, max_level=N - 2)
-        lhs = hc.inner_product(lo.apply_L1(g), g).real
-        total = 0.0
-        for j in (1, 2, 3):
-            total += 2.0 * hc.differentiate_v(j, g).norm() ** 2
-            total += 0.5 * hc.multiply_v(j, g).norm() ** 2
-        for k in (1, 2, 3):
-            for j in (1, 2, 3):
-                if k != j:
-                    total += 0.5 * hc.angular(k, j, g).norm() ** 2
-        coer.append(abs(lhs - (total - 3.0 * g.norm() ** 2)))
-    yield _record("linear_op", "coercivity_identity", coer, 1e-10)
+    yield _record("linear_op", "coercivity_identity", _coercivity_residuals(), 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -157,3 +157,33 @@ def test_example_first_moment_of_diagonal_pair():
     g = unit_spectrum(N, E[0])
     out = gamma_apply(g, g)
     assert np.max(np.abs(first_moments(out))) < 1e-12
+
+
+def pinned_triple(seed, N=10):
+    """(f, g, h) at the verify suite's size: f of full degree, g and h of
+    degree <= N - 2."""
+    rng = np.random.default_rng(seed)
+    f = random_spectrum(N, rng)
+    return f, random_spectrum(N, rng, max_level=N - 2), random_spectrum(N, rng, max_level=N - 2)
+
+
+# (gamma_weak_D, gamma_weak_E) at pinned_triple(seed), as computed at commit
+# ef80485, where every block applied its own operator products
+PINNED_WEAK_FORMS = {
+    0: ((0.22345056132464017-0.10904207815980568j), (0.22345056132464014-0.10904207815980568j)),
+    1: ((0.08550771044411536+0.012588267178569462j), (0.08550771044411534+0.012588267178569446j)),
+    2: ((-0.31199815070284015+0.24365185356047867j), (-0.3119981507028401+0.24365185356047864j)),
+}
+
+
+def test_weak_forms_match_their_pinned_values():
+    """Sharing the operator products inside each weak form keeps every bit.
+
+    The pinned values were printed with this file copied into the tests of
+    a checkout of commit ef80485, from the checkout's root, by
+        PYTHONPATH=src:tests python -c "from test_gamma_forms import pinned_triple as t; from landau_hermite.landau_ops import gamma_weak_D as D, gamma_weak_E as E; print([(D(*t(s)), E(*t(s))) for s in (0, 1, 2)])"
+    """
+    for seed, (want_d, want_e) in PINNED_WEAK_FORMS.items():
+        triple = pinned_triple(seed)
+        assert gamma_weak_D(*triple) == want_d
+        assert gamma_weak_E(*triple) == want_e

@@ -19,6 +19,7 @@ from landau_hermite.landau_ops import (
     apply_L2,
     apply_L,
     level_blocks_L,
+    closed_form_level_spectrum,
     collision_moments,
     get_operators,
     MOMENTS,
@@ -83,19 +84,6 @@ def test_collision_invariants_table_rows():
         assert rows.shape == (5, get_basis(N).size) and rows.dtype == np.float64
         for row, s in zip(rows, want):
             assert np.array_equal(row, s.coeffs)
-
-
-def closed_form_level_spectrum(k):
-    """Ascending eigenvalues of L on Hermite level k: 2k + l(l+1) for
-    l = k, k-2, ..., k mod 2, each 2l+1 times, at k >= 3; the level-2
-    projection leaves 0 once and 12 five times, the level-1 projection 0."""
-    if k < 2:
-        return np.zeros((k + 1) * (k + 2) // 2)
-    if k == 2:
-        return np.array([0.0] + [12.0] * 5)
-    return np.sort(np.concatenate(
-        [np.full(2 * l + 1, 2.0 * k + l * (l + 1)) for l in range(k % 2, k + 1, 2)]
-    ))
 
 
 def test_L_spectrum_closed_form():

@@ -1003,6 +1003,36 @@ def test_homogeneous_linear_march_converges_to_the_exact_flow(N, seed):
     assert np.all(np.abs(ratios - 2.0) <= 0.25), (errors, ratios)
 
 
+@pytest.mark.parametrize("N, K, seed", [(8, 2, 2), (12, 3, 3)])
+def test_linear_march_at_d_x_1_converges_to_the_exact_flow(N, K, seed):
+    # at d_x = 1 without the bilinear term each mode eta evolves by
+    # exp(-t (L + i eta v_1)), built from the matrices the march uses, so
+    # only the time error is left: first order, halving with dt.  The
+    # real-field symmetry gives the flow at -eta as the conjugate of that at
+    # eta, so only eta >= 0 needs an expm
+    from scipy.linalg import expm
+
+    from landau_hermite.landau_ops import get_operators
+
+    T = 0.5
+    g0 = build_initial_state(small_config(N=N, K=K, d_x=1, T=T, g0_norm=1.0, seed=seed))
+    ws = g0.workspace
+    L = get_operators(N).L.toarray()
+    v1 = ws.basis.coordinate(0).toarray()
+    exact = np.empty_like(g0.c)
+    for row in range(ws.centre, ws.n_modes):
+        flow = expm(-T * (L + 1j * ws.eta[row, 0] * v1))
+        exact[row] = flow @ g0.c[row]
+        exact[2 * ws.centre - row] = flow.conj() @ g0.c[2 * ws.centre - row]
+    errors = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        cfg = small_config(N=N, K=K, d_x=1, dt=dt, T=T, g0_norm=1.0, seed=seed)
+        final = run(cfg, gamma_on=False).snapshots[-1][1]
+        errors.append(np.linalg.norm(final.c - exact) / np.linalg.norm(exact))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all(np.abs(ratios - 2.0) <= 0.25), (errors, ratios)
+
+
 @pytest.mark.parametrize("recipe", ["rough", "gaussian"])
 def test_initial_datum_is_lean(recipe):
     # the noise is drawn into one complex array, all real parts first, and

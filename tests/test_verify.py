@@ -3,6 +3,10 @@ printed tolerance."""
 
 import math
 
+import numpy as np
+
+from landau_hermite import hermite_core as hc
+from landau_hermite import landau_ops as lo
 from landau_hermite import verify
 from landau_hermite import weights
 
@@ -56,3 +60,57 @@ def test_record_rule():
     for worst in (math.nan, math.inf, -math.inf):
         assert verify._record("s", "c", worst, math.inf)["status"] == "fail"
         assert verify._record("s", "c", worst, -math.inf, at_least=True)["status"] == "fail"
+
+
+def ladder_residuals_one_pair(s, s2):
+    """The four ladder residuals of one pair (s, s2), one spectrum at a time
+    through the hermite_core wrappers, three per check."""
+    out = {"commutation": [], "adjointness": [], "rotation_skew": [],
+           "rotation_ladder_identity": []}
+    for j in (1, 2, 3):
+        c = (hc.lower_op(j, hc.raise_op(j, s)) - hc.raise_op(j, hc.lower_op(j, s))).coeffs - s.coeffs
+        out["commutation"].append(np.max(np.abs(c)))
+        out["adjointness"].append(abs(hc.inner_product(hc.raise_op(j, s), s2)
+                                      - hc.inner_product(s, hc.lower_op(j, s2))))
+    for k, j in ((1, 2), (2, 3), (3, 1)):
+        out["rotation_skew"].append(abs(hc.inner_product(hc.angular(k, j, s), s2)
+                                        + hc.inner_product(s, hc.angular(k, j, s2))))
+        ladder = (hc.multiply_v(j, hc.differentiate_v(k, s))
+                  - hc.multiply_v(k, hc.differentiate_v(j, s)))
+        out["rotation_ladder_identity"].append(
+            np.max(np.abs(hc.angular(k, j, s).coeffs - ladder.coeffs)))
+    return out
+
+
+def test_stacked_ladder_residuals_equal_the_per_spectrum_formula():
+    # the suite draws its 100 pairs (s, s2) from seed 100 at N = 12 and
+    # applies each matrix once to their stacked block; the first three
+    # draws must give the lone-spectrum residuals bit for bit
+    got = verify._ladder_residuals()
+    assert all(r.shape == (100, 3) for r in got.values())
+    rng = np.random.default_rng(100)
+    for n in range(3):
+        s = hc.random_spectrum(12, rng, max_level=10)
+        s2 = hc.random_spectrum(12, rng, max_level=10)
+        for name, want in ladder_residuals_one_pair(s, s2).items():
+            assert got[name][n].tolist() == want, (name, n)
+
+
+def test_stacked_coercivity_residuals_equal_the_per_spectrum_formula():
+    # |(L1 g, g) - (|||g|||_v^2 - 3 |g|^2)| for the suite's draws from seed
+    # 101 at N = 10, one spectrum at a time, against the stacked block
+    got = verify._coercivity_residuals()
+    assert got.shape == (100,)
+    rng = np.random.default_rng(101)
+    for n in range(3):
+        g = hc.random_spectrum(10, rng, max_level=8)
+        lhs = hc.inner_product(lo.apply_L1(g), g).real
+        total = 0.0
+        for j in (1, 2, 3):
+            total += 2.0 * hc.differentiate_v(j, g).norm() ** 2
+            total += 0.5 * hc.multiply_v(j, g).norm() ** 2
+        for k in (1, 2, 3):
+            for j in (1, 2, 3):
+                if k != j:
+                    total += 0.5 * hc.angular(k, j, g).norm() ** 2
+        assert got[n] == abs(lhs - (total - 3.0 * g.norm() ** 2)), n
