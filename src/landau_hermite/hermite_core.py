@@ -233,13 +233,26 @@ def random_spectrum(
     max_level: int | None = None,
 ) -> HermiteSpectrum:
     """Random unit-norm complex spectrum supported on levels <= max_level
-    (default N)."""
+    (default N): a block of one `_random_rows`."""
+    return HermiteSpectrum(N, _random_rows(N, rng, 1, max_level)[0])
+
+
+def _random_rows(
+    N: int, rng: np.random.Generator, n: int, max_level: int | None = None
+) -> np.ndarray:
+    """n random unit-norm complex spectra as the rows of an (n, M) array,
+    from one standard_normal call: each row takes its real, then its
+    imaginary parts from the next 2M normals, so the rows are the spectra
+    of n successive `random_spectrum` calls.  Each row is normalised on its
+    own, so that it keeps a lone spectrum's bits."""
     basis = get_basis(N)
-    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    z = rng.standard_normal((n, 2, basis.size))
+    c = z[:, 0] + 1j * z[:, 1]
     if max_level is not None:
         c = np.where(basis.levels <= max_level, c, 0.0)
-    c = c / np.linalg.norm(c)
-    return HermiteSpectrum(N, c)
+    for row in c:
+        row /= np.linalg.norm(row)
+    return c
 
 
 def _axis_03(j: int) -> int:

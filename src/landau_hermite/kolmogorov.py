@@ -13,6 +13,9 @@ solution is explicit:
 States live on an integer eta lattice crossed with a uniform real xi lattice;
 the argument shift xi + t eta is evaluated by linear interpolation (exact
 when t * eta is lattice aligned), with absorbing truncation at the xi cutoff.
+One rule (`_stencil`) gives the interpolation of every shift; the reference
+march shifts each mode by the same dt * eta at every step, so it builds each
+mode's stencils once and skips the lost-mass sum it would discard.
 """
 
 from __future__ import annotations
@@ -137,18 +140,27 @@ def gaussian_state(
 
 def transport_dissipation_integral(t: float, eta, xi):
     """integral_0^t |xi + rho eta|^2 d rho in closed form."""
+    return _dissipation_integral(t, _square_sums(eta, xi))
+
+
+def _square_sums(eta, xi) -> tuple:
+    """|xi|^2, xi . eta and |eta|^2 over the last axis, shared by every t."""
     eta = np.asarray(eta, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
-    xi2 = np.sum(xi**2, axis=-1)
-    eta2 = np.sum(eta**2, axis=-1)
-    cross = np.sum(xi * eta, axis=-1)
+    return np.sum(xi**2, axis=-1), np.sum(xi * eta, axis=-1), np.sum(eta**2, axis=-1)
+
+
+def _dissipation_integral(t: float, sums: tuple):
+    """t |xi|^2 + t^2 (xi . eta) + t^3 |eta|^2 / 3 from `_square_sums`."""
+    xi2, cross, eta2 = sums
     return t * xi2 + t**2 * cross + t**3 * eta2 / 3.0
 
 
-def _shift_axis_linear(arr: np.ndarray, axis: int, shift: float, xi_axis: np.ndarray):
-    """Values of arr sampled at (xi + shift) along one axis, linear
-    interpolation, zero outside the lattice.  Returns (shifted, lost_mass_sq)
-    where lost_mass_sq is the squared content whose source lies outside."""
+def _stencil(shift: float, xi_axis: np.ndarray) -> tuple:
+    """Linear interpolation at (xi + shift) along one axis, zero outside
+    the lattice: per target point the clipped source indices i0 and i0 + 1,
+    their weights 1 - frac and frac and whether each is on the lattice,
+    then the mask of the source points no target point reads."""
     n = xi_axis.size
     h = xi_axis[1] - xi_axis[0]
     pos = np.arange(n) + shift / h  # fractional source index per target point
@@ -156,18 +168,30 @@ def _shift_axis_linear(arr: np.ndarray, axis: int, shift: float, xi_axis: np.nda
     frac = pos - i0
     valid0 = (i0 >= 0) & (i0 <= n - 1)
     valid1 = (i0 + 1 >= 0) & (i0 + 1 <= n - 1)
-    i0c = np.clip(i0, 0, n - 1)
-    i1c = np.clip(i0 + 1, 0, n - 1)
-    moved = np.moveaxis(arr, axis, -1)
-    out = (1.0 - frac) * moved[..., i0c] * valid0 + frac * moved[..., i1c] * valid1
-    # source content not covered by any target point
     src_lo = max(0, int(math.ceil(pos[0])))
     src_hi = min(n - 1, int(math.floor(pos[-1])))
-    mask = np.ones(n, dtype=bool)
+    unread = np.ones(n, dtype=bool)
     if src_lo <= src_hi:
-        mask[src_lo : src_hi + 1] = False
-    lost = float(np.sum(np.abs(moved[..., mask]) ** 2))
-    return np.moveaxis(out, -1, axis), lost
+        unread[src_lo : src_hi + 1] = False
+    return (np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1), 1.0 - frac, frac,
+            valid0, valid1, unread)
+
+
+def _interpolate(arr: np.ndarray, axis: int, stencil: tuple) -> np.ndarray:
+    """arr sampled along axis by a `_stencil`."""
+    i0, i1, w0, w1, valid0, valid1, _ = stencil
+    moved = np.moveaxis(arr, axis, -1)
+    return np.moveaxis(w0 * moved[..., i0] * valid0 + w1 * moved[..., i1] * valid1, -1, axis)
+
+
+def _shift_axis_linear(arr: np.ndarray, axis: int, shift: float, xi_axis: np.ndarray):
+    """Values of arr sampled at (xi + shift) along one axis, linear
+    interpolation, zero outside the lattice.  Returns (shifted, lost_mass_sq)
+    where lost_mass_sq is the squared content whose source lies outside."""
+    stencil = _stencil(shift, xi_axis)
+    unread = stencil[-1]
+    lost = float(np.sum(np.abs(np.moveaxis(arr, axis, -1)[..., unread]) ** 2))
+    return _interpolate(arr, axis, stencil), lost
 
 
 def _transport_shift(sl: np.ndarray, eta: np.ndarray, t: float, xi_axis: np.ndarray):
@@ -266,10 +290,18 @@ def imex_reference_march(
     grids = np.meshgrid(*([xi_axis] * d), indexing="ij")
     xi_sq = sum(g**2 for g in grids)
     damp = 1.0 / (1.0 + dt * xi_sq)
+    # each mode's shift is dt * eta at every step: its stencils, built once
+    modes = list(state.eta_modes())
+    stencils = [
+        [(ax, _stencil(dt * float(e), xi_axis))
+         for ax, e in enumerate(state.eta_of(mode)) if e != 0]
+        for mode in modes
+    ]
     for _ in range(n_steps):
-        for mode in state.eta_modes():
-            sl, _ = _transport_shift(state.values[mode], state.eta_of(mode), dt, xi_axis)
+        for mode, mode_stencils in zip(modes, stencils):
+            sl = state.values[mode]
+            for ax, stencil in mode_stencils:
+                sl = _interpolate(sl, ax, stencil)
             state.values[mode] = damp * sl
         state.time += dt
     return state
-

@@ -186,7 +186,10 @@ class LandauOperators:
     @cached_property
     def dissipation_form(self) -> sp.csr_matrix:
         """Quadratic form Q of the dissipation seminorm of
-        `solver.triple_norm`, as the operator sum (exact at the cap)."""
+        `solver.triple_norm`, as the operator sum (exact at the cap).  In
+        closed form Q = L1 + 3 I - (N + 3) P_N, with P_N the projection on
+        the top Hermite level: the coercivity identity below the cap, and
+        the products truncated at the cap."""
         b = self.basis
         Q = sp.csr_matrix((b.size, b.size))
         for ax in range(3):
@@ -367,11 +370,12 @@ def gamma_apply(f: HermiteSpectrum, g: HermiteSpectrum) -> HermiteSpectrum:
 # ---------------------------------------------------------------------------
 # quadrature oracle
 #
-# Every profile and every test function is a tensor product of the 1-D
-# Hermite tables P, dP, so the oracle never forms a per-basis-function grid
-# table: coefficients are scattered into an (N+1)^3 tensor and contracted
-# onto the n^3 Gauss grid one axis at a time, and the integrand of each test
-# direction is contracted back the same way.
+# Every profile and every test function is a tensor product of 1-D Hermite
+# functions, and the collision matrix is a polynomial in v and v*, so every
+# 3-D sum of the tensor Gauss rule factors into 1-D sums: the oracle never
+# forms a grid.  The 1-D sums of each (N, order) are built once and shared
+# by every call; a call contracts the coefficient tensors of f and g with
+# them one axis at a time.
 # ---------------------------------------------------------------------------
 
 
@@ -399,11 +403,15 @@ def _hermite_value_tables(max_deg: int, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _contract(T: np.ndarray, tables) -> np.ndarray:
-    """sum_abc T[a, b, c] A0[a, x] A1[b, y] A2[c, z] for tables (A0, A1, A2),
-    one axis per tensordot (each contracts axis 0 and appends the new one)."""
-    for A in tables:
-        T = np.tensordot(T, A, axes=(0, 0))
-    return T
+    """sum_abc T[..., a, b, c] A0[..., a, x] A1[..., b, y] A2[..., c, z] for
+    tables (A0, A1, A2), by three matmuls; the leading axes of T and of the
+    tables broadcast, so one call contracts a stack of tensors, each with
+    its own tables."""
+    A0, A1, A2 = tables
+    T = np.swapaxes(A1, -1, -2)[..., None, :, :] @ (T @ A2[..., None, :, :])
+    *batch, a, y, z = T.shape
+    out = np.swapaxes(A0, -1, -2) @ T.reshape(*batch, a, y * z)
+    return out.reshape(*batch, -1, y, z)
 
 
 def _exponents(*axes: int) -> tuple:
@@ -433,64 +441,82 @@ def _a_matrix_terms(k: int, j: int) -> tuple:
     return tuple(terms)
 
 
-def _oracle_at_order(
-    f: HermiteSpectrum, g: HermiteSpectrum, order: int
-) -> np.ndarray:
-    """Oracle coefficients on the tensor Gauss-Hermite grid of `order` points
-    per axis, in canonical slot order."""
-    N = f.degree_cap
-    slots = tuple(np.array(get_basis(N).indices, dtype=np.int64).T)
+@cache
+def _a_matrix_map() -> np.ndarray:
+    """`_a_matrix_terms` as one linear map, (3, 3, 27, 27): for v*-side sums
+    s indexed by v*-exponents, A[k, j] @ s.ravel() is the (3, 3, 3) tensor
+    (raveled) of the v-monomial coefficients of integral a_kj(v - v*) s."""
+    A = np.zeros((3, 3, 27, 27))
+    for k, j in itertools.product(range(3), repeat=2):
+        for coef, pexp, qexp in _a_matrix_terms(k, j):
+            A[k, j, np.ravel_multi_index(pexp, (3, 3, 3)),
+              np.ravel_multi_index(qexp, (3, 3, 3))] += coef
+    A.flags.writeable = False
+    return A
+
+
+@cache
+def _gauss_sums(N: int, order: int) -> tuple:
+    """The 1-D sums of the Gauss-Hermite rule of `order` points at cap N
+    that every oracle call reads, per axis and read-only: (f tables,
+    g tables).  A profile's table is t = P for the value and t = dP - x P
+    for a ladder profile on its axis; the test function's is b = dP on the
+    axis of its direction k and P elsewhere.
+
+    * f tables: a stack (4, N+1, 3) of sum_x w x^e t(x), e = 0, 1, 2, for
+      the value (entry 0) and the ladder profiles (entry 1 + j);
+    * g tables: a stack (12, N+1, 3 (N+1)) of sum_x t(x) w x^e b(x), over
+      (k, profile) in that order.
+    """
     nodes, wts = np.polynomial.hermite.hermgauss(order)
     x = math.sqrt(2.0) * nodes  # points where the e^{-v^2/2} weight lives
     w = math.sqrt(2.0) * wts
     P, dP = _hermite_value_tables(N, x)
-    grid = [x[:, None, None], x[None, :, None], x[None, None, :]]
-    w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
+    t_of = {"value": P, "ladder": dP - x * P}
+    w_pow = w * x ** np.arange(3)[:, None]
+    sums = {t: T @ w_pow.T for t, T in t_of.items()}
+    pairs = {(t, b): np.einsum("ax,ex,bx->aeb", T, w_pow, B).reshape(N + 1, -1)
+             for t, T in t_of.items() for b, B in (("P", P), ("dP", dP))}
+    profiles = (None, 0, 1, 2)  # the value, then the ladder profile on axis j
 
-    def tables(k):  # polynomial parts of d_k Phi: dP on axis k, P elsewhere
-        return [dP if ax == k else P for ax in range(3)]
+    def t_on(a, j):
+        return "ladder" if a == j else "value"
 
-    def profiles(coeffs):
-        """Polynomial parts of p and of the ladder profiles (d_j - v_j) p."""
-        T = np.zeros((N + 1,) * 3, dtype=np.complex128)
-        T[slots] = coeffs
-        val = _contract(T, [P, P, P])
-        return val, [_contract(T, tables(j)) - grid[j] * val for j in range(3)]
+    f_tables = tuple(np.stack([sums[t_on(a, j)] for j in profiles]) for a in range(3))
+    g_tables = tuple(
+        np.stack([pairs[t_on(a, j), "dP" if a == k else "P"]
+                  for k in range(3) for j in profiles])
+        for a in range(3)
+    )
+    for table in (*f_tables, *g_tables):
+        table.flags.writeable = False
+    return f_tables, g_tables
 
-    def monomial(exps):
-        m = 1.0
-        for ax, e in enumerate(exps):
-            if e:
-                m = m * grid[ax] ** e
-        return m
 
-    # v*-side profiles sqrt(mu) f and sqrt(mu) (d_j - v*_j/2) f, v-side g and
-    # (d_j - v_j) g; the test function (-d_k - v_k/2) Phi_beta has
-    # polynomial part -d_k p_beta
-    mu_fac = (2.0 * math.pi) ** (-0.75)
-    f_val, f_ladder = profiles(f.coeffs)
-    g_val, g_ladder = profiles(g.coeffs)
-    # the v*-side sums of w3 v*^e times a profile, for every exponent triple
-    # e <= (2, 2, 2), by one axis-by-axis contraction per profile: w* is
-    # indexed by the monomial's exponents, x*[j] by them and j
-    powers = (w * x ** np.arange(3)[:, None]).T
-    w_star = mu_fac * _contract(f_val, [powers] * 3)
-    x_star = [mu_fac * _contract(fl, [powers] * 3) for fl in f_ladder]
-    terms = {(k, j): _a_matrix_terms(k, j) for k in range(3) for j in range(3)}
-    mono = {pexp: monomial(pexp) for ts in terms.values() for _, pexp, _ in ts}
-    out = np.zeros((N + 1,) * 3, dtype=np.complex128)
-    for k in range(3):
-        # the integrand as sum_j ladder_fac[j] g_ladder[j] - val_fac g_val,
-        # each factor a sum of v-monomials, then one back-contraction
-        ladder_fac = [0.0, 0.0, 0.0]
-        val_fac = 0.0
-        for j in range(3):
-            for coef, pexp, qexp in terms[k, j]:
-                p = coef * mono[pexp]
-                ladder_fac[j] = ladder_fac[j] + p * w_star[qexp]
-                val_fac = val_fac + p * x_star[j][qexp]
-        integrand = sum(fac * gl for fac, gl in zip(ladder_fac, g_ladder)) - val_fac * g_val
-        out -= _contract(w3 * integrand, [A.T for A in tables(k)])
+def _oracle_at_order(
+    f: HermiteSpectrum, g: HermiteSpectrum, order: int
+) -> np.ndarray:
+    """Oracle coefficients from the tensor Gauss-Hermite rule of `order`
+    points per axis, in canonical slot order."""
+    N = f.degree_cap
+    slots = tuple(np.array(get_basis(N).indices, dtype=np.int64).T)
+    f_tables, g_tables = _gauss_sums(N, order)
+    T = np.zeros((2,) + (N + 1,) * 3, dtype=np.complex128)
+    T[(slice(None),) + slots] = f.coeffs, g.coeffs
+    # v*-side: sqrt(mu) f and sqrt(mu) (d_j - v*_j/2) f summed against w3
+    # v*^e for every exponent triple e <= (2, 2, 2), indexed by e
+    stars = (2.0 * math.pi) ** (-0.75) * _contract(T[0], f_tables)
+    A = _a_matrix_map()
+    # per test direction k, the (3, 3, 3) v-monomial coefficients of the
+    # factors of g and of (d_j - v_j) g, j = 0..2, from the v*-side sums
+    coef = np.empty((3, 4, 27), dtype=np.complex128)
+    coef[:, 0] = -(A @ stars[1:].reshape(3, 27, 1))[..., 0].sum(axis=1)
+    coef[:, 1:] = A @ stars[0].ravel()
+    # each profile of g times each v-monomial, paired with each test function
+    # (-d_k - v_k/2) Phi_beta (polynomial part -d_k p_beta), then summed
+    # against the coefficients
+    pairings = _contract(T[1], g_tables).reshape((3, 4) + (3, N + 1) * 3)
+    out = -np.einsum("kiabc,kiaxbycz->xyz", coef.reshape(3, 4, 3, 3, 3), pairings)
     return out[slots]
 
 
@@ -505,13 +531,13 @@ def gamma_quadrature_oracle(
     velocity arguments (weight exp(-|.|^2/2) after absorbing the Gaussian
     factors of the arguments), pairing against every basis function up to the
     cap.  The separable polynomial collision matrix lets the 6-D tensor sum
-    factor into 3-D sums, and the tensor-product basis lets each 3-D sum be
-    contracted axis by axis: the coefficients of f and g go onto the grid by
-    three 1-D contractions per profile, the v*-side sums of f's profiles
-    against the monomials of the collision matrix take three more per
-    profile, and the integrand of each test direction k comes back by three
-    more.  The result is identical to a
-    literal 6-D evaluation up to summation order.
+    factor into 3-D sums, and the tensor-product basis lets each 3-D sum
+    factor into 1-D sums over the nodes, built once per (N, order): f's
+    profiles summed against the v*-monomials of the collision matrix, and
+    each profile of g times each v-monomial paired with each test function.
+    A call contracts f's and g's coefficients with them axis by axis, three
+    matmuls per contraction.  The result is identical to a literal 6-D
+    evaluation up to summation order.
 
     Non-finite coefficients are rejected with a ValueError.  The degree of f
     and g must be <= 3 and the cap <= 8 (cost guard).  The computation is

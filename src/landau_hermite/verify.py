@@ -50,10 +50,11 @@ def _record(suite, check, values, tol, at_least=False):
 
 def _draws(N, rng, n, per_draw):
     """n draws of per_draw random spectra (levels <= N - 2), in draw order,
-    each stacked as the columns of one (M, n) block."""
-    cols = [[hc.random_spectrum(N, rng, max_level=N - 2).coeffs for _ in range(per_draw)]
-            for _ in range(n)]
-    return [np.stack(block, axis=1) for block in zip(*cols)]
+    each stacked as the columns of one (M, n) block; all n * per_draw
+    spectra come from one block of `random_spectrum`'s rule."""
+    rows = hc._random_rows(N, rng, n * per_draw, max_level=N - 2)
+    rows = rows.reshape(n, per_draw, -1)
+    return [np.ascontiguousarray(rows[:, p].T) for p in range(per_draw)]
 
 
 def _rows(X):

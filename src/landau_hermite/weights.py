@@ -17,15 +17,17 @@ is bounded by 1/delta, and every first-order derivative of F is the
 corresponding derivative of Psi times F times a factor of modulus <= 1.
 
 `psi` and its two gradients share one closed form, O(1) per ray and free of
-cancellation (`_ray`).  Against a 40-digit reference over 300 rays at scales
-1e-6 to 1e4, Psi errs by at most 5e-16 relative, and each gradient by at
-most 6e-16 of its largest component where |xi| <= 10 |xi_perp|.  The split
-of xi along and across eta errs by about eps |xi|, so across a nearly
-parallel ray a gradient errs by up to about eps |xi| / |xi_perp| (5e-14 at
-|xi| = 1e3 |xi_perp|): the inputs' own conditioning, not cancellation.
-The alpha = 2 time integral is `kolmogorov.transport_dissipation_integral`
-plus t.  Each sweep returns its worst value as a float; nothing here is a
-proof - the sweeps estimate constants.
+cancellation: `_frame` splits each (eta, xi) pair along eta once, and `_ray`
+adds what depends on t, so a sweep over several t builds each frame once.
+Against a 40-digit reference over 300 rays at scales 1e-6 to 1e4, Psi errs
+by at most 5e-16 relative, and each gradient by at most 6e-16 of its largest
+component where |xi| <= 10 |xi_perp|.  The split of xi along and across eta
+errs by about eps |xi|, so across a nearly parallel ray a gradient errs by
+up to about eps |xi| / |xi_perp| (5e-14 at |xi| = 1e3 |xi_perp|): the
+inputs' own conditioning, not cancellation.  The alpha = 2 time integral is
+`kolmogorov.transport_dissipation_integral` plus t, whose sums |xi|^2,
+xi . eta and |eta|^2 a sweep also builds once.  Each sweep returns its worst
+value as a float; nothing here is a proof - the sweeps estimate constants.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kolmogorov import transport_dissipation_integral
+from .kolmogorov import _dissipation_integral, _square_sums
 
 __all__ = [
     "WeightParams",
@@ -113,11 +115,23 @@ def _sinh_excess(x):
     return np.where(small, series, (np.sinh(x_big) - x_big) / x_big**3)
 
 
+class _Frame(NamedTuple):
+    """What `_ray` needs of a batch of (eta, xi) pairs before it knows t."""
+
+    size: np.ndarray  # |eta|
+    e: np.ndarray  # eta / |eta|, batch + (3,); the zero vector where eta = 0
+    y0: np.ndarray  # xi . e
+    perp: np.ndarray  # xi - y0 e, batch + (3,)
+    k: np.ndarray  # 1 + |perp|^2
+    q0: np.ndarray  # sqrt(k + y0^2) = <xi>
+    s0: np.ndarray  # asinh(y0 / sqrt k)
+
+
 class _Ray(NamedTuple):
     t: np.ndarray
-    e: np.ndarray  # eta / |eta|, batch + (3,); the zero vector where eta = 0
-    perp: np.ndarray  # xi - y0 e with y0 = xi . e, batch + (3,)
-    k: np.ndarray  # 1 + |perp|^2
+    e: np.ndarray
+    perp: np.ndarray
+    k: np.ndarray
     a: np.ndarray  # [asinh(y / sqrt k)] / (y1 - y0)
     b: np.ndarray  # [y q] / (y1 - y0), q = sqrt(k + y^2)
     c: np.ndarray  # [q] / (y1 - y0) = (y1 + y0) / (q1 + q0)
@@ -125,26 +139,33 @@ class _Ray(NamedTuple):
     s_mid: np.ndarray  # (s0 + s1) / 2
 
 
-def _ray(t, eta, xi) -> _Ray:
+def _frame(eta, xi) -> _Frame:
+    """xi = y0 e + perp along e = eta / |eta| (|eta| by `np.hypot`, so
+    eta = 1e-300 does not underflow); eta and xi broadcast over a batch."""
+    eta, xi = np.asarray(eta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
+    size = np.hypot(np.hypot(eta[..., 0], eta[..., 1]), eta[..., 2])
+    e = eta / np.where(size > 0, size, 1.0)[..., None]
+    y0 = np.sum(xi * e, axis=-1)
+    perp = xi - y0[..., None] * e
+    k = 1.0 + np.sum(perp**2, axis=-1)
+    return _Frame(size, e, y0, perp, k, np.sqrt(k + y0**2), np.arcsinh(y0 / np.sqrt(k)))
+
+
+def _ray(t, frame: _Frame) -> _Ray:
     """The ray xi + rho eta, 0 <= rho <= t, as y e + perp with y from y0 to
     y1 = y0 + t |eta|, so <xi + rho eta> = q.  Where y0 and y1 share a sign
     the differences [.] are rationalised, asinh a - asinh b =
     asinh(a sqrt(1 + b^2) - b sqrt(1 + a^2)) and y1 q1 - y0 q0 =
     (y1 - y0)(y1 + y0)(k + y1^2 + y0^2)/(y1 q1 + y0 q0), so t |eta| divides
     out exactly (eta = 0 is the limit); where the ray crosses y = 0 they are
-    sums of terms of one sign."""
-    eta, xi = np.asarray(eta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
-    batch = np.broadcast_shapes(eta.shape[:-1], xi.shape[:-1])
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), batch)
-    size = np.hypot(np.hypot(eta[..., 0], eta[..., 1]), eta[..., 2])
-    e = eta / np.where(size > 0, size, 1.0)[..., None]
-    y0 = np.sum(xi * e, axis=-1)
-    perp = xi - y0[..., None] * e
-    k = 1.0 + np.sum(perp**2, axis=-1)
-    span = t * size
+    sums of terms of one sign.  t is a scalar or a batch of the frame's
+    shape; one frame serves every t."""
+    y0, k, q0, s0 = frame.y0, frame.k, frame.q0, frame.s0
+    t = np.broadcast_to(np.asarray(t, dtype=np.float64), k.shape)
+    span = t * frame.size
     y1 = y0 + span
-    q0, q1 = np.sqrt(k + y0**2), np.sqrt(k + y1**2)
-    s0, s1 = np.arcsinh(y0 / np.sqrt(k)), np.arcsinh(y1 / np.sqrt(k))
+    q1 = np.sqrt(k + y1**2)
+    s1 = np.arcsinh(y1 / np.sqrt(k))
     same = np.sign(y0) * np.sign(y1) > 0
     u = _ratio(y1 + y0, y1 * q0 + y0 * q1, 0.0)
     ds = np.where(same, np.arcsinh(span * u), s1 - s0)
@@ -152,7 +173,13 @@ def _ray(t, eta, xi) -> _Ray:
     b_num = np.where(same, (y1 + y0) * (k + y1**2 + y0**2), y1 * q1 - y0 * q0)
     b = _ratio(b_num, np.where(same, y1 * q1 + y0 * q0, span), q0)
     c = (y1 + y0) / (q1 + q0)
-    return _Ray(t, e, perp, k, a, b, c, 0.5 * ds, 0.5 * (s0 + s1))
+    return _Ray(t, frame.e, frame.perp, k, a, b, c, 0.5 * ds, 0.5 * (s0 + s1))
+
+
+def _psi(t, frame: _Frame, c0: float) -> np.ndarray:
+    """Psi over a frame's batch, as an array."""
+    r = _ray(t, frame)
+    return 0.5 * c0 * r.t * (r.b + r.k * r.a)
 
 
 def psi(t, eta, xi, c0: float) -> np.ndarray | float:
@@ -163,15 +190,14 @@ def psi(t, eta, xi, c0: float) -> np.ndarray | float:
     batch of the same shape.  Returns the batch of values (scalar for scalar
     input).
     """
-    r = _ray(t, eta, xi)
-    return _scalar(0.5 * c0 * r.t * (r.b + r.k * r.a))
+    return _scalar(_psi(t, _frame(eta, xi), c0))
 
 
 def psi_gradient_xi(t, eta, xi, c0: float) -> np.ndarray:
     """grad_xi Psi = c0 * integral_0^t (xi + rho eta)/<xi + rho eta> d rho
     = c0 t (perp a + e c) in the frame of `_ray`; batch + (3,).  Both
     gradients are backward stable; the module docstring gives their accuracy."""
-    r = _ray(t, eta, xi)
+    r = _ray(t, _frame(eta, xi))
     return c0 * r.t[..., None] * (r.perp * r.a[..., None] + r.e * r.c[..., None])
 
 
@@ -184,7 +210,7 @@ def psi_gradient_eta(t, eta, xi, c0: float) -> np.ndarray:
     (sinh s - sinh s0) sinh s, each d^2 times a form in g = (sinh d - d)/d^3,
     sinh d / d = 1 + d^2 g and (cosh d - 1)/d^2 = (sinh d / d)^2/(1 + cosh d)
     without second-order cancellation."""
-    r = _ray(t, eta, xi)
+    r = _ray(t, _frame(eta, xi))
     d, m = r.d, r.s_mid
     g = _sinh_excess(d)
     sinhc = 1.0 + d * d * g
@@ -235,18 +261,20 @@ def bracket_factor(params: WeightParams, psi_val) -> np.ndarray | float:
 
 
 def transport_identity_residual(t, eta, xi, c0: float) -> float:
-    """|(d/dt - eta.grad_xi) Psi - c0 <xi>| by central differences."""
+    """|(d/dt - eta.grad_xi) Psi - c0 <xi>| by central differences, from
+    one batched `psi` call over the eight shifted rays."""
     step = 1e-5
     eta = np.asarray(eta, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
-    dt_term = (psi(t + step, eta, xi, c0) - psi(t - step, eta, xi, c0)) / (2 * step)
+    shifts = np.zeros((8, 3))  # rows: t +- step, then xi +- step e_comp
+    shifts[2:] = np.kron(np.eye(3), [[step], [-step]])
+    times = np.full(8, t, dtype=np.float64)
+    times[:2] += (step, -step)
+    vals = psi(times, eta, xi + shifts, c0)
+    dt_term = (vals[0] - vals[1]) / (2 * step)
     adv = 0.0
     for comp in range(3):
-        e = np.zeros(3)
-        e[comp] = step
-        adv += eta[comp] * (psi(t, eta, xi + e, c0) - psi(t, eta, xi - e, c0)) / (
-            2 * step
-        )
+        adv += eta[comp] * (vals[2 + 2 * comp] - vals[3 + 2 * comp]) / (2 * step)
     target = c0 * math.sqrt(1.0 + float(np.sum(xi**2)))
     return abs(float(dt_term) - float(adv) - target)
 
@@ -328,15 +356,18 @@ def _sample_vectors(radii: np.ndarray | None) -> np.ndarray:
     return np.unique(np.round(pts, 12), axis=0)
 
 
-def _integral_bracket_power(alpha: float, t, eta, xi):
-    """integral_0^t <xi + rho eta>^alpha d rho in closed form: psi for
-    alpha = 1, t + transport_dissipation_integral for alpha = 2.  Other
-    alpha have no closed form here and raise ValueError.
+def _integral_bracket_power(alpha: float, times, eta, xi):
+    """integral_0^t <xi + rho eta>^alpha d rho in closed form at each t of
+    times in turn, from one frame (alpha = 1, psi) or one set of sums
+    (alpha = 2, t + transport_dissipation_integral).  Other alpha have no
+    closed form here and raise ValueError.
     """
     if alpha == 1:
-        return np.asarray(psi(t, eta, xi, 1.0))
+        frame = _frame(eta, xi)
+        return (_psi(t, frame, 1.0) for t in times)
     if alpha == 2:
-        return t + transport_dissipation_integral(t, eta, xi)
+        sums = _square_sums(eta, xi)
+        return (t + _dissipation_integral(t, sums) for t in times)
     raise ValueError(f"alpha must be 1 or 2 (closed forms only), got {alpha:g}")
 
 
@@ -351,7 +382,7 @@ def time_integral_lower_ratio(alpha: float, radii: np.ndarray | None = None) -> 
     """
     pts = _sample_vectors(radii)
     xi, eta = pts[:, None, :], pts[None, :, :]  # every pair, by broadcasting
-    num = _integral_bracket_power(alpha, 1.0, -eta, xi)
+    (num,) = _integral_bracket_power(alpha, (1.0,), -eta, xi)
     den = (1.0 + np.sum(xi**2, axis=-1) + np.sum(eta**2, axis=-1)) ** (alpha / 2.0)
     return float(np.min(num / den))
 
@@ -363,16 +394,15 @@ def time_integral_upper_ratio(alpha: float, radii: np.ndarray | None = None) -> 
             <= C_alpha * t * (1 + |xi|^2 + t^2 |eta|^2)^(alpha/2),
 
     the worst ratio over all pairs of sample vectors at t = 0.1, 0.25, 0.5
-    and 1.
+    and 1, which share each pair's frame or sums.
     """
     pts = _sample_vectors(radii)
     xi, eta = pts[:, None, :], pts[None, :, :]  # every pair, by broadcasting
+    times = (0.1, 0.25, 0.5, 1.0)
+    xi2, eta2 = np.sum(xi**2, axis=-1), np.sum(eta**2, axis=-1)
     worst = []
-    for t in (0.1, 0.25, 0.5, 1.0):
-        num = _integral_bracket_power(alpha, t, eta, xi)
-        den = t * (
-            1.0 + np.sum(xi**2, axis=-1) + t**2 * np.sum(eta**2, axis=-1)
-        ) ** (alpha / 2.0)
+    for t, num in zip(times, _integral_bracket_power(alpha, times, eta, xi)):
+        den = t * (1.0 + xi2 + t**2 * eta2) ** (alpha / 2.0)
         worst.append(np.max(num / den))
     return float(np.max(worst))
 

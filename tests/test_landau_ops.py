@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from landau_hermite.hermite_core import (
     get_basis,
@@ -223,3 +224,38 @@ def test_moment_widths_bound_the_stored_columns(N):
         block = cols[(cols >= m * M) & (cols < (m + 1) * M)] - m * M
         assert block.size and block.max() < width, m
         assert ops.basis.levels[width - 1] == N - sum(MOMENTS[m])
+
+
+@pytest.mark.parametrize("N", [4, 8, 10, 16])
+def test_dissipation_form_closed_form(N):
+    # Q = L1 + 3 I - (N + 3) P_N, P_N the projection on the top level: the
+    # coercivity identity (L1 g, g) = |||g|||^2 - 3 |g|^2 holds below the
+    # cap, and at the cap the truncated sum loses (N + 3) on the diagonal.
+    # Measured: max |Q - closed| <= 2.6e-16 of max |Q| at these N.
+    ops = get_operators(N)
+    levels = ops.basis.levels
+    Q = ops.dissipation_form
+    closed = ops.L1 + sp.diags(3.0 - (N + 3.0) * (levels == N))
+    assert abs(Q - closed).max() <= 1e-15 * abs(Q).max()
+
+
+def test_hydrodynamic_rates_of_the_linearized_operator():
+    # the five least-damped eigenvalues of L + i eta v_1 at small eta are the
+    # Navier-Stokes-Fourier modes of Maxwellian molecules, whose
+    # Chapman-Enskog coefficients are exact eigenvalue ratios: shear
+    # (twice) at nu = 1/12 = 1/lambda_2, sound (a conjugate pair) at speed
+    # sqrt(5/3) attenuated by (4 nu / 3 + (gamma - 1) chi) / 2 = 7/72 with
+    # gamma = 5/3, and heat at chi = 1/8 (8 the level-3, l = 1 eigenvalue).
+    # Measured at N = 8, eta = 0.05: 0.08333 (twice), 0.09722 (twice),
+    # 0.12500 and |Im| / eta = 1.29100, all within 4e-5 relative.
+    N, eta = 8, 0.05
+    A = (get_operators(N).L + 1j * eta * get_basis(N).coordinate(0)).toarray()
+    lam = np.linalg.eigvals(A)
+    lam = lam[np.argsort(lam.real)[:5]]
+    sound = np.abs(lam.imag) > 0.5 * eta
+    assert sound.sum() == 2
+    rates = lam.real / eta**2
+    want = {False: [1 / 12, 1 / 12, 1 / 8], True: [7 / 72, 7 / 72]}
+    for kind, values in want.items():
+        np.testing.assert_allclose(np.sort(rates[sound == kind]), values, rtol=1e-4, atol=0)
+    np.testing.assert_allclose(np.abs(lam[sound].imag) / eta, math.sqrt(5 / 3), rtol=1e-4, atol=0)

@@ -2,6 +2,7 @@
 from the defining double integral, checked against the ladder-algebra route."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,3 +185,38 @@ def test_collision_matrix_terms_match_their_definition():
                 )
                 exact = (k == j) * d @ d - d[k] * d[j]
                 assert abs(total - exact) <= 1e-12 * (v @ v + w @ w), (k, j)
+
+
+def suite_pairs():
+    """The five (f, g) pairs of the verify suite's quadrature_oracle_match
+    check: N = 5, levels <= 3, real normal coefficients from seed 103,
+    each normalised."""
+    rng = np.random.default_rng(103)
+    sel = get_basis(5).levels <= 3
+    for _ in range(5):
+        f, g = zero_spectrum(5), zero_spectrum(5)
+        f.coeffs[sel] = rng.standard_normal(int(sel.sum()))
+        g.coeffs[sel] = rng.standard_normal(int(sel.sum()))
+        f.coeffs /= f.norm()
+        g.coeffs /= g.norm()
+        yield f, g
+
+
+PINNED_ORACLE = Path(__file__).parent / "data" / "oracle_3d1bb1c.txt"
+
+
+def test_oracle_matches_its_pinned_values():
+    """The shared rule and the matmul contractions move the oracle by
+    rounding only: at the suite's five pairs and orders 20 and 24 it agrees
+    with commit 3d1bb1c's to 1e-12 of each result's largest coefficient.
+
+    The pinned file (rows of real and imaginary parts, pair-major, then
+    order, then slot) was written with this file copied into the tests of a
+    checkout of commit 3d1bb1c, from the checkout's root, by
+        PYTHONPATH=src:tests python -c "import numpy as np; from test_oracle import suite_pairs; from landau_hermite.landau_ops import _oracle_at_order as o; np.savetxt('oracle_3d1bb1c.txt', np.array([o(f, g, n) for f, g in suite_pairs() for n in (20, 24)]).view(float).reshape(-1, 2))"
+    """
+    want = np.loadtxt(PINNED_ORACLE).view(np.complex128).reshape(5, 2, -1)
+    for (f, g), pinned in zip(suite_pairs(), want):
+        for order, w in zip((20, 24), pinned):
+            got = _oracle_at_order(f, g, order)
+            assert np.max(np.abs(got - w)) <= 1e-12 * np.max(np.abs(w)), order

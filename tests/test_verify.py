@@ -4,6 +4,7 @@ printed tolerance."""
 import math
 
 import numpy as np
+import pytest
 
 from landau_hermite import hermite_core as hc
 from landau_hermite import landau_ops as lo
@@ -114,3 +115,23 @@ def test_stacked_coercivity_residuals_equal_the_per_spectrum_formula():
                 if k != j:
                     total += 0.5 * hc.angular(k, j, g).norm() ** 2
         assert got[n] == abs(lhs - (total - 3.0 * g.norm() ** 2)), n
+
+
+@pytest.mark.parametrize("N, seed, per_draw", [(12, 100, 2), (10, 101, 1)])
+def test_drawn_blocks_equal_successive_random_spectra(N, seed, per_draw):
+    # one standard_normal call per block draws what 100 * per_draw
+    # successive random_spectrum calls draw, bit for bit
+    blocks = verify._draws(N, np.random.default_rng(seed), 100, per_draw)
+    rng = np.random.default_rng(seed)
+    for n in range(100):
+        for block in blocks:
+            want = hc.random_spectrum(N, rng, max_level=N - 2).coeffs
+            assert np.array_equal(block[:, n], want), n
+
+
+def test_random_spectrum_is_a_block_of_one():
+    # at the full cap too (no level mask); each row keeps its own norm
+    rows = hc._random_rows(6, np.random.default_rng(7), 3)
+    rng = np.random.default_rng(7)
+    for row in rows:
+        assert np.array_equal(row, hc.random_spectrum(6, rng).coeffs)

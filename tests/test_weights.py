@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from landau_hermite import weights
 from landau_hermite.weights import (
     WeightParams,
     psi,
@@ -342,3 +343,46 @@ def test_weight_triangle_memory_is_per_ray():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def transport_identity_residual_one_ray_at_a_time(t, eta, xi, c0):
+    """The transport residual from eight lone `psi` calls, one per shifted
+    ray, in the order of the batched function's sums."""
+    step = 1e-5
+    eta, xi = np.asarray(eta, dtype=np.float64), np.asarray(xi, dtype=np.float64)
+    dt_term = (psi(t + step, eta, xi, c0) - psi(t - step, eta, xi, c0)) / (2 * step)
+    adv = 0.0
+    for comp in range(3):
+        e = np.zeros(3)
+        e[comp] = step
+        adv += eta[comp] * (psi(t, eta, xi + e, c0) - psi(t, eta, xi - e, c0)) / (2 * step)
+    return abs(float(dt_term) - float(adv) - c0 * math.sqrt(1.0 + float(np.sum(xi**2))))
+
+
+def test_batched_transport_residual_equals_lone_rays():
+    # the verify suite's ten rays (seed 104): one batched psi call per ray
+    # keeps every bit of the eight lone calls
+    rng = np.random.default_rng(104)
+    for _ in range(10):
+        eta, xi = rng.standard_normal(3) * 2, rng.standard_normal(3) * 2
+        t = rng.uniform(0.2, 0.9)
+        want = transport_identity_residual_one_ray_at_a_time(t, eta, xi, 1 / 32)
+        assert transport_identity_residual(t, eta, xi, 1 / 32) == want
+
+
+def test_shared_frame_gives_per_t_psi():
+    # the upper sweep builds each pair's frame once for its four times; each
+    # time's Psi must equal a lone psi call bit for bit
+    pts = weights._sample_vectors(None)
+    xi, eta = pts[:, None, :], pts[None, :, :]
+    frame = weights._frame(eta, xi)
+    for t in (0.1, 0.25, 0.5, 1.0):
+        assert np.array_equal(weights._psi(t, frame, 1.0), psi(t, eta, xi, 1.0))
+
+
+def test_time_integral_upper_ratios_are_pinned():
+    """The shared frame and sums keep both sweep constants to the bit.  The
+    values are the verify report's at commit 3d1bb1c, where every time
+    built its own rays."""
+    assert time_integral_upper_ratio(1.0) == 1.11803398874981
+    assert time_integral_upper_ratio(2.0) == 1.2669444781478951
