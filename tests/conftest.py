@@ -3,6 +3,7 @@ import time
 import pytest
 
 from landau_hermite import solver as sv
+from landau_hermite.config import SolverConfig
 from landau_hermite import diagnostics as dg
 
 ACCEPT_CONFIG = dict(
@@ -16,7 +17,7 @@ def nonlinear_run():
     """The desk-scale nonlinear reference run shared by the acceptance gate
     and the diagnostics invariants: (config, RunResult, rate points, elapsed
     march seconds)."""
-    cfg = sv.SolverConfig(**ACCEPT_CONFIG)
+    cfg = SolverConfig(**ACCEPT_CONFIG)
     start = time.monotonic()
     result = sv.run(cfg)
     elapsed = time.monotonic() - start

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau_hermite.solver import SolverConfig, h_r_norm, run
+from landau_hermite.config import SolverConfig
+from landau_hermite.solver import h_r_norm, run
 from landau_hermite.diagnostics import (
     DiagnosticsSeries,
     hermite_level_spectrum,

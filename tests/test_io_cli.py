@@ -15,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau_hermite import solver
+from landau_hermite import config, kernel
+from landau_hermite.config import SolverConfig, parse_config_text
 from landau_hermite.solver import (
-    SolverConfig,
     build_initial_state,
-    parse_config_text,
     run,
     write_snapshot,
     read_snapshot,
@@ -177,7 +176,7 @@ CONFIG_VALUES = st.one_of(
     st.sampled_from(["0", "1e-3", "2e-3", "0.01", "0.05", "1.4", "2.0", "400", "1e999",
                      "nan", "-inf", "9" * 5000]),
     st.floats().map(repr),
-    st.sampled_from(solver.SCHEMES + solver.RECIPES),
+    st.sampled_from(config.SCHEMES + config.RECIPES),
     st.text(st.characters(categories=["L", "N", "P", "S", "Zs"], exclude_characters="#="),
             max_size=6),
 )
@@ -215,7 +214,7 @@ def test_parse_config_text_parses_or_names_the_line_or_field(lines):
     pairs = [(key.strip(), val.strip()) for key, eq, val in pairs if eq]
     assert len({key for key, _ in pairs}) == len(pairs)
     for key, val in pairs:
-        assert getattr(cfg, key) == solver._CONFIG_TYPES[key](val), key
+        assert getattr(cfg, key) == config._CONFIG_TYPES[key](val), key
 
 
 # values that a header field may not hold, or may: r and time take any float
@@ -256,7 +255,7 @@ def test_read_snapshot_reads_the_header_or_names_the_field(case):
     # the header field or the payload it refuses
     raw, (d_x, K, N, r, time) = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver._Workspace, "_cache", {})
+        mp.setattr(kernel._Workspace, "_cache", {})
         path = os.path.join(tmp, "state.lnsp")
         with open(path, "wb") as fh:
             fh.write(raw)

@@ -11,15 +11,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau_hermite import solver
+from landau_hermite import config, kernel, solver
 
+from landau_hermite.config import SolverConfig, parse_config_text
 from landau_hermite.hermite_core import get_basis, unit_spectrum
 from landau_hermite.landau_ops import gamma_apply
 from landau_hermite.solver import (
-    SolverConfig,
     PhaseState,
     SolverDivergenceError,
-    parse_config_text,
     build_initial_state,
     h_r_norm,
     hermitian_defect,
@@ -39,7 +38,7 @@ def small_config(**kw):
 
 
 def random_state(config, rng, scale=1.0, max_level=None, real_field=False):
-    from landau_hermite.solver import _Workspace, _hermitize
+    from landau_hermite.kernel import _Workspace, _hermitize
 
     ws = _Workspace.for_config(config)
     c = rng.standard_normal((ws.n_modes, ws.basis.size)) + 1j * rng.standard_normal(
@@ -54,7 +53,7 @@ def random_state(config, rng, scale=1.0, max_level=None, real_field=False):
 
 
 def put_slice(state, eta, spectrum):
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace.for_config(state.config)
     state.c[ws.mode_index[eta]] = spectrum.coeffs
@@ -78,7 +77,7 @@ def test_config_rejects_an_r_that_overflows_the_weight():
     with pytest.raises(ValueError, match=r"r = 400 overflows .* K = 8, d_x = 1"):
         SolverConfig(N=4, K=8, d_x=1, r=400)
     cfg = SolverConfig(N=4, K=8, d_x=1, r=169)
-    assert math.isfinite(solver._Workspace.for_config(cfg).h_weight.max())
+    assert math.isfinite(kernel._Workspace.for_config(cfg).h_weight.max())
 
 
 def test_config_parse_roundtrip():
@@ -190,7 +189,7 @@ def test_transport_single_mode_example():
     s = PhaseState(cfg, np.zeros((7, get_basis(8).size)), 0.0)
     put_slice(s, (1,), unit_spectrum(8, (0, 0, 0)))
     out = apply_transport(s)
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace.for_config(cfg)
     row = out.c[ws.mode_index[(1,)]]
@@ -203,7 +202,7 @@ def test_transport_single_mode_example():
 def test_transport_skew_symmetry():
     cfg = small_config()
     rng = np.random.default_rng(51)
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace.for_config(cfg)
     for _ in range(10):
@@ -259,7 +258,7 @@ def test_gamma_conv_matches_direct_sum():
     # through the velocity-space bilinear term gamma_apply, its first
     # argument a spectrum holding only the ten moments; real fields
     from landau_hermite.hermite_core import HermiteSpectrum
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     rng = np.random.default_rng(55)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -284,7 +283,7 @@ def test_gamma_conv_matches_direct_sum():
 
 def _slot_adjoint(ws, hx, bx, subscripts, out):
     # one contraction of the C0 search, taken back to the lattice's tail
-    from landau_hermite.solver import _adjoint_blocks, _from_grid, _grid_adjoint
+    from landau_hermite.kernel import _adjoint_blocks, _from_grid, _grid_adjoint
 
     blocks = _adjoint_blocks(ws.ops.moment_stack.T, hx)
     return _from_grid(ws, _grid_adjoint(blocks, bx, subscripts, out))
@@ -293,7 +292,7 @@ def _slot_adjoint(ws, hx, bx, subscripts, out):
 def test_trilinear_adjoints_match_weighted_pairing():
     # the g-slot and f-slot contractions of trilinear_constant are adjoints
     # of the kernel in the weighted pairing (B(f, g), h)_w, on real fields
-    from landau_hermite.solver import _Workspace, _to_grid, _whole
+    from landau_hermite.kernel import _Workspace, _to_grid, _whole
 
     rng = np.random.default_rng(60)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -336,7 +335,7 @@ def test_gamma_conv_rejects_a_state_that_is_not_a_real_field():
 def test_trilinear_constant_is_pinned(args, c0):
     # the search is deterministic (seeded starts, fixed sweeps): a change of
     # its path moves these values beyond rounding
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     assert abs(_Workspace(*args).trilinear_constant() - c0) <= 1e-12 * c0
 
@@ -344,14 +343,14 @@ def test_trilinear_constant_is_pinned(args, c0):
 def test_trilinear_constant_does_not_depend_on_the_adjoint_blocks(monkeypatch):
     # a grid of one adjoint block shares Y = stack^T (w h) between the g and
     # f steps; in several blocks each step computes it: the same bits
-    from landau_hermite.solver import _Workspace, _adjoint_width
+    from landau_hermite.kernel import _Workspace, _adjoint_width
 
     args = (8, 3, 1, 2.0)
     one_block = _Workspace(*args).trilinear_constant()
     ws = _Workspace(*args)
     M, n = ws.basis.size, math.prod(ws.grid_shape)
     assert _adjoint_width(M, n) == n
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", 80 * M * 3)
+    monkeypatch.setattr(kernel, "_BLOCK_BYTES", 80 * M * 3)
     assert _adjoint_width(M, n) == 3
     assert ws.trilinear_constant() == one_block
 
@@ -361,7 +360,7 @@ def test_trilinear_constant_reports_its_last_change(args, converged):
     # per start, the sweeps and the relative change of the ratio in the last
     # one: 30 sweeps leave the desk grid's search moving by more than 1e-4,
     # and converge this d_x = 2 one below 1e-6
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace(*args)
     ws.trilinear_constant()
@@ -376,7 +375,8 @@ def test_trilinear_constant_reports_its_last_change(args, converged):
 def test_sparse_right_real_view_is_exact():
     # the real operator on the float64 view of c.T gives the complex product
     # bit for bit, on non-Hermitian states
-    from landau_hermite.solver import _Workspace, _sparse_right
+    from landau_hermite.kernel import _Workspace
+    from landau_hermite.solver import _sparse_right
 
     rng = np.random.default_rng(61)
     for d_x, K in ((0, 0), (1, 3), (3, 1)):
@@ -390,7 +390,7 @@ def test_sparse_right_real_view_is_exact():
 def test_grid_round_trip():
     # _to_grid leaves its argument unchanged; _from_grid, completed by
     # _whole, undoes it on real fields
-    from landau_hermite.solver import _Workspace, _from_grid, _to_grid, _whole
+    from landau_hermite.kernel import _Workspace, _from_grid, _to_grid, _whole
 
     rng = np.random.default_rng(62)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -408,7 +408,7 @@ def test_to_grid_is_the_fourier_sum(d_x, K):
     # _to_grid of real fields is sum_eta c_eta exp(i eta . x_j) at the grid
     # points x_j = 2 pi j / L, in C order; a consistently permuted map would
     # still pass the round trip, but not this
-    from landau_hermite.solver import _Workspace, _to_grid
+    from landau_hermite.kernel import _Workspace, _to_grid
 
     cfg = small_config(d_x=d_x, K=K)
     ws = _Workspace.for_config(cfg)
@@ -426,7 +426,7 @@ def test_from_grid_is_the_truncated_fourier_sum(d_x, K):
     # random grid holds modes past the lattice, up to L/2: a map that aliased
     # one of them onto the lattice would still pass the round trip, which
     # starts from lattice modes, but not this
-    from landau_hermite.solver import _Workspace, _from_grid, _whole
+    from landau_hermite.kernel import _Workspace, _from_grid, _whole
 
     ws = _Workspace.for_config(small_config(d_x=d_x, K=K))
     L = ws.grid_shape[0]
@@ -441,7 +441,7 @@ def test_grid_product_is_the_broadcast_product(d_x, K):
     # each block of grid points is copied once and each factor formed only
     # on the rows its A_m reads: the same bits as the broadcast product of
     # every moment with every row, in one sparse product
-    from landau_hermite.solver import _BLOCK_BYTES, _Workspace, _grid_product
+    from landau_hermite.kernel import _BLOCK_BYTES, _Workspace, _grid_product
 
     ws = _Workspace.for_config(small_config(d_x=d_x, K=K))
     stack, M = ws.ops.moment_stack, ws.basis.size
@@ -464,7 +464,7 @@ def test_grid_product_blocks_are_near_equal(factor, extra):
     # are those of the broadcast product
     from types import SimpleNamespace
 
-    from landau_hermite.solver import _BLOCK_BYTES, _Workspace, _grid_product
+    from landau_hermite.kernel import _BLOCK_BYTES, _Workspace, _grid_product
 
     ops = _Workspace.for_config(small_config()).ops
     stack, M = ops.moment_stack, ops.moment_stack.shape[0]
@@ -490,7 +490,7 @@ def test_grid_product_blocks_are_near_equal(factor, extra):
 def test_dft_matrices_are_built_on_first_kernel_use(monkeypatch, tmp_path):
     # a datum, its norms and a snapshot round trip build no DFT matrix; the
     # first bilinear term builds the one table of both directions, read-only
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     monkeypatch.setattr(_Workspace, "_cache", {})
     cfg = small_config(d_x=2, K=2)
@@ -509,7 +509,7 @@ def test_dft_matrices_are_built_on_first_kernel_use(monkeypatch, tmp_path):
 def test_bilinear_output_is_exactly_hermitian(d_x, K):
     # the kernel's tail, completed by _whole, fills the lower half of the
     # lattice by conjugation
-    from landau_hermite.solver import _Workspace, _bilinear, _whole
+    from landau_hermite.kernel import _Workspace, _bilinear, _whole
 
     cfg = small_config(d_x=d_x, K=K)
     ws = _Workspace.for_config(cfg)
@@ -522,7 +522,7 @@ def test_bilinear_output_is_exactly_hermitian(d_x, K):
 
 def test_workspace_memory_is_linear_in_modes():
     # no table over mode pairs: the d_x = 3, K = 8 grid builds in O(n_modes)
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace(8, 8, 3, 2.0)
     assert ws.n_modes == 17**3
@@ -535,13 +535,13 @@ def test_workspace_assembles_no_operator(monkeypatch):
     # the workspace is the lattice and grid layout plus the weight: building
     # one reaches neither the basis nor the operators, and holds no matrix
     from landau_hermite.hermite_core import HermiteBasis
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     def refuse(N):
         raise AssertionError(f"operator assembly for N={N}")
 
-    monkeypatch.setattr(solver, "get_basis", refuse)
-    monkeypatch.setattr(solver, "get_operators", refuse)
+    monkeypatch.setattr(kernel, "get_basis", refuse)
+    monkeypatch.setattr(kernel, "get_operators", refuse)
     ws = _Workspace(24, 8, 3, 2.0)
     for name, value in vars(ws).items():
         items = value if isinstance(value, (list, tuple)) else [value]
@@ -552,7 +552,7 @@ def test_workspace_assembles_no_operator(monkeypatch):
 
 def test_workspaces_share_the_velocity_operators():
     # two lattices at one degree cap read the same per-cap matrices
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     a = _Workspace(6, 1, 1, 2.0)
     b = _Workspace(6, 2, 3, 3.0)
@@ -568,7 +568,7 @@ def test_gamma_conv_conservation_per_mode():
     rng = np.random.default_rng(56)
     g = random_state(cfg, rng, max_level=cfg.N - 2, real_field=True)
     out = gamma_conv(g, g)
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace.for_config(cfg)
     slots = ws.ops.moment_slots
@@ -639,7 +639,7 @@ def test_march_states_are_exact_real_fields(d_x, recipe):
     # +0.0 imaginary parts at eta = 0; at d_x = 3 a step that solved each
     # -eta row on its own left a defect of 6.6e-23 here after 3 steps
     cfg = small_config(d_x=d_x, T=0.015, recipe=recipe, seed=3, record_every=1)
-    centre = solver._Workspace.for_config(cfg).centre
+    centre = kernel._Workspace.for_config(cfg).centre
     states = [s for _, s in run(cfg).snapshots]
     assert len(states) == 4
     for state in states[1:]:
@@ -732,7 +732,7 @@ def test_triple_norm_examples():
 def test_triple_norm_coercivity_identity():
     cfg = small_config()
     rng = np.random.default_rng(59)
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace.for_config(cfg)
     for _ in range(10):
@@ -746,7 +746,7 @@ def test_triple_norm_coercivity_identity():
 
 def test_triple_norm_matches_operator_sum():
     # the quadratic form against the explicit sum over the twelve operators
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     rng = np.random.default_rng(62)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -925,7 +925,7 @@ def test_step_memory_is_one_grid():
     # transforms, the _grid_product work block and two state arrays (the
     # datum is the caller's).  At this size the grid dominates: a step that
     # held a complex grid would exceed the bound.
-    from landau_hermite.solver import _BLOCK_BYTES, _Workspace
+    from landau_hermite.kernel import _BLOCK_BYTES, _Workspace
 
     cfg = small_config(N=8, K=5, d_x=3, dt=1e-3, T=1e-3, recipe="rough", seed=5)
     ws = _Workspace.for_config(cfg)
@@ -949,7 +949,7 @@ def test_adjoint_memory_is_two_grids(slot):
     # one block of Y = stack^T h and the tail of the result (the operands
     # are the caller's).  At this size a third grid, Y or one per-moment
     # product G_m @ g held at full size, would exceed the bound.
-    from landau_hermite.solver import _BLOCK_BYTES, _Workspace, _to_grid
+    from landau_hermite.kernel import _BLOCK_BYTES, _Workspace, _to_grid
 
     cfg = small_config(N=8, K=7, d_x=3)
     ws = _Workspace.for_config(cfg)
@@ -972,7 +972,7 @@ def test_adjoint_memory_is_two_grids(slot):
 
 def test_implicit_inverses_are_keyed_by_dt_itself():
     # two time steps that agree to 15 decimals get their own inverses
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace(6, 1, 1, 2.0)
     ws.implicit_inverses(4e-16)
@@ -1037,7 +1037,7 @@ def test_linear_march_at_d_x_1_converges_to_the_exact_flow(N, K, seed):
 def test_initial_datum_is_lean(recipe):
     # the noise is drawn into one complex array, all real parts first, and
     # the datum equals the reference built from separate samples bit for bit
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     cfg = small_config(N=6, K=5, d_x=3, recipe=recipe, seed=2)
     ws = _Workspace.for_config(cfg)
@@ -1068,7 +1068,7 @@ def test_states_are_hermite_major(tmp_path):
     from landau_hermite.solver import read_snapshot, write_snapshot
 
     cfg = small_config(N=6, K=2, d_x=2, T=0.01, record_every=1)
-    states = [build_initial_state(replace(cfg, recipe=r)) for r in solver.RECIPES]
+    states = [build_initial_state(replace(cfg, recipe=r)) for r in config.RECIPES]
     g0 = states[1]
     states += [step_imex(g0, cfg.dt), apply_transport(g0), gamma_conv(g0, g0), g0.copy()]
     states += [s for _, s in run(cfg).snapshots]
@@ -1088,7 +1088,7 @@ def test_states_are_hermite_major(tmp_path):
 def test_level_product_is_the_row_product():
     # the per-level real product on the view equals the complex rows times
     # each level's matrix, for matrices that are not symmetric
-    from landau_hermite.solver import _Workspace, _level_product
+    from landau_hermite.kernel import _Workspace, _level_product
 
     rng = np.random.default_rng(64)
     cfg = small_config(d_x=2, K=2)
@@ -1121,7 +1121,7 @@ def test_norm_memory(norm, bound):
 def test_workspace_fetches_the_per_cap_operators_once(monkeypatch):
     # basis and ops are cached on the workspace: a march reads them every
     # step but looks each up once
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     calls = []
 
@@ -1132,8 +1132,8 @@ def test_workspace_fetches_the_per_cap_operators_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(_Workspace, "_cache", {})
-    monkeypatch.setattr(solver, "get_basis", counted(solver.get_basis))
-    monkeypatch.setattr(solver, "get_operators", counted(solver.get_operators))
+    monkeypatch.setattr(kernel, "get_basis", counted(kernel.get_basis))
+    monkeypatch.setattr(kernel, "get_operators", counted(kernel.get_operators))
     res = run(small_config(T=0.05))
     assert len(res.ledger.t) == 11
     assert calls.count("get_basis") <= 1
@@ -1141,7 +1141,7 @@ def test_workspace_fetches_the_per_cap_operators_once(monkeypatch):
 
 
 def test_mode_index_is_built_on_first_use():
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace(6, 2, 2, 2.0)
     assert "mode_index" not in vars(ws)
@@ -1152,7 +1152,7 @@ def test_mode_index_is_built_on_first_use():
 def test_implicit_inverses_keep_the_latest_dt():
     # a dt sweep leaves the inverse set of its last dt only, held once per
     # degree cap
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace(6, 1, 1, 2.0)
     for k in range(1, 11):
@@ -1196,7 +1196,7 @@ def test_linear_flow_contracts_to_invariants():
     # with the bilinear term off, the homogeneous-mode slice converges to its
     # collision-invariant projection and every other mode loses norm
     cfg = small_config(T=1.0, dt=1e-2, K=2, recipe="rough", g0_norm=1.0, seed=9)
-    from landau_hermite.solver import _Workspace
+    from landau_hermite.kernel import _Workspace
 
     ws = _Workspace.for_config(cfg)
     g0 = build_initial_state(cfg)
