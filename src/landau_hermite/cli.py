@@ -9,8 +9,10 @@ fit recorded spectra.
 scheme it also writes picard_report.json.  `verify` prints one JSON record
 per check and exits 1 if any fails.  `fit` turns a spectra CSV into a
 fitted-rates CSV.  Identical config and seed give byte-identical outputs.
-Rejected input (options, config, CSV) and an output directory that cannot
-be created exit 2 with one stderr line.
+Rejected input (options, config, CSV), a config whose run needs more memory
+than the address-space limit (`config.min_peak_bytes` against the soft
+RLIMIT_AS) and an output directory that cannot be created exit 2 with one
+stderr line.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 from typing import NoReturn
 
 from . import solver as sv
 from . import diagnostics as dg
+from .config import min_peak_bytes
 from .verify import SUITES, run_suite
 
 
@@ -57,8 +61,21 @@ def _make_out(command: str, out_dir: str) -> None:
         _reject(command, exc)
 
 
+def _refuse_what_cannot_fit(cfg) -> None:
+    """Exit 2 with one stderr line if a run of cfg needs more bytes than the
+    soft address-space limit allows, before any of its arrays is built."""
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    need = min_peak_bytes(cfg)
+    if limit != resource.RLIM_INFINITY and need > limit:
+        _reject("run", ValueError(
+            f"the config needs at least {need >> 20} MiB, above the "
+            f"address-space limit of {limit >> 20} MiB"
+        ))
+
+
 def cmd_run(config_path: str, out_dir: str) -> int:
     cfg = _read_input("run", config_path, sv.parse_config_text)
+    _refuse_what_cannot_fit(cfg)
     _make_out("run", out_dir)
     if cfg.scheme == "picard":
         trajectory, report = sv.picard_solve(sv.build_initial_state(cfg))

@@ -4,7 +4,9 @@ flat key=value config file that sets them.
 A config file is UTF-8 text of `key = value` lines, '#' starting a comment;
 each key is a `SolverConfig` field name and may appear once.  A value that
 its field's type cannot parse, or that `SolverConfig` rejects, raises
-ValueError naming the line or the field.
+ValueError naming the line or the field.  `min_peak_bytes` bounds from
+below the memory a run of a config needs, by arithmetic alone, so a config
+that cannot fit is refused before its lattice is built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-__all__ = ["SCHEMES", "RECIPES", "SolverConfig", "parse_config_text", "load_config"]
+__all__ = [
+    "SCHEMES",
+    "RECIPES",
+    "SolverConfig",
+    "parse_config_text",
+    "load_config",
+    "min_peak_bytes",
+]
 
 SCHEMES = ("imex_euler", "picard")
 RECIPES = ("zero", "rough", "gaussian", "kernel")
@@ -128,3 +137,18 @@ def parse_config_text(text: str) -> SolverConfig:
 def load_config(path) -> SolverConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
+
+
+def min_peak_bytes(cfg: SolverConfig) -> int:
+    """A lower bound on the peak bytes of a run of cfg, computed from
+    (N, K, d_x, scheme, n_steps) without listing the lattice: the state,
+    n_modes = (2K+1)^d_x rows of M = comb(N+3, 3) complex coefficients;
+    the kernel's real (M, L^d_x) grid, L = 3K+1; and, for picard, the
+    trajectory buffer of (n_steps+1) M (n_modes - n_modes // 2) complex
+    coefficients."""
+    M = math.comb(cfg.N + 3, 3)
+    n_modes = (2 * cfg.K + 1) ** cfg.d_x
+    total = 16 * n_modes * M + 8 * M * (3 * cfg.K + 1) ** cfg.d_x
+    if cfg.scheme == "picard":
+        total += 16 * (cfg.n_steps + 1) * M * (n_modes - n_modes // 2)
+    return total

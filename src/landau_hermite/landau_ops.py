@@ -126,7 +126,7 @@ class LandauOperators:
         self.L = (self.L1 + self.L2).tocsr()
         self.moment_slots = np.array([b.index_of[m] for m in MOMENTS], dtype=np.int64)
         # [G_0 | ... | G_9] (M, 10 M), the one stored form of the G_m: read by
-        # `gamma_apply`, `solver._bilinear` and, transposed, both its adjoints
+        # `gamma_apply`, `kernel._bilinear` and, transposed, both its adjoints
         self.moment_stack = sp.hstack(self._build_moment_operators(), format="csr")
         self._implicit: tuple = (None, [])  # (dt, inverses) of the latest dt
 
@@ -186,19 +186,14 @@ class LandauOperators:
     @cached_property
     def dissipation_form(self) -> sp.csr_matrix:
         """Quadratic form Q of the dissipation seminorm of
-        `solver.triple_norm`, as the operator sum (exact at the cap).  In
-        closed form Q = L1 + 3 I - (N + 3) P_N, with P_N the projection on
-        the top Hermite level: the coercivity identity below the cap, and
-        the products truncated at the cap."""
-        b = self.basis
-        Q = sp.csr_matrix((b.size, b.size))
-        for ax in range(3):
-            D, V = b.derivative(ax), b.coordinate(ax)
-            Q = Q + 2.0 * (D.T @ D) + 0.5 * (V.T @ V)
-        for k, j in itertools.permutations(range(3), 2):
-            A = b.rotation(k, j)
-            Q = Q + 0.5 * (A.T @ A)
-        return Q.tocsr()
+        `solver.triple_norm`: the operator sum
+        sum_j (2 D_j^T D_j + V_j^T V_j / 2) + (1/2) sum_{j!=k} A_kj^T A_kj
+        with the products truncated at the cap, built in its closed form
+        Q = L1 + 3 I - (N + 3) P_N, P_N the projection on the top Hermite
+        level: the coercivity identity below the cap, and at the cap the
+        truncated sum loses N + 3 on the diagonal."""
+        top = self.basis.levels == self.N
+        return (self.L1 + sp.diags(3.0 - (self.N + 3.0) * top)).tocsr()
 
     def level_inverses(self, form: sp.csr_matrix, scale: float) -> list[np.ndarray]:
         """Dense inverses of I + scale * form[sl, sl], one per Hermite level

@@ -1,5 +1,6 @@
 """Snapshot format, CLI subcommands, determinism of emitted artifacts."""
 
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau_hermite import config, kernel
-from landau_hermite.config import SolverConfig, parse_config_text
+from landau_hermite.config import SolverConfig, load_config, min_peak_bytes, parse_config_text
 from landau_hermite.solver import (
     build_initial_state,
     run,
@@ -392,6 +394,56 @@ def test_cli_rejected_input_exits_2(tmp_path, command, text, message):
     assert "Traceback" not in res.stderr
     [line] = res.stderr.splitlines()
     assert line.startswith(f"landau-hermite {command}: error: ") and message in line, line
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["N = 4\nK = 100000\nd_x = 3\n", "scheme = picard\nT = 1e6\ndt = 1e-3\nN = 8\nK = 4\n"],
+    ids=["lattice", "picard_buffer"],
+)
+def test_cli_refuses_a_config_that_cannot_fit(tmp_path, text):
+    # an 8e15-mode lattice, or a 12 TiB Picard trajectory buffer, cannot fit
+    # under the child's 2 GiB address-space limit: refused like bad input,
+    # from the config alone, before the output directory or any array
+    path = tmp_path / "cfg.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    res = run_cli("run", "--config", str(path), "--out", str(out), preexec_fn=limit_address_space)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.splitlines()
+    assert line.startswith("landau-hermite run: error: the config needs at least "), line
+    assert line.endswith(" MiB, above the address-space limit of 2048 MiB"), line
+    assert not out.exists()
+
+
+@pytest.fixture
+def shipped_configs(monkeypatch):
+    """The configs of the benchmark's march workloads (at seed 0) and of
+    the committed reference outputs."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    configs = [
+        parse_config_text(w.config_text(0))
+        for w in workloads.WORKLOADS.values()
+        if w.scheme is not None
+    ]
+    for name in ("d1", "d2", "d3"):
+        configs.append(load_config(root / "tests" / "data" / "reference" / name / "run.cfg"))
+    return configs
+
+
+def test_shipped_configs_fit_the_refusal_limit(shipped_configs):
+    # each benchmark and reference config stays below the 2 GiB under which
+    # the refusal test runs, so the CLI accepts it there
+    assert len(shipped_configs) == 6
+    for cfg in shipped_configs:
+        assert min_peak_bytes(cfg) <= 2 << 30, cfg
 
 
 def test_cli_picard_scheme_writes_report(tmp_path):

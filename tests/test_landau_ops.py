@@ -1,10 +1,10 @@
 """Linearized operator: kernel, blocks, eigenvalues, coercivity identity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from landau_hermite.hermite_core import (
     get_basis,
@@ -228,15 +228,18 @@ def test_moment_widths_bound_the_stored_columns(N):
 
 @pytest.mark.parametrize("N", [4, 8, 10, 16])
 def test_dissipation_form_closed_form(N):
-    # Q = L1 + 3 I - (N + 3) P_N, P_N the projection on the top level: the
-    # coercivity identity (L1 g, g) = |||g|||^2 - 3 |g|^2 holds below the
-    # cap, and at the cap the truncated sum loses (N + 3) on the diagonal.
-    # Measured: max |Q - closed| <= 2.6e-16 of max |Q| at these N.
-    ops = get_operators(N)
-    levels = ops.basis.levels
-    Q = ops.dissipation_form
-    closed = ops.L1 + sp.diags(3.0 - (N + 3.0) * (levels == N))
-    assert abs(Q - closed).max() <= 1e-15 * abs(Q).max()
+    # Q, built as L1 + 3 I - (N + 3) P_N (P_N the projection on the top
+    # level), is the operator sum of the dissipation seminorm truncated at
+    # the cap: the coercivity identity (L1 g, g) = |||g|||^2 - 3 |g|^2 holds
+    # below the cap, and at the cap the truncated sum loses (N + 3) on the
+    # diagonal.  Measured: max |Q - sum| <= 2.6e-16 of max |Q| at these N.
+    b = get_basis(N)
+    Q = get_operators(N).dissipation_form
+    terms = [2.0 * (b.derivative(j).T @ b.derivative(j)) for j in range(3)]
+    terms += [0.5 * (b.coordinate(j).T @ b.coordinate(j)) for j in range(3)]
+    terms += [0.5 * (b.rotation(k, j).T @ b.rotation(k, j))
+              for k, j in itertools.permutations(range(3), 2)]
+    assert abs(Q - sum(terms)).max() <= 1e-15 * abs(Q).max()
 
 
 def test_hydrodynamic_rates_of_the_linearized_operator():
