@@ -1,6 +1,7 @@
 """The real-field kernel of the march: the Fourier lattice of one
-configuration, the bilinear term on it, the adjoints of that term, and the
-per-level products of the velocity-side operators.
+configuration, the bilinear term on it, the adjoints of that term, the
+trilinear constant C0 that they bound, and the per-level products of the
+velocity-side operators.
 
 The lattice holds the integer Fourier modes eta in {-K..K}^d_x (d_x = 0
 collapses to one mode) and, per mode, the Hermite coefficients |alpha| <= N.

@@ -14,14 +14,17 @@ blocks shared by all Fourier modes), transport and the bilinear term go
 explicitly, the bilinear term through the real-field kernel of `kernel`.
 The perturbation is a real field, c(-eta) = conj(c(eta)): the step computes
 only the modes from eta = 0 on and fills the mirror of its new state once,
-and the march and `gamma_conv` reject a state that is not a real field.
+and the march and `gamma_conv` reject a state that is not a real field.  A
+step's working set is the kernel's real grid and blocks, half-size
+temporaries and the new state.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
 the sup-in-time distance between successive iterates gives an empirical
 contraction factor.
 
-External formats owned by this module: the "LNSP" binary snapshot and the
+External formats owned by this module: the "LNSP" binary snapshot, which
+stores the logical (eta, alpha) order whatever the memory layout, and the
 energy-ledger CSV; the config file is `config`'s.
 """
 

@@ -417,10 +417,10 @@ def test_cli_refuses_a_config_that_cannot_fit(tmp_path, text):
     assert not out.exists()
 
 
-@pytest.fixture
-def shipped_configs(monkeypatch):
-    """The configs of the benchmark's march workloads (at seed 0) and of
-    the committed reference outputs."""
+def test_shipped_configs_fit_the_refusal_limit(monkeypatch):
+    # each benchmark march config (at seed 0) and each reference config
+    # stays below the 2 GiB under which the refusal test runs, so the CLI
+    # accepts it there
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", root / "perfbench" / "workloads.py"
@@ -435,14 +435,8 @@ def shipped_configs(monkeypatch):
     ]
     for name in ("d1", "d2", "d3"):
         configs.append(load_config(root / "tests" / "data" / "reference" / name / "run.cfg"))
-    return configs
-
-
-def test_shipped_configs_fit_the_refusal_limit(shipped_configs):
-    # each benchmark and reference config stays below the 2 GiB under which
-    # the refusal test runs, so the CLI accepts it there
-    assert len(shipped_configs) == 6
-    for cfg in shipped_configs:
+    assert len(configs) == 6
+    for cfg in configs:
         assert min_peak_bytes(cfg) <= 2 << 30, cfg
 
 

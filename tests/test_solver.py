@@ -1293,14 +1293,6 @@ def test_off_diagonal_pressure_relaxes_in_closed_form():
     assert np.all(np.abs(ratios - 2.0) <= 0.25), ratios
 
 
-def _march_states(state, n_steps):
-    """The states of n_steps nonlinear IMEX steps from state, state first."""
-    states = [state]
-    for _ in range(n_steps):
-        states.append(step_imex(states[-1], state.config.dt))
-    return states
-
-
 def test_moment_hierarchy_closes():
     # B(f, g) sees f only through its moments of levels <= 2, each G_m
     # raises the level, and L and the implicit solve keep it, so at
@@ -1308,17 +1300,18 @@ def test_moment_hierarchy_closes():
     # above k (k >= 2): perturbing only those leaves the levels <= k of
     # every state bit-identical
     cfg = small_config(N=10, K=0, d_x=0, dt=2e-3, T=0.1, recipe="rough",
-                       g0_norm=0.3, seed=3)
+                       g0_norm=0.3, seed=3, record_every=1)
     g0 = build_initial_state(cfg)
     levels = g0.workspace.basis.levels
     rng = np.random.default_rng(70)
-    base = _march_states(g0, 50)
+    base = [state for _, state in run(cfg).snapshots]
+    assert len(base) == 51
     for k in (2, 3, 4, 5):
         c = g0.c.copy(order="F")
         high = levels > k
         # at d_x = 0 a real field has real coefficients
         c[:, high] += 0.1 * np.max(np.abs(c)) * rng.standard_normal((1, high.sum()))
-        perturbed = _march_states(PhaseState(cfg, c), 50)
+        perturbed = [state for _, state in run(cfg, PhaseState(cfg, c)).snapshots]
         assert np.any(perturbed[-1].c[:, high] != base[-1].c[:, high])
         assert np.any(base[-1].c[:, ~high] != g0.c[:, ~high])  # the low levels move
         for a, b in zip(base, perturbed):
@@ -1371,6 +1364,6 @@ def test_march_commutes_with_lattice_symmetries(symmetry):
     cfg = small_config(N=6, K=2, d_x=3, dt=5e-3, T=0.05, recipe="rough",
                        g0_norm=0.3, seed=6)
     g0 = build_initial_state(cfg)
-    moved = _march_states(symmetry(g0), 10)[-1].c
-    want = symmetry(_march_states(g0, 10)[-1]).c
+    moved = run(cfg, symmetry(g0)).snapshots[-1][1].c
+    want = symmetry(run(cfg).snapshots[-1][1]).c
     assert np.max(np.abs(moved - want)) <= 1e-14 * np.max(np.abs(want))
