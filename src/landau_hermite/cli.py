@@ -10,9 +10,9 @@ scheme it also writes picard_report.json.  `verify` prints one JSON record
 per check and exits 1 if any fails.  `fit` turns a spectra CSV into a
 fitted-rates CSV.  Identical config and seed give byte-identical outputs.
 Rejected input (options, config, CSV), a config whose run needs more memory
-than the address-space limit (`config.min_peak_bytes` against the soft
-RLIMIT_AS) and an output directory that cannot be created exit 2 with one
-stderr line.
+than the machine allows (`config.min_peak_bytes` against the smaller of the
+soft RLIMIT_AS and the physical memory) and an output directory that cannot
+be created exit 2 with one stderr line.
 """
 
 from __future__ import annotations
@@ -61,15 +61,32 @@ def _make_out(command: str, out_dir: str) -> None:
         _reject(command, exc)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf does not report it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
 def _refuse_what_cannot_fit(cfg) -> None:
     """Exit 2 with one stderr line if a run of cfg needs more bytes than the
-    soft address-space limit allows, before any of its arrays is built."""
-    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    smaller of the soft address-space limit and the physical memory allows,
+    before any of its arrays is built."""
+    limits = []
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits.append((soft, "address-space limit"))
+    physical = _physical_memory()
+    if physical is not None:
+        limits.append((physical, "physical memory"))
     need = min_peak_bytes(cfg)
-    if limit != resource.RLIM_INFINITY and need > limit:
+    if limits and need > min(limits)[0]:
+        limit, name = min(limits)
         _reject("run", ValueError(
             f"the config needs at least {need >> 20} MiB, above the "
-            f"address-space limit of {limit >> 20} MiB"
+            f"{name} of {limit >> 20} MiB"
         ))
 
 

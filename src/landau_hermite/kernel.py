@@ -8,22 +8,26 @@ collapses to one mode) and, per mode, the Hermite coefficients |alpha| <= N.
 The bilinear term touches its first argument only through ten moments;
 `_bilinear` evaluates its mode convolutions pseudo-spectrally on a dealiased
 grid, in O(n_modes * M) memory for M Hermite coefficients per mode.  It acts
-on real fields only, c(-eta) = conj(c(eta)): it reads the eta_1 >= 0 half of
-the lattice, maps it to one real (M, L**d_x) grid and back by per-axis DFT
-matrices, applied as BLAS products on row blocks of at most 2 MiB of
-intermediates, and returns the modes from eta = 0 on; `_whole` or `_unfold`
-fills the rest by conjugation.  Which rows the grid transforms read and
-write is this module's business: its callers see only whole lattices and
-the halves from eta = 0 on.
+on real fields only, c(-eta) = conj(c(eta)), given as whole lattices or as
+their modes from eta = 0 on: it reads the eta_1 >= 0 half of the lattice
+(at d_x >= 2 filling the eta_1 = 0 rows below eta = 0 of a half from their
+conjugated mirrors), maps it to one real (M, L**d_x) grid and back by
+per-axis DFT matrices, applied as BLAS products on row blocks of at most
+2 MiB of intermediates, and returns the modes from eta = 0 on; `_whole` or
+`_unfold` fills the rest by conjugation.  Which rows the grid transforms
+read and write is this module's business: its callers see only whole
+lattices and the halves from eta = 0 on.  The norms take either: a half's
+modes after eta = 0 weigh twice, for their mirrors.
 
 Layout: c is stored Hermite-major (Fortran order), so c.T is a C-contiguous
 (M, n_modes) array and its float64 view (M, 2 n_modes) interleaves the real
 and imaginary parts mode by mode.  Every velocity-side operator is real and
 acts on the Hermite index alone, the same way on every mode, so each is one
 real product on that view, with no transposed copy and no complex upcast,
-and the norms are one real reduction per mode on it.  The grid transforms
-read their half of the same view in place and write the half they return in
-the same layout.
+and the norms are one real reduction per mode on it.  A half from eta = 0
+on is stored the same way, (n_modes - n_modes // 2, M) in Fortran order.
+The grid transforms read their tail of a whole lattice's view in place and
+write the half they return in the same layout.
 """
 
 from __future__ import annotations
@@ -127,15 +131,31 @@ class _Workspace:
         """Per-level inverses of (I + dt L): `LandauOperators.implicit_inverses`."""
         return self.ops.implicit_inverses(dt)
 
+    @cached_property
+    def half_weight(self) -> np.ndarray:
+        """The weight of each mode from eta = 0 on of a real field, counting
+        its mirror: 2 <eta>^(2r), and <0>^(2r) at eta = 0, its own mirror."""
+        w = 2.0 * self.h_weight[self.centre :]
+        w[0] = self.h_weight[self.centre]
+        return w
+
+    def _weight(self, c: np.ndarray) -> np.ndarray:
+        """The weights of the rows of c: a whole lattice (n_modes rows) or
+        the modes from eta = 0 on of a real field (`half_weight`)."""
+        return self.h_weight if len(c) == self.n_modes else self.half_weight
+
     def norm_sq(self, c: np.ndarray) -> float:
-        """Squared weighted norm: sum_eta <eta>^(2r) |c_eta|^2."""
+        """Squared weighted norm: sum_eta <eta>^(2r) |c_eta|^2, of a whole
+        lattice c or of the real field whose modes from eta = 0 on are c."""
         x = _real_view(c)
-        return float(np.dot(self.h_weight, _mode_dots(x, x)))
+        return float(np.dot(self._weight(c), _mode_dots(x, x)))
 
     def dissipation_sq(self, c: np.ndarray) -> float:
-        """Squared dissipation seminorm: sum_eta <eta>^(2r) Re <c_eta, Q c_eta>."""
+        """Squared dissipation seminorm: sum_eta <eta>^(2r) Re <c_eta, Q c_eta>,
+        of a whole lattice c or of the real field whose modes from eta = 0
+        on are c."""
         x = _real_view(c)
-        return float(np.dot(self.h_weight, _mode_dots(x, self.ops.dissipation_form @ x)))
+        return float(np.dot(self._weight(c), _mode_dots(x, self.ops.dissipation_form @ x)))
 
     def trilinear_constant(self) -> float:
         """Empirical constant C0 in the trilinear bound
@@ -322,33 +342,69 @@ def _transform_rows(ws: _Workspace, P: int) -> int:
     return min(P, max(1, _BLOCK_BYTES // (8 * row)))
 
 
+def _tail_lines(ws: _Workspace, ct: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """The tail modes[half_start:] (eta_1 >= 0) at d_x >= 2 of the real
+    fields whose coefficients are the rows of ct, as (first line, float64
+    view (P, lines, 2(2K+1))) pairs that cover its lines along the last
+    axis, the (re, im) pairs of 2K+1 modes each.  ct (P, n_modes) is a whole
+    lattice, read in place.  ct (P, n_modes - n_modes // 2) holds the modes
+    from eta = 0 on: the lines up to the one through eta = 0 and the line
+    after it are built in a new array, their modes below eta = 0 from their
+    conjugated mirrors (`_conj_mirror`), and the lines after those are read
+    in place.  Each piece holds at least two lines: numpy takes a one-line
+    product to gemv, which rounds otherwise than gemm, and the grid of a
+    half is the grid of its whole lattice to the bit."""
+    P, width = len(ct), 2 * (2 * ws.K + 1)
+    if ct.shape[1] == ws.n_modes:
+        return [(0, ct[:, ws.half_start :].view(np.float64).reshape(P, -1, width))]
+    fill = ws.centre - ws.half_start  # the tail modes below eta = 0
+    lines = (ws.n_modes - ws.half_start) * 2 // width
+    n_head = fill * 2 // width + 2
+    if lines - n_head < 2:
+        n_head = lines
+    from_half = n_head * width // 2 - fill
+    head = np.empty((P, fill + from_half), dtype=np.complex128)
+    _conj_mirror(ct[:, 1 : fill + 1], head[:, :fill])
+    head[:, fill:] = ct[:, :from_half]
+    pieces = [(0, head.view(np.float64).reshape(P, -1, width))]
+    if n_head < lines:
+        pieces.append((n_head, ct[:, from_half:].view(np.float64).reshape(P, -1, width)))
+    return pieces
+
+
 def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     """Real grid values (P, L**d_x) of the real fields whose mode
-    coefficients are the columns of c (n_modes, P); c is left unchanged.
-    Only the tail modes[half_start:] (eta_1 >= 0) is read, as the float64
-    view of c.T, which interleaves real and imaginary parts.  Row blocks of
-    it are multiplied by the DFT matrices of `_Workspace.dft_matrices`:
-    the last axis to the split layout, the middle one at d_x = 3, then the
-    first axis to real values, each product written into its destination.
-    At d_x = 1 this is one product on the view itself."""
+    coefficients are the columns of c: their whole lattice (n_modes, P) or
+    their modes from eta = 0 on (n_modes - n_modes // 2, P); c is left
+    unchanged.  Only the tail modes[half_start:] (eta_1 >= 0) is read, as
+    the float64 view of c.T, which interleaves real and imaginary parts.
+    Row blocks of it are multiplied by the DFT matrices of
+    `_Workspace.dft_matrices`: the last axis to the split layout, line by
+    line (`_tail_lines`), the middle one at d_x = 3, then the first axis to
+    real values, each product written into its destination.  At d_x = 1
+    the tail is the half from eta = 0 on, and this is one product on its
+    view."""
     P = c.shape[1]
     if not ws.d_x:  # the one-point grid: a real field has real coefficients
         return c.real.T.copy()
     first, trailing = ws.dft_matrices[:2]
     L = ws.grid_shape[0]
-    tail = np.asfortranarray(c).T[:, ws.half_start :].view(np.float64)
+    ct = np.asfortranarray(c).T
     grid = np.empty((P, L**ws.d_x))
     if ws.d_x == 1:
+        tail = ct[:, ct.shape[1] - (ws.n_modes - ws.half_start) :].view(np.float64)
         return np.matmul(tail, first, out=grid)
-    tail = tail.reshape(P, -1, len(trailing))  # the last axis's pairs per row
+    pieces = _tail_lines(ws, ct)
     rows = _transform_rows(ws, P)
-    split = np.empty((rows, tail.shape[1], 2 * L))
+    split = np.empty((rows, (ws.n_modes - ws.half_start) * 2 // len(trailing), 2 * L))
     if ws.d_x == 3:
         middle = np.empty((rows, ws.K + 1, 2 * L, L))
     for start in range(0, P, rows):
         s = slice(start, min(start + rows, P))
         n = s.stop - s.start
-        t = np.matmul(tail[s], trailing, out=split[:n])
+        for line, lines in pieces:
+            np.matmul(lines[s], trailing, out=split[:n, line : line + lines.shape[1]])
+        t = split[:n]
         if ws.d_x == 3:  # per (field, eta_1): the (eta_2, re/im) rows
             t2 = middle[:n].reshape(-1, 2 * L, L)
             t = np.matmul(trailing.T, t.reshape(len(t2), -1, L), out=t2)
@@ -365,14 +421,17 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     blocks of x are multiplied by the DFT matrices of
     `_Workspace.dft_matrices`, the first axis to the half modes
     eta_1 = 0..K in the split layout, the middle one at d_x = 3, then the
-    last axis to interleaved pairs written straight into the tail.  x is
-    left unchanged."""
+    last axis to interleaved pairs written straight into the tail, from the
+    row (eta_1, eta_2) = (0, 0) on at d_x = 3: the K rows before it lie
+    wholly below eta = 0.  x is left unchanged."""
     P = x.shape[0]
     if not ws.d_x:
         return x.T.astype(np.complex128)
     first, trailing = ws.dft_matrices[2:]
-    L = ws.grid_shape[0]
-    out = np.empty((ws.n_modes - ws.half_start, P), dtype=np.complex128, order="F")
+    L, K = ws.grid_shape[0], ws.K
+    skip = K if ws.d_x == 3 else 0  # last-axis rows below eta = 0
+    first_mode = ws.half_start + skip * (2 * K + 1)
+    out = np.empty((ws.n_modes - first_mode, P), dtype=np.complex128, order="F")
     tail = out.T.view(np.float64)
     if ws.d_x == 1:
         np.matmul(x, first, out=tail)
@@ -382,7 +441,7 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
         rows = _transform_rows(ws, P)
         half = np.empty((rows, first.shape[1], grid.shape[2]))
         if ws.d_x == 3:
-            middle = np.empty((rows, tail.shape[1], 2 * L))
+            middle = np.empty((rows, skip + tail.shape[1], 2 * L))
         for start in range(0, P, rows):
             s = slice(start, min(start + rows, P))
             n = s.stop - s.start
@@ -390,8 +449,8 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
             if ws.d_x == 3:  # per (field, eta_1): the (re/im, x_2) rows
                 t2 = middle[:n].reshape(-1, trailing.shape[1], L)
                 t = np.matmul(trailing.T, t.reshape(len(t2), -1, L), out=t2)
-            np.matmul(t.reshape(n, -1, 2 * L), trailing, out=tail[s])
-    out = out[ws.centre - ws.half_start :]
+            np.matmul(t.reshape(n, -1, 2 * L)[:, skip:], trailing, out=tail[s])
+    out = out[ws.centre - first_mode :]
     out[0].imag = 0.0  # a real field's mean is real: drop rounding
     return out
 
@@ -449,9 +508,10 @@ def _grid_product(
 def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     """sum_m G_m (mom[:, m] * g), * the mode convolution truncated to the
     lattice: the bilinear term with its first argument given by its ten
-    moment fields mom (n_modes, 10).  Both arguments are real fields, and so
-    is the result, returned as its modes from eta = 0 on (`_from_grid`;
-    `_whole` completes it).
+    moment fields mom (n_modes, 10).  Both arguments are real fields, each
+    given as its whole lattice or as its modes from eta = 0 on (`_to_grid`),
+    and so is the result, returned as its modes from eta = 0 on
+    (`_from_grid`; `_whole` completes it).
 
     Both factors are multiplied on a grid of L = 3K+1 points per axis; the
     product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
@@ -506,15 +566,21 @@ def _hermitize(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conj_mirror(src: np.ndarray, out: np.ndarray) -> None:
+    """out = conj(src) reversed along the last axis, with imaginary parts
+    0.0 - y rather than -y: a zero becomes +0.0, not -0.0."""
+    mirror = src[..., ::-1]
+    out.real = mirror.real
+    np.subtract(0.0, mirror.imag, out=out.imag)
+
+
 def _unfold(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out (..., n_modes), the coefficients of real fields along its
     last axis, from half (..., n_modes - n_modes // 2), their modes from
-    eta = 0 on; returns out.  The lower half is the conjugated mirror, with
-    imaginary parts 0.0 - y rather than -y: a zero becomes +0.0, not -0.0.
-    half may be the upper half of out itself; numpy then skips the copy."""
+    eta = 0 on; returns out.  The lower half is the conjugated mirror
+    (`_conj_mirror`).  half may be the upper half of out itself; numpy then
+    skips the copy."""
     centre = out.shape[-1] // 2
     out[..., centre:] = half
-    mirror, lower = half[..., :0:-1], out[..., :centre]
-    lower.real = mirror.real
-    np.subtract(0.0, mirror.imag, out=lower.imag)
+    _conj_mirror(half[..., 1:], out[..., :centre])
     return out

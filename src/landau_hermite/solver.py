@@ -12,11 +12,14 @@ is marched with a first-order IMEX scheme: the stiff symmetric part L goes
 implicitly (it is level preserving, so the solve splits into small dense
 blocks shared by all Fourier modes), transport and the bilinear term go
 explicitly, the bilinear term through the real-field kernel of `kernel`.
-The perturbation is a real field, c(-eta) = conj(c(eta)): the step computes
-only the modes from eta = 0 on and fills the mirror of its new state once,
-and the march and `gamma_conv` reject a state that is not a real field.  A
-step's working set is the kernel's real grid and blocks, half-size
-temporaries and the new state.
+The perturbation is a real field, c(-eta) = conj(c(eta)), so its modes from
+eta = 0 on fix it: the step computes only those, the march carries each
+state as that half (`PhaseState`), and the norms read the half with each
+mode's mirror counted in its weight.  The whole lattice is built only where
+a state's c is read: snapshots, spectra, a caller.  The march and
+`gamma_conv` reject a datum that is not a real field.  A step's working set
+is the kernel's real grid and blocks and half-size temporaries, the new
+state among them.
 
 A Picard mode mirrors the linearization sequence: each iterate solves the
 linear equation with the bilinear term frozen on the previous iterate, and
@@ -42,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import SolverConfig, load_config, parse_config_text
-from .kernel import _Workspace, _bilinear, _hermitize, _level_product, _real_view, _unfold, _whole
+from .kernel import _Workspace, _bilinear, _hermitize, _level_product, _real_view, _unfold
 
 __all__ = [
     "SolverConfig",
@@ -72,23 +75,54 @@ class SolverDivergenceError(RuntimeError):
     perturbative regime."""
 
 
-@dataclass
 class PhaseState:
     """Coefficients c[mode, alpha] at one time, tied to a config.  c is
-    stored in Fortran order (see the module docstring): coerced here, kept
-    by `copy`."""
+    stored in Fortran order (see the module docstring): coerced by the
+    constructor and on assignment, kept by `copy`.
 
-    config: SolverConfig
-    c: np.ndarray
-    time: float = 0.0
+    A state made by the march (`step_imex`, `gamma_conv`, a Picard
+    trajectory) holds only its modes from eta = 0 on, the half of a real
+    field, as an (n_modes - n_modes // 2, M) Fortran-ordered array; norms
+    and steps read that half.  Its `c` is built from it by `_unfold` on
+    first read and kept, and from then on c is the state: every later read
+    sees a caller's changes to it."""
 
-    def __post_init__(self):
-        ws = _Workspace.for_config(self.config)
-        self.c = np.asfortranarray(self.c, dtype=np.complex128)
-        if self.c.shape != (ws.n_modes, ws.basis.size):
+    def __init__(self, config: SolverConfig, c: np.ndarray, time: float = 0.0):
+        self.config, self.time = config, time
+        self.c = c
+
+    @classmethod
+    def _of_half(cls, config: SolverConfig, half: np.ndarray, time: float) -> "PhaseState":
+        """The real field whose modes from eta = 0 on are half (kept, not
+        copied, unless it is not Fortran-contiguous)."""
+        state = cls.__new__(cls)
+        state.config, state.time = config, time
+        state._c, state._half = None, np.asfortranarray(half)
+        return state
+
+    @property
+    def c(self) -> np.ndarray:
+        if self._c is None:
+            ws = self.workspace
+            c = np.empty((ws.n_modes, ws.basis.size), dtype=np.complex128, order="F")
+            _unfold(self._half.T, c.T)
+            self._c, self._half = c, None
+        return self._c
+
+    @c.setter
+    def c(self, value: np.ndarray) -> None:
+        ws = self.workspace
+        value = np.asfortranarray(value, dtype=np.complex128)
+        if value.shape != (ws.n_modes, ws.basis.size):
             raise ValueError(
                 f"coefficients must have shape ({ws.n_modes}, {ws.basis.size})"
             )
+        self._c, self._half = value, None
+
+    @property
+    def _stored(self) -> np.ndarray:
+        """What the state holds: its half while it holds one, else c."""
+        return self._c if self._half is None else self._half
 
     @property
     def workspace(self) -> _Workspace:
@@ -100,7 +134,7 @@ class PhaseState:
 
 def h_r_norm(state: PhaseState) -> float:
     """Weighted norm: sqrt(sum <eta>^(2r) |c|^2)."""
-    return math.sqrt(state.workspace.norm_sq(state.c))
+    return math.sqrt(state.workspace.norm_sq(state._stored))
 
 
 def hermitian_defect(state: PhaseState) -> float:
@@ -114,13 +148,24 @@ def hermitian_defect(state: PhaseState) -> float:
 def _require_real_field(state: PhaseState, name: str, norm: float) -> None:
     """Raise ValueError unless the state, of weighted norm `norm`, is a real
     field: the bilinear kernel reads only half of the lattice, so its
-    Hermitian defect may not exceed rounding, 1e-12 of its norm."""
+    Hermitian defect may not exceed rounding, 1e-12 of its norm.  A state
+    that holds its half is a real field by construction."""
+    if state._half is not None:
+        return
     defect = hermitian_defect(state)
     if defect > 1e-12 * norm:
         raise ValueError(
             f"{name} is not a real field: Hermitian defect {defect:.3g} "
             f"exceeds 1e-12 of its weighted norm {norm:.3g}"
         )
+
+
+def _half_of(state: PhaseState) -> np.ndarray:
+    """The modes from eta = 0 on of a real field, Fortran-contiguous: the
+    half the state holds, or a copy of the upper half of its c."""
+    if state._half is not None:
+        return state._half
+    return state.c[state.workspace.centre :].copy(order="F")
 
 
 def _sparse_right(c: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
@@ -168,8 +213,9 @@ def gamma_conv(f_state: PhaseState, g_state: PhaseState) -> PhaseState:
     for name, state in (("f", f_state), ("g", g_state)):
         _require_real_field(state, name, h_r_norm(state))
     ws = f_state.workspace
-    out = _whole(ws, _bilinear(ws, f_state.c[:, ws.ops.moment_slots], g_state.c))
-    return PhaseState(f_state.config, out, g_state.time)
+    mom = f_state._stored[:, ws.ops.moment_slots]
+    out = _bilinear(ws, mom, g_state._stored)
+    return PhaseState._of_half(f_state.config, out, g_state.time)
 
 
 def step_imex(
@@ -182,31 +228,30 @@ def step_imex(
     implicit through per-level dense solves shared by all modes.
 
     The state must be a real field, as the march and `gamma_conv` require
-    of theirs: the step computes transport, the bilinear term, their sum
-    and the level solves only on the modes from eta = 0 on, and fills the
-    rest of the new state once as their conjugated mirror (`_unfold`), so
-    the result is a real field exactly.  Its temporaries are half-size.
+    of theirs: the step reads its modes from eta = 0 on and computes
+    transport, the bilinear term, their sum and the level solves only on
+    those, and returns a state that holds the new half (`PhaseState`), a
+    real field exactly.  Its temporaries are half-size.
 
-    `frozen_moment_fields` (shape (n_modes, 10)) substitutes the moments of a
-    frozen first argument in the bilinear term (Picard mode).
+    `frozen_moment_fields` (shape (n_modes, 10), or its modes from eta = 0
+    on) substitutes the moments of a frozen first argument in the bilinear
+    term (Picard mode).
     """
     ws = state.workspace
-    centre = ws.centre
-    rhs = state.c[centre:].copy(order="F")
-    # transport reads one contiguous copy of the half, freed after it:
-    # scipy would copy the strided rows of state.c once per axis
-    _add_transport(ws.basis, ws.eta[centre:], rhs.copy(order="F"), rhs, -1j * dt)
+    half = _half_of(state)
+    rhs = half.copy(order="F")
+    _add_transport(ws.basis, ws.eta[ws.centre :], half, rhs, -1j * dt)
+    del half  # if copied out of a whole lattice, freed before the kernel runs
     if gamma_on:
+        g = state._stored  # the kernel reads a whole lattice in place
         mom = frozen_moment_fields
         if mom is None:
-            mom = state.c[:, ws.ops.moment_slots]
-        term = _bilinear(ws, mom, state.c)
+            mom = g[:, ws.ops.moment_slots]
+        term = _bilinear(ws, mom, g)
         term *= dt
         rhs += term
-    out = np.empty_like(state.c, order="F")
-    _level_product(ws.basis, ws.implicit_inverses(dt), rhs, out[centre:])
-    _unfold(out.T[:, centre:], out.T)  # the half is in place: no copy
-    return PhaseState(state.config, out, state.time + dt)
+    out = _level_product(ws.basis, ws.implicit_inverses(dt), rhs)
+    return PhaseState._of_half(state.config, out, state.time + dt)
 
 
 def triple_norm(state: PhaseState) -> float:
@@ -219,7 +264,7 @@ def triple_norm(state: PhaseState) -> float:
     For states of degree <= N-1 this satisfies
     triple_norm^2 = Re(L1 g, g) + 3 ||g||^2 per mode.
     """
-    return math.sqrt(state.workspace.dissipation_sq(state.c))
+    return math.sqrt(state.workspace.dissipation_sq(state._stored))
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +462,10 @@ class PicardReport:
 
 
 class _Trajectory(Sequence):
-    """The states of a march from g0, read-only: state k is rebuilt on
-    access, as a new Fortran-ordered PhaseState at time g0.time + k dt, from
-    half[k], the real-field half of its c.T that `_unfold` completes."""
+    """The states of a march from g0, read-only: state k is made on access
+    as a PhaseState at time g0.time + k dt that holds half[k].T, the
+    real-field half of its c (a view: `PhaseState` builds c from it on
+    first read)."""
 
     def __init__(self, g0: PhaseState, half: np.ndarray):
         self._config, self._t0, self._half = g0.config, g0.time, half
@@ -429,10 +475,7 @@ class _Trajectory(Sequence):
 
     def __getitem__(self, k) -> PhaseState:
         k = range(len(self._half))[operator.index(k)]
-        ws = _Workspace.for_config(self._config)
-        c = np.empty((ws.n_modes, ws.basis.size), dtype=np.complex128, order="F")
-        _unfold(self._half[k], c.T)
-        return PhaseState(self._config, c, self._t0 + k * self._config.dt)
+        return PhaseState._of_half(self._config, self._half[k].T, self._t0 + k * self._config.dt)
 
 
 def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -> tuple[float, float]:
@@ -445,19 +488,18 @@ def _march_linear(g0: PhaseState, traj: np.ndarray, frozen: np.ndarray | None) -
 
     Returns the sup-in-time weighted distance between the new trajectory and
     the one it overwrote, and the new trajectory's sup-in-time weighted norm.
-    The old step is rebuilt into one full-size work array, so the distance
-    is taken on whole states.  If a step trips the divergence guard, the
+    Each distance is taken on the halves, in place in traj[k], before the
+    new half is copied there.  If a step trips the divergence guard, the
     steps before it are already overwritten.
     """
     ws = g0.workspace
-    old = np.empty(g0.c.T.shape, dtype=np.complex128)
     sup_distance, sup_norm = 0.0, 0.0
     for k, (state, norm) in enumerate(_march(g0, frozen is not None, frozen)):
         if k:
-            _unfold(traj[k], old)
-            old -= state.c.T
-            sup_distance = max(sup_distance, math.sqrt(ws.norm_sq(old.T)))
-            traj[k] = state.c.T[:, ws.centre :]
+            new = _half_of(state).T
+            traj[k] -= new
+            sup_distance = max(sup_distance, math.sqrt(ws.norm_sq(traj[k].T)))
+            traj[k] = new
         sup_norm = max(sup_norm, norm)
     return sup_distance, sup_norm
 
@@ -491,13 +533,14 @@ def picard_solve(g0: PhaseState) -> tuple[Sequence[PhaseState], PicardReport]:
     Memory: one complex trajectory buffer of (n_steps+1) * M *
     (n_modes - n_modes // 2) coefficients, the real-field half of each
     step's c.T (the modes from eta = 0 on), which each iterate overwrites
-    step by step while its distance and norm are taken; one full-size work
-    array per iterate; and the frozen moment fields of two iterates,
-    (n_steps+1) * n_modes * 10 each.  The returned trajectory is a read-only
-    Sequence over that buffer that rebuilds state k on access, so reading
-    it once holds one full state at a time.  A datum whose Hermitian defect
-    is nonzero (the march allows up to 1e-12 of its norm) is marched as
-    given but stored, and returned as state 0, as its real-field half.
+    step by step while its distance and norm are taken; and the frozen
+    moment fields of two iterates, their modes from eta = 0 on,
+    (n_steps+1) * (n_modes - n_modes // 2) * 10 each.  The returned
+    trajectory is a read-only Sequence over that buffer whose state k holds
+    its half and builds its whole c only when read.  A datum whose
+    Hermitian defect is nonzero (the march allows up to 1e-12 of its norm)
+    is marched as given but stored, and returned as state 0, as its
+    real-field half.
     """
     config = g0.config
     ws = g0.workspace
@@ -520,8 +563,7 @@ def picard_solve(g0: PhaseState) -> tuple[Sequence[PhaseState], PicardReport]:
             reason = "smallness"
             break
         prev_frozen = frozen  # frees the fields before it
-        moments = np.empty((len(traj), 10, ws.n_modes), dtype=np.complex128)
-        frozen = _unfold(traj[:, ws.ops.moment_slots], moments).transpose(0, 2, 1)
+        frozen = traj[:, ws.ops.moment_slots].transpose(0, 2, 1)
         try:
             d, sup_norm = _march_linear(g0, traj, frozen)
         except SolverDivergenceError:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau_hermite import config, kernel
+from landau_hermite import cli, config, kernel
 from landau_hermite.config import SolverConfig, load_config, min_peak_bytes, parse_config_text
 from landau_hermite.solver import (
     build_initial_state,
@@ -415,6 +415,50 @@ def test_cli_refuses_a_config_that_cannot_fit(tmp_path, text):
     assert line.startswith("landau-hermite run: error: the config needs at least "), line
     assert line.endswith(" MiB, above the address-space limit of 2048 MiB"), line
     assert not out.exists()
+
+
+def test_cli_refuses_a_config_above_physical_memory(monkeypatch, tmp_path, capsys):
+    # with no address-space limit set the physical memory bounds the run:
+    # a 1 MiB machine refuses this 2 MiB config (a one-step run that would
+    # fit anywhere, should the refusal fail) with exit 2 and one line
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda which: unlimited)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 20)
+    text = CONFIG_TEXT.replace("d_x = 1", "d_x = 3").replace("T = 0.05", "T = 0.005")
+    path = tmp_path / "cfg.txt"
+    path.write_text(text, encoding="utf-8")
+    assert min_peak_bytes(parse_config_text(text)) > 2 << 20
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("landau-hermite run: error: the config needs at least 2 MiB"), line
+    assert line.endswith(" MiB, above the physical memory of 1 MiB"), line
+    assert not out.exists()
+
+
+def test_refusal_takes_the_smaller_known_limit(monkeypatch, capsys):
+    # the smaller of the two figures names the refusal; with neither known
+    # nothing is refused.  Only the arithmetic estimate runs here
+    huge = parse_config_text("N = 4\nK = 100000\nd_x = 3\n")
+    limits = {"rlimit": (2 << 30, 2 << 30), "physical": 8 << 30}
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda which: limits["rlimit"])
+    monkeypatch.setattr(cli, "_physical_memory", lambda: limits["physical"])
+    for physical, name in ((8 << 30, "address-space limit of 2048"), (1 << 30, "physical memory of 1024")):
+        limits["physical"] = physical
+        with pytest.raises(SystemExit) as exc:
+            cli._refuse_what_cannot_fit(huge)
+        assert exc.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.endswith(f" MiB, above the {name} MiB"), line
+    limits.update(rlimit=(resource.RLIM_INFINITY,) * 2, physical=None)
+    assert cli._refuse_what_cannot_fit(huge) is None
+
+
+def test_physical_memory_is_positive_or_unknown():
+    physical = cli._physical_memory()
+    assert physical is None or (isinstance(physical, int) and physical > 0)
 
 
 def test_shipped_configs_fit_the_refusal_limit(monkeypatch):

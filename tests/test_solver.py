@@ -520,6 +520,70 @@ def test_bilinear_output_is_exactly_hermitian(d_x, K):
     assert hermitian_defect(PhaseState(cfg, out)) == 0.0
 
 
+@pytest.mark.parametrize("d_x, K", [(0, 1), (1, 3), (2, 2), (3, 1)])
+def test_ledger_norms_are_the_whole_lattice_sums(d_x, K):
+    # the march's states hold their halves and the ledger weights each mode
+    # after eta = 0 twice; the whole-lattice sums over the states, built
+    # after the march, agree to rounding
+    cfg = small_config(d_x=d_x, K=K, T=0.03, record_every=1, recipe="rough", g0_norm=0.1)
+    result = run(cfg)
+    ws = kernel._Workspace.for_config(cfg)
+    states = [state for _, state in result.snapshots]
+    assert len(states) == len(result.ledger.t) and all(
+        state._half is not None for state in states[1:]
+    )
+    for state, norm, triple in zip(states, result.ledger.h_r_norm, result.ledger.triple_norm):
+        c = state.c
+        assert abs(norm - math.sqrt(ws.norm_sq(c))) <= 1e-15 * norm
+        assert abs(triple - math.sqrt(ws.dissipation_sq(c))) <= 1e-15 * triple
+
+
+@pytest.mark.parametrize("d_x, K", [(2, 2), (3, 1), (3, 2)])
+def test_step_from_a_half_is_the_step_from_the_whole(d_x, K):
+    # the kernel fills the eta_1 = 0 rows below eta = 0 of a half from its
+    # conjugated mirror: the same bytes as the whole lattice gives, with
+    # the moment fields its own or frozen, whole or halved
+    cfg = small_config(d_x=d_x, K=K, recipe="rough", g0_norm=0.1)
+    half = step_imex(build_initial_state(cfg), cfg.dt)
+    whole = PhaseState(cfg, half.c.copy(order="F"), half.time)
+    half = PhaseState._of_half(cfg, whole.c[whole.workspace.centre :], whole.time)
+    assert half._half is not None and whole._half is None
+    assert step_imex(half, cfg.dt).c.tobytes() == step_imex(whole, cfg.dt).c.tobytes()
+    frozen = whole.c[:, whole.workspace.ops.moment_slots]
+    steps = [
+        step_imex(state, cfg.dt, frozen_moment_fields=mom).c.tobytes()
+        for state in (half, whole)
+        for mom in (frozen, frozen[whole.workspace.centre :])
+    ]
+    assert steps == steps[:1] * 4
+
+
+@pytest.mark.parametrize("d_x, K", [(1, 3), (3, 1)])
+def test_step_result_materializes_as_an_exact_real_field(d_x, K):
+    cfg = small_config(d_x=d_x, K=K, recipe="rough", g0_norm=0.1)
+    state = step_imex(build_initial_state(cfg), cfg.dt)
+    assert state._half is not None
+    assert hermitian_defect(state) == 0.0
+    assert state._half is None and np.any(state.c != 0)
+
+
+def test_edits_to_a_marched_state_are_seen(tmp_path):
+    # as the benchmark's gate test edits a read state: once c is read it is
+    # the state, so norms, the defect and the snapshot see the edit
+    cfg = small_config(recipe="rough", g0_norm=0.1)
+    state = step_imex(build_initial_state(cfg), cfg.dt)
+    ws = state.workspace
+    before = h_r_norm(state)
+    state.c[ws.centre, ws.basis.index_of[(1, 0, 0)]] += 1e-3
+    state.c[ws.centre - 1, 0] += 1e-3j
+    assert h_r_norm(state) == math.sqrt(ws.norm_sq(state.c)) != before
+    assert hermitian_defect(state) >= 1e-3
+    solver.write_snapshot(tmp_path / "s.lnsp", state)
+    assert solver.read_snapshot(tmp_path / "s.lnsp", cfg).c.tobytes() == state.c.tobytes()
+    state.c *= 2.0
+    assert h_r_norm(state) == math.sqrt(ws.norm_sq(state.c))
+
+
 def test_workspace_memory_is_linear_in_modes():
     # no table over mode pairs: the d_x = 3, K = 8 grid builds in O(n_modes)
     from landau_hermite.kernel import _Workspace
@@ -895,7 +959,8 @@ def test_picard_memory_is_one_trajectory():
 @pytest.mark.parametrize("recipe", ["rough", "kernel"])
 def test_picard_trajectory_is_the_march_bytes(monkeypatch, recipe):
     # the buffer keeps half of each step; every state rebuilt from it, and
-    # every frozen moment field, is the march's own bytes, signed zeros too
+    # every frozen moment field (its modes from eta = 0 on), is the march's
+    # own bytes, signed zeros too
     cfg = small_config(N=6, K=2, d_x=2, T=0.03, recipe=recipe, seed=3)
     g0 = build_initial_state(cfg)
     march = solver._march
@@ -914,10 +979,10 @@ def test_picard_trajectory_is_the_march_bytes(monkeypatch, recipe):
     with pytest.raises(IndexError):
         traj[len(traj)]
     # the last iterate froze the moment fields of the one before it
-    slots = g0.workspace.ops.moment_slots
+    slots, centre = g0.workspace.ops.moment_slots, g0.workspace.centre
     previous = march(g0, frozen[-2] is not None, frozen[-2])
     for k, (state, _) in enumerate(previous):
-        assert frozen[-1][k].tobytes() == state.c[:, slots].tobytes(), k
+        assert frozen[-1][k].tobytes() == state.c[centre:, slots].tobytes(), k
 
 
 def test_step_memory_is_one_grid():
