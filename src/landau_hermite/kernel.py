@@ -391,7 +391,7 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     L = ws.grid_shape[0]
     ct = np.asfortranarray(c).T
     grid = np.empty((P, L**ws.d_x))
-    if ws.d_x == 1:
+    if ws.d_x == 1:  # half_start = centre: the tail ends either form
         tail = ct[:, ct.shape[1] - (ws.n_modes - ws.half_start) :].view(np.float64)
         return np.matmul(tail, first, out=grid)
     pieces = _tail_lines(ws, ct)
@@ -402,8 +402,8 @@ def _to_grid(ws: _Workspace, c: np.ndarray) -> np.ndarray:
     for start in range(0, P, rows):
         s = slice(start, min(start + rows, P))
         n = s.stop - s.start
-        for line, lines in pieces:
-            np.matmul(lines[s], trailing, out=split[:n, line : line + lines.shape[1]])
+        for line, block in pieces:
+            np.matmul(block[s], trailing, out=split[:n, line : line + block.shape[1]])
         t = split[:n]
         if ws.d_x == 3:  # per (field, eta_1): the (eta_2, re/im) rows
             t2 = middle[:n].reshape(-1, 2 * L, L)
