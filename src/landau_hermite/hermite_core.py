@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,9 +79,10 @@ def enumerate_indices(N: int) -> list[MultiIndex]:
 class HermiteBasis:
     """Precomputed index tables and sparse operator matrices for one cap N.
 
-    Instances are cached by :func:`get_basis`; they are immutable after
-    construction.  The derived operators are built on first use and cached
-    per instance, so a repeated call returns the same matrix.
+    Instances are cached by :func:`get_basis` (the `CACHED_CAPS` caps used
+    last); they are immutable after construction.  The derived operators
+    are built on first use and cached per instance, so a repeated call
+    returns the same matrix.
     """
 
     def __init__(self, N: int):
@@ -156,7 +157,13 @@ class HermiteBasis:
         return acc.tocsr()
 
 
-@cache
+# caps whose basis, and whose operators (`landau_ops.get_operators`), stay
+# cached: a sweep over N keeps the ones it used last, and a run reads at
+# most three (verify reads 5, 10 and 12, a march one)
+CACHED_CAPS = 8
+
+
+@lru_cache(maxsize=CACHED_CAPS)
 def get_basis(N: int) -> HermiteBasis:
     return HermiteBasis(N)
 

@@ -13,11 +13,13 @@ their modes from eta = 0 on: it reads the eta_1 >= 0 half of the lattice
 (at d_x >= 2 filling the eta_1 = 0 rows below eta = 0 of a half from their
 conjugated mirrors), maps it to one real (M, L**d_x) grid and back by
 per-axis DFT matrices, applied as BLAS products on row blocks of at most
-2 MiB of intermediates, and returns the modes from eta = 0 on; `_whole` or
-`_unfold` fills the rest by conjugation.  Which rows the grid transforms
-read and write is this module's business: its callers see only whole
-lattices and the halves from eta = 0 on.  The norms take either: a half's
-modes after eta = 0 weigh twice, for their mirrors.
+2 MiB of intermediates, and returns the modes from eta = 0 on; `_unfold`
+fills the rest by conjugation.  Which rows the grid transforms read and
+write is this module's business: its callers see only whole lattices and
+the halves from eta = 0 on.  The norms take either: a half's modes after
+eta = 0 weigh twice, for their mirrors.  The C0 search holds halves
+throughout, from its draws to its last ratio: apart from the seeded
+normals of its draws, it builds no whole lattice.
 
 Layout: c is stored Hermite-major (Fortran order), so c.T is a C-contiguous
 (M, n_modes) array and its float64 view (M, 2 n_modes) interleaves the real
@@ -60,7 +62,10 @@ class _Workspace:
     are built on its first use, so a snapshot read or a norm builds none.
     """
 
+    # for_config's workspaces by key, least recently used first; at most
+    # CACHED of them, so a sweep over (N, K) holds the ones it used last
     _cache: dict = {}
+    CACHED = 16
 
     def __init__(self, N: int, K: int, d_x: int, r: float):
         self.N, self.K, self.d_x, self.r = N, K, d_x, r
@@ -123,9 +128,13 @@ class _Workspace:
     @classmethod
     def for_config(cls, cfg: SolverConfig) -> "_Workspace":
         key = (cfg.N, cfg.K, cfg.d_x, cfg.r)
-        if key not in cls._cache:
-            cls._cache[key] = cls(*key)
-        return cls._cache[key]
+        ws = cls._cache.pop(key, None)
+        if ws is None:
+            ws = cls(*key)
+            if len(cls._cache) >= cls.CACHED:
+                del cls._cache[next(iter(cls._cache))]
+        cls._cache[key] = ws
+        return ws
 
     def implicit_inverses(self, dt: float) -> list[np.ndarray]:
         """Per-level inverses of (I + dt L): `LandauOperators.implicit_inverses`."""
@@ -172,19 +181,27 @@ class _Workspace:
         the exact ratio at an explicit real triple; thirty sweeps need not
         have converged, and `_c0_search` says how far the last one moved.
 
+        The search holds g, h and mom as their modes from eta = 0 on, from
+        the draws to the last ratio, and builds no whole lattice but the
+        seeded normals of its draws: a start draws the upper half of
+        `_hermitize`'s projection, (conj c(-eta) + c(eta)) / 2, each 2-norm
+        counts a mode after eta = 0 twice for its mirror, and the pairing
+        is the real sum of `half_weight` Re <B, h> per mode.
+
         A sweep updates h, then g, then mom, and transforms each new
         iterate to the grid once (w h, g, mom); the grids of g and mom are
         carried to the next step that reads them.  The h step takes
         B(mom, g) from `_grid_product`, which overwrites g's grid, unread
-        after it.  The g and f steps are the two contractions of
-        Y = stack^T (w h) (`_grid_adjoint`): when the grid fits in one
-        block of `_adjoint_blocks`, Y is computed once and both read it,
-        otherwise each computes it block by block, so one block is held
-        at a time.  Per-mode weights multiply float64 views (a division by
-        w as the product with 1/w, which is how numpy divides a complex by
-        a real, so the bits are kept); the ascent's level product and the
-        weights of B and W act on the modes from eta = 0 on, and `_unfold`
-        fills the mirror before a norm is taken.
+        after it; its ascent is (I + Q)^-1 B, since the weight w of the
+        pairing and the 1/w of the metric commute with the per-level
+        (I + Q)^-1 and cancel.  The g and f steps are the two contractions
+        of Y = stack^T (w h) (`_grid_adjoint`), into two grids allocated
+        once per search: when the grid fits in one block of
+        `_adjoint_blocks`, Y is computed once and both read it, otherwise
+        each computes it block by block, so one block is held at a time.
+        The g step and the f optimum divide by w once; per-mode weights
+        multiply float64 views (a division by w as the product with 1/w,
+        which is how numpy divides a complex by a real).
 
         Cached per workspace, with the search's diagnostic in `_c0_search`:
         per start, its sweeps and the relative change of its ratio in the
@@ -194,35 +211,39 @@ class _Workspace:
         if hasattr(self, "_c0_hat"):
             return self._c0_hat
         rng = np.random.default_rng(12345)
-        w = self.h_weight
         basis, ops = self.basis, self.ops
         stack_t = ops.moment_stack.T
-        centre, n_modes = self.centre, self.n_modes
-        w2 = np.repeat(w, 2)  # per column of a real view
-        w2_half, inv_w2_half = w2[2 * centre :], np.repeat(1.0 / w, 2)[2 * centre :]
+        centre = self.centre
+        w = self.h_weight[centre:]
+        w2, inv_w2 = np.repeat(w, 2), np.repeat(1.0 / w, 2)  # per column of a real view
+        mirrors = np.full(len(w), 2.0)  # the 2-norm's count of each mode of a half
+        mirrors[0] = 1.0
         n = math.prod(self.grid_shape)
         shared = _adjoint_width(basis.size, n) == n
-        # one work array per search: a new one per product left the heap
-        # to be trimmed and faulted in again while the shared Y was held
+        # one work array and one output per contraction per search: a new one
+        # per product left the heap to be trimmed and faulted in again while
+        # the shared Y was held
         work = _product_work(basis.size, n)
+        u_grid, w_grid = np.empty((basis.size, n)), np.empty((10, n))
         sweeps = 30
 
-        def ascent(half):  # metric-preconditioned direction, normalized
-            out = np.empty((n_modes, half.shape[1]), dtype=np.complex128, order="F")
-            _level_product(basis, ops.dissipation_metric_inverses, half, out[centre:])
-            x = _real_view(out[centre:])
-            x *= inv_w2_half
-            _unfold(out.T[:, centre:], out.T)
+        def norm(c):  # the 2-norm of the real field whose half is c
+            x = _real_view(c)
+            return math.sqrt(np.dot(mirrors, _mode_dots(x, x)))
+
+        def ascent(u, inv_weight=None):  # metric-preconditioned direction, normalized
+            out = _level_product(basis, ops.dissipation_metric_inverses, u)
             x = _real_view(out)
-            x *= 1.0 / np.linalg.norm(out)
+            if inv_weight is not None:
+                x *= inv_weight
+            x *= 1.0 / norm(out)
             return out
 
         def f_optimum(half):  # the moment fields W / w, normalized
             x = _real_view(half)
-            x *= inv_w2_half
-            mom = _whole(self, half)
-            norm = np.linalg.norm(mom)
-            return mom / norm if norm > 0 else mom
+            x *= inv_w2
+            size = norm(half)
+            return half / size if size > 0 else half
 
         def weighted_grid(hc):  # the grid of w h
             return _to_grid(self, (_real_view(hc) * w2).view(np.complex128).T)
@@ -231,7 +252,7 @@ class _Workspace:
             return math.sqrt(self.dissipation_sq(c)) + math.sqrt(self.norm_sq(c))
 
         def ratio(b, mom, gc, hc):  # at the triple whose B(mom, g) has the half b
-            pairing = np.sum(w[:, None] * _whole(self, b) * np.conj(hc))
+            pairing = np.dot(self.half_weight, _mode_dots(_real_view(b), _real_view(hc)))
             return float(
                 abs(pairing)
                 / (math.sqrt(self.norm_sq(mom)) * seminorm_plus_norm(gc) * seminorm_plus_norm(hc))
@@ -239,12 +260,15 @@ class _Workspace:
 
         best = 0.0
         mask = (basis.levels <= min(4, self.N))[None, :]
-        shape = (n_modes, basis.size)
+        shape = (self.n_modes, basis.size)
+        upper, mirror = slice(centre, None), slice(centre, None, -1)
 
-        def draw():
-            c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-            c = _hermitize(np.asfortranarray(c))
-            return c / np.linalg.norm(c)
+        def draw():  # the upper half of a hermitized draw, normalized
+            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+            half = np.asfortranarray(np.conjugate((re[mirror] + 1j * im[mirror]) * mask))
+            half += (re[upper] + 1j * im[upper]) * mask
+            half *= 0.5
+            return half / norm(half)
 
         starts = []
         for _ in range(2):
@@ -256,7 +280,7 @@ class _Workspace:
             ratios = []
             for sweep in range(sweeps + 1):
                 # f slot: the optimum for g and h, then B(mom, g) on g's grid
-                mom = f_optimum(_from_grid(self, _grid_adjoint(y, gx, "ax,max->mx", np.empty((10, n)))))
+                mom = f_optimum(_from_grid(self, _grid_adjoint(y, gx, "ax,max->mx", w_grid)))
                 del hx, y
                 momx = _to_grid(self, mom)
                 b = _from_grid(self, _grid_product(ops, momx, gx, work))
@@ -266,16 +290,14 @@ class _Workspace:
                 if sweep == sweeps:
                     break
                 # h-gradient of the pairing
-                x = _real_view(b)
-                x *= w2_half
                 hc = ascent(b)
-                del b, x, gc
+                del b, gc
                 hx = weighted_grid(hc)
                 y = _adjoint_blocks(stack_t, hx)
                 if shared:
                     y = list(y)
                 # g-gradient
-                gc = ascent(_from_grid(self, _grid_adjoint(y, momx, "mx,max->ax", np.empty_like(hx))))
+                gc = ascent(_from_grid(self, _grid_adjoint(y, momx, "mx,max->ax", u_grid)), inv_w2)
                 gx = _to_grid(self, gc)
                 if not shared:
                     y = _adjoint_blocks(stack_t, hx)
@@ -416,7 +438,7 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
     """The modes from eta = 0 on of the lattice coefficients of real grid
     values x (P, L**d_x), an (n_modes - n_modes // 2, P) view of a
     Fortran-ordered array; modes off the lattice are dropped.  The rest of a
-    real field's lattice is the conjugated mirror of this half (`_whole`).
+    real field's lattice is the conjugated mirror of this half (`_unfold`).
     The transform computes the tail modes[half_start:] (eta_1 >= 0): row
     blocks of x are multiplied by the DFT matrices of
     `_Workspace.dft_matrices`, the first axis to the half modes
@@ -452,15 +474,6 @@ def _from_grid(ws: _Workspace, x: np.ndarray) -> np.ndarray:
             np.matmul(t.reshape(n, -1, 2 * L)[:, skip:], trailing, out=tail[s])
     out = out[ws.centre - first_mode :]
     out[0].imag = 0.0  # a real field's mean is real: drop rounding
-    return out
-
-
-def _whole(ws: _Workspace, half: np.ndarray) -> np.ndarray:
-    """The whole lattice (n_modes, P), Fortran-ordered, of the real fields
-    whose modes from eta = 0 on are half (as `_from_grid` and `_bilinear`
-    return them): half is copied and the rest filled by `_unfold`."""
-    out = np.empty((ws.n_modes, half.shape[1]), dtype=np.complex128, order="F")
-    _unfold(half.T, out.T)
     return out
 
 
@@ -511,7 +524,7 @@ def _bilinear(ws: _Workspace, mom: np.ndarray, g: np.ndarray) -> np.ndarray:
     moment fields mom (n_modes, 10).  Both arguments are real fields, each
     given as its whole lattice or as its modes from eta = 0 on (`_to_grid`),
     and so is the result, returned as its modes from eta = 0 on
-    (`_from_grid`; `_whole` completes it).
+    (`_from_grid`; `_unfold` completes it).
 
     Both factors are multiplied on a grid of L = 3K+1 points per axis; the
     product's modes in [-2K, 2K] do not alias onto the lattice [-K, K]
@@ -548,10 +561,11 @@ def _grid_adjoint(blocks, bx: np.ndarray, subscripts: str, out: np.ndarray) -> n
     These are the two adjoints of the kernel on the grid of Y from a real
     field h, since a real grid scalar commutes with each G_m.  With the
     grid of the moment fields mom, "mx,max->ax" gives the grid of
-    U = sum_m mom_m (G_m^T h), and sum(conj(h) * B) == vdot(U, g) for
-    B = _whole(ws, _bilinear(ws, mom, g)) and every real field g.  With
-    the grid of g, "ax,max->mx" gives the grid of the real moment fields
-    W_m = sum_alpha g (G_m^T h), and the same pairing is vdot(W, mom)."""
+    U = sum_m mom_m (G_m^T h), and sum(conj(h) * B) == vdot(U, g) for B
+    the whole lattice of _bilinear(ws, mom, g) and every real field g.
+    With the grid of g, "ax,max->mx" gives the grid of the real moment
+    fields W_m = sum_alpha g (G_m^T h), and the same pairing is
+    vdot(W, mom)."""
     for s, y in blocks:
         np.einsum(subscripts, bx[:, s], y, out=out[:, s])
     return out

@@ -31,6 +31,7 @@ __all__ = [
     "gaussian_state",
     "transport_dissipation_integral",
     "exact_propagate",
+    "exact_propagate_times",
     "smoothing_norm",
     "imex_reference_march",
 ]
@@ -221,19 +222,33 @@ def exact_propagate(state: FourierGridState, t: float) -> FourierGridState:
     whose shift pushes more than 1e-12 of slice mass outside the lattice are
     flagged on the returned state.
     """
-    _check_finite("t", t, positive=False)
+    return exact_propagate_times(state, (t,))[0]
+
+
+def exact_propagate_times(state: FourierGridState, times) -> list[FourierGridState]:
+    """`exact_propagate(state, t)` for each t of times, in order.  The sums
+    |xi|^2, xi . eta and |eta|^2 of every mode do not depend on t: they are
+    built once (`_square_sums`), and each t adds its shift and its
+    `_dissipation_integral`."""
+    for t in times:
+        _check_finite("t", t, positive=False)
+    xi = np.stack(np.meshgrid(*([state.xi_axis] * state.dims), indexing="ij"), axis=-1)
+    etas = [state.eta_of(mode) for mode in state.eta_modes()]
+    sums = [_square_sums(eta, xi) for eta in etas]
+    return [_propagate(state, t, etas, sums) for t in times]
+
+
+def _propagate(state: FourierGridState, t: float, etas: list, sums: list) -> FourierGridState:
+    """The body of `exact_propagate` at one t, given every mode's eta and
+    `_square_sums` in `eta_modes` order."""
     out = state.copy()
     if t == 0.0:
         return out
     xi_axis = state.xi_axis
-    d = state.dims
-    measure = state.xi_step**d
-    xi = np.stack(np.meshgrid(*([xi_axis] * d), indexing="ij"), axis=-1)
-    for mode in state.eta_modes():
-        eta = state.eta_of(mode)
+    measure = state.xi_step**state.dims
+    for mode, eta, mode_sums in zip(state.eta_modes(), etas, sums):
         sl, lost_sq = _transport_shift(state.values[mode], eta, t, xi_axis)
-        expo = transport_dissipation_integral(t, eta, xi)
-        out.values[mode] = np.exp(-expo) * sl
+        out.values[mode] = np.exp(-_dissipation_integral(t, mode_sums)) * sl
         lost_mass = lost_sq * measure
         if lost_mass > 1e-12:
             out.flagged_modes.append(tuple(int(e) for e in eta))

@@ -39,12 +39,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .hermite_core import (
+    CACHED_CAPS,
     HermiteSpectrum,
     get_basis,
     unit_spectrum,
@@ -105,10 +106,10 @@ class LandauOperators:
     operators G_m, stored only as their stack, the collision invariants, the
     dissipation form Q, and the per-level inverses of I + Q and of the
     implicit step's I + dt L (`level_inverses` builds both).  They depend on
-    N alone: one instance per degree cap, cached by :func:`get_operators`,
-    serves every Fourier lattice.  Matrices are built once (the cached
-    properties on first use; the implicit inverses for the latest dt),
-    read-only.
+    N alone: one instance per degree cap, cached by :func:`get_operators`
+    (the `CACHED_CAPS` caps used last), serves every Fourier lattice.
+    Matrices are built once (the cached properties on first use; the
+    implicit inverses for the latest dt), read-only.
     """
 
     def __init__(self, N: int):
@@ -222,7 +223,7 @@ class LandauOperators:
         return [self.L[sl, sl].toarray() for sl in self.basis.level_slices]
 
 
-@cache
+@lru_cache(maxsize=CACHED_CAPS)
 def get_operators(N: int) -> LandauOperators:
     return LandauOperators(N)
 
@@ -304,25 +305,38 @@ def gamma_weak_D(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> 
     return complex(math.sqrt(2.0) * d1 + d2 + d3 + d4 + d5 + d6 + d7)
 
 
+@lru_cache(maxsize=CACHED_CAPS)
+def _moment_test_vectors(N: int) -> np.ndarray:
+    """The thirteen test vectors whose pairings with f are the moments that
+    `gamma_weak_E` reads, as the rows of one read-only (13, M) array: Phi_0,
+    v_a Phi_0 for a = 1, 2, 3, then v_b v_a Phi_0 for (a, b) in C order."""
+    phi0 = unit_spectrum(N, (0, 0, 0))
+    v_phi0 = [multiply_v(a, phi0) for a in range(1, 4)]
+    rows = [phi0] + v_phi0 + [multiply_v(b, v) for v in v_phi0 for b in range(1, 4)]
+    table = np.array([s.coeffs for s in rows])
+    table.flags.writeable = False
+    return table
+
+
 def gamma_weak_E(f: HermiteSpectrum, g: HermiteSpectrum, h: HermiteSpectrum) -> complex:
     """Seven-block coordinate/derivative form of (B(f,g), h).
 
     Uses only multiply_v and differentiate_v on g and h, so compositions
     truncate: agrees with the D form for g, h of degree <= cap-2.  Each
-    coordinate and derivative product of g and h, and each moment of f, is
-    computed once (36 products per call) and read by every block that uses
-    it; the rotation v_j d_k - v_k d_j is a difference of the shared
-    products v_j (d_k s).
+    coordinate and derivative product of g and h is computed once (24
+    products per call) and read by every block that uses it; the rotation
+    v_j d_k - v_k d_j is a difference of the shared products v_j (d_k s).
+    f's moments are its pairings with the test vectors of
+    `_moment_test_vectors`, built once per cap.
     """
     N = f.degree_cap
     axes = range(1, 4)
     pairs = list(itertools.permutations(axes, 2))
-    # moments of f: (f, v_b v_a Phi_0) as fm2[a, b], (f, v_a Phi_0), (f, Phi_0)
-    phi0 = unit_spectrum(N, (0, 0, 0))
-    v_phi0 = {a: multiply_v(a, phi0) for a in axes}
-    fm0 = inner_product(f, phi0)
-    fm1 = {a: inner_product(f, v_phi0[a]) for a in axes}
-    fm2 = {(a, b): inner_product(f, multiply_v(b, v_phi0[a])) for a in axes for b in axes}
+    # moments of f: (f, Phi_0), (f, v_a Phi_0), (f, v_b v_a Phi_0) as fm2[a, b]
+    fm = [complex(np.vdot(t, f.coeffs)) for t in _moment_test_vectors(N)]
+    fm0 = fm[0]
+    fm1 = {a: fm[a] for a in axes}
+    fm2 = {(a, b): fm[3 * a + b] for a in axes for b in axes}
 
     d_g = {a: differentiate_v(a, g) for a in axes}
     v_g = {a: multiply_v(a, g) for a in axes}

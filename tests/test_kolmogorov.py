@@ -12,6 +12,7 @@ from landau_hermite.kolmogorov import (
     gaussian_state,
     transport_dissipation_integral,
     exact_propagate,
+    exact_propagate_times,
     smoothing_norm,
     imex_reference_march,
     _transport_shift,
@@ -157,6 +158,20 @@ def test_stencil_march_equals_step_by_step_shifts(dims, eta_max, xi_points, t, d
     assert got.time == want.time
 
 
+@pytest.mark.parametrize("dims, eta_max, xi_points", [(1, 4, 97), (2, 2, 33), (3, 1, 9)])
+def test_propagate_times_equals_one_call_per_time(dims, eta_max, xi_points):
+    # a ladder of times shares each mode's xi sums and keeps every bit of
+    # one exact_propagate per t, the flags of escaping mass included
+    s = gaussian_state(dims=dims, eta_max=eta_max, xi_max=12.0 / dims, xi_points=xi_points)
+    times = [0.0, 0.1, 0.55, 1.0, 4.0]
+    for got, t in zip(exact_propagate_times(s, times), times, strict=True):
+        want = exact_propagate(s, t)
+        assert np.array_equal(got.values, want.values)
+        assert (got.time, got.escaped_mass, got.flagged_modes) == (
+            want.time, want.escaped_mass, want.flagged_modes)
+    assert exact_propagate(s, 4.0).flagged_modes
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -169,6 +184,7 @@ def test_stencil_march_equals_step_by_step_shifts(dims, eta_max, xi_points, t, d
         (lambda s: exact_propagate(s, math.nan), "t"),
         (lambda s: exact_propagate(s, math.inf), "t"),
         (lambda s: exact_propagate(s, -0.1), "t"),
+        (lambda s: exact_propagate_times(s, [0.5, math.nan]), "t"),
     ],
 )
 def test_bad_time_arguments_rejected(call, name):

@@ -52,6 +52,13 @@ def random_state(config, rng, scale=1.0, max_level=None, real_field=False):
     return PhaseState(config, c, 0.0)
 
 
+def whole(ws, half):
+    # the whole lattice (n_modes, P) of the real fields whose modes from
+    # eta = 0 on are half, as the kernel returns them: kernel._unfold
+    out = np.empty((ws.n_modes, half.shape[1]), dtype=np.complex128, order="F")
+    return kernel._unfold(half.T, out.T).T
+
+
 def put_slice(state, eta, spectrum):
     from landau_hermite.kernel import _Workspace
 
@@ -292,7 +299,7 @@ def _slot_adjoint(ws, hx, bx, subscripts, out):
 def test_trilinear_adjoints_match_weighted_pairing():
     # the g-slot and f-slot contractions of trilinear_constant are adjoints
     # of the kernel in the weighted pairing (B(f, g), h)_w, on real fields
-    from landau_hermite.kernel import _Workspace, _to_grid, _whole
+    from landau_hermite.kernel import _Workspace, _to_grid
 
     rng = np.random.default_rng(60)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -305,8 +312,8 @@ def test_trilinear_adjoints_match_weighted_pairing():
         hx = _to_grid(ws, wh)
         u = _slot_adjoint(ws, hx, _to_grid(ws, mom), "mx,max->ax", np.empty_like(hx))
         w = _slot_adjoint(ws, hx, _to_grid(ws, g.c), "ax,max->mx", np.empty((10, hx.shape[1])))
-        g_slot = np.vdot(_whole(ws, u), g.c)
-        f_slot = np.vdot(_whole(ws, w), mom)
+        g_slot = np.vdot(whole(ws, u), g.c)
+        f_slot = np.vdot(whole(ws, w), mom)
         assert abs(g_slot - pairing) <= 1e-12 * abs(pairing)
         assert abs(f_slot - pairing) <= 1e-12 * abs(pairing)
 
@@ -323,21 +330,35 @@ def test_gamma_conv_rejects_a_state_that_is_not_a_real_field():
             gamma_conv(f, g)
 
 
-@pytest.mark.parametrize(
-    "args, c0",
-    [
-        ((8, 3, 1, 2.0), 1.6275398054980237),
-        ((6, 2, 2, 2.0), 1.7982477424414147),
-        ((6, 1, 3, 2.0), 1.6843513884978358),
-        ((16, 8, 1, 2.0), 2.0600008378172165),
-    ],
-)
+PINNED_C0 = {
+    (8, 3, 1, 2.0): 1.6275398054980237,
+    (6, 2, 2, 2.0): 1.7982477424414147,
+    (6, 1, 3, 2.0): 1.6843513884978358,
+    (16, 8, 1, 2.0): 2.0600008378172165,
+}
+
+
+@pytest.mark.parametrize("args, c0", list(PINNED_C0.items()))
 def test_trilinear_constant_is_pinned(args, c0):
     # the search is deterministic (seeded starts, fixed sweeps): a change of
     # its path moves these values beyond rounding
     from landau_hermite.kernel import _Workspace
 
     assert abs(_Workspace(*args).trilinear_constant() - c0) <= 1e-12 * c0
+
+
+@pytest.mark.parametrize("args", [(8, 3, 1, 2.0), (6, 1, 3, 2.0)])
+def test_trilinear_constant_holds_halves(monkeypatch, args):
+    # the search draws, steps and measures the modes from eta = 0 on: it
+    # neither hermitizes a whole lattice nor unfolds a half, and it finds
+    # the pinned value
+    def refuse(*_):
+        raise AssertionError("the C0 search built a whole lattice")
+
+    monkeypatch.setattr(kernel, "_unfold", refuse)
+    monkeypatch.setattr(kernel, "_hermitize", refuse)
+    c0 = PINNED_C0[args]
+    assert abs(kernel._Workspace(*args).trilinear_constant() - c0) <= 1e-12 * c0
 
 
 def test_trilinear_constant_does_not_depend_on_the_adjoint_blocks(monkeypatch):
@@ -389,8 +410,8 @@ def test_sparse_right_real_view_is_exact():
 
 def test_grid_round_trip():
     # _to_grid leaves its argument unchanged; _from_grid, completed by
-    # _whole, undoes it on real fields
-    from landau_hermite.kernel import _Workspace, _from_grid, _to_grid, _whole
+    # _unfold, undoes it on real fields
+    from landau_hermite.kernel import _Workspace, _from_grid, _to_grid
 
     rng = np.random.default_rng(62)
     for d_x, K in ((0, 0), (1, 3), (2, 2), (3, 1)):
@@ -398,7 +419,7 @@ def test_grid_round_trip():
         ws = _Workspace.for_config(cfg)
         c = random_state(cfg, rng, real_field=True).c
         kept = c.copy()
-        back = _whole(ws, _from_grid(ws, _to_grid(ws, c)))
+        back = whole(ws, _from_grid(ws, _to_grid(ws, c)))
         assert np.array_equal(c, kept)
         assert np.linalg.norm(back - c) <= 1e-15 * np.linalg.norm(c)
 
@@ -422,18 +443,18 @@ def test_to_grid_is_the_fourier_sum(d_x, K):
 @pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 2)])
 def test_from_grid_is_the_truncated_fourier_sum(d_x, K):
     # _from_grid of real grid values u is (1/L^d_x) sum_j u_j exp(-i eta . x_j)
-    # on every lattice mode eta, the tail it returns completed by _whole.  A
+    # on every lattice mode eta, the tail it returns completed by _unfold.  A
     # random grid holds modes past the lattice, up to L/2: a map that aliased
     # one of them onto the lattice would still pass the round trip, which
     # starts from lattice modes, but not this
-    from landau_hermite.kernel import _Workspace, _from_grid, _whole
+    from landau_hermite.kernel import _Workspace, _from_grid
 
     ws = _Workspace.for_config(small_config(d_x=d_x, K=K))
     L = ws.grid_shape[0]
     x = np.random.default_rng(65).standard_normal((4, L**d_x))
     j = np.array(list(itertools.product(range(L), repeat=d_x)))
     direct = np.exp(-2j * np.pi / L * (ws.eta @ j.T)) @ x.T / L**d_x
-    assert np.linalg.norm(_whole(ws, _from_grid(ws, x)) - direct) <= 1e-13 * np.linalg.norm(direct)
+    assert np.linalg.norm(whole(ws, _from_grid(ws, x)) - direct) <= 1e-13 * np.linalg.norm(direct)
 
 
 @pytest.mark.parametrize("d_x, K", [(1, 3), (3, 2)])
@@ -505,17 +526,46 @@ def test_dft_matrices_are_built_on_first_kernel_use(monkeypatch, tmp_path):
     assert all(not m.flags.writeable for m in matrices)
 
 
+def test_caches_keep_a_bounded_number_of_entries(monkeypatch):
+    # _Workspace.for_config, get_basis and get_operators keep the entries
+    # used last, at most a stated number each: a sweep over three times as
+    # many (N, K) pairs as the largest bound, and three times as many caps,
+    # stays within every bound; an entry read again outlives older ones
+    from landau_hermite.hermite_core import CACHED_CAPS
+    from landau_hermite.landau_ops import get_operators
+
+    workspace = kernel._Workspace
+    monkeypatch.setattr(workspace, "_cache", {})
+    caps = range(4, 4 + 3 * CACHED_CAPS)
+    pairs = [(N, K) for N in caps for K in (1, 2)]
+    assert len(pairs) >= 3 * max(workspace.CACHED, CACHED_CAPS)
+    for N, K in pairs:
+        ws = workspace.for_config(small_config(N=N, K=K))
+        assert ws.basis.N == ws.ops.N == N
+        assert len(workspace._cache) <= workspace.CACHED
+        assert get_basis.cache_info().currsize <= CACHED_CAPS
+        assert get_operators.cache_info().currsize <= CACHED_CAPS
+    assert list(workspace._cache)[-1] == (N, K, 1, 2.0)
+    first = workspace.for_config(small_config(N=4, K=1))
+    for K in range(2, workspace.CACHED + 1):
+        workspace.for_config(small_config(N=4, K=K))
+    assert workspace.for_config(small_config(N=4, K=1)) is first
+    workspace.for_config(small_config(N=4, K=workspace.CACHED + 1))
+    assert len(workspace._cache) == workspace.CACHED
+    assert (4, 1, 1, 2.0) in workspace._cache and (4, 2, 1, 2.0) not in workspace._cache
+
+
 @pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 1)])
 def test_bilinear_output_is_exactly_hermitian(d_x, K):
-    # the kernel's tail, completed by _whole, fills the lower half of the
+    # the kernel's tail, completed by _unfold, fills the lower half of the
     # lattice by conjugation
-    from landau_hermite.kernel import _Workspace, _bilinear, _whole
+    from landau_hermite.kernel import _Workspace, _bilinear
 
     cfg = small_config(d_x=d_x, K=K)
     ws = _Workspace.for_config(cfg)
     rng = np.random.default_rng(63)
     f, g = (random_state(cfg, rng, real_field=True) for _ in range(2))
-    out = _whole(ws, _bilinear(ws, f.c[:, ws.ops.moment_slots], g.c))
+    out = whole(ws, _bilinear(ws, f.c[:, ws.ops.moment_slots], g.c))
     assert np.any(out != 0)
     assert hermitian_defect(PhaseState(cfg, out)) == 0.0
 
