@@ -139,16 +139,37 @@ def load_config(path) -> SolverConfig:
         return parse_config_text(fh.read())
 
 
+# bytes of the intermediates of the kernel's grid transforms and of the work
+# blocks of its _grid_product and _adjoint_blocks (_grid_product covers the desk
+# grid, d_x = 1, N = 16, in one block of its 25 points): larger blocks save
+# little time but add their size to RSS
+_BLOCK_BYTES = 2 << 20
+
+
 def min_peak_bytes(cfg: SolverConfig) -> int:
     """A lower bound on the peak bytes of a run of cfg, computed from
-    (N, K, d_x, scheme, n_steps) without listing the lattice: the state,
-    n_modes = (2K+1)^d_x rows of M = comb(N+3, 3) complex coefficients;
-    the kernel's real (M, L^d_x) grid, L = 3K+1; and, for picard, the
-    trajectory buffer of (n_steps+1) M (n_modes - n_modes // 2) complex
-    coefficients."""
+    (N, K, d_x, scheme, n_steps) without listing the lattice, of what is
+    held at once while the kernel multiplies on its grid of n = L^d_x
+    points, L = 3K+1:
+
+    * the datum, n_modes = (2K+1)^d_x rows of M = comb(N+3, 3) complex
+      coefficients;
+    * the kernel's real (M, n) grid, its (10, n) moment grid and its work
+      block of 11 M float64 per grid point, at least min(n,
+      _BLOCK_BYTES // (176 M)) points wide (never narrower than half its
+      width cap);
+    * the dense per-level inverses, sum over levels k <= N of w_k^2 float64,
+      w_k = (k+1)(k+2)/2: one set (of I + dt L) for imex_euler, two for
+      picard (and of I + Q, read by its trilinear-constant search);
+    * for picard, the trajectory buffer of (n_steps+1) M
+      (n_modes - n_modes // 2) complex coefficients."""
     M = math.comb(cfg.N + 3, 3)
     n_modes = (2 * cfg.K + 1) ** cfg.d_x
-    total = 16 * n_modes * M + 8 * M * (3 * cfg.K + 1) ** cfg.d_x
+    n = (3 * cfg.K + 1) ** cfg.d_x
+    work_points = min(n, max(1, _BLOCK_BYTES // (176 * M)))
+    inverses = sum(((k + 1) * (k + 2) // 2) ** 2 for k in range(cfg.N + 1))
+    total = 16 * n_modes * M + 8 * (M + 10) * n + 88 * M * work_points
     if cfg.scheme == "picard":
         total += 16 * (cfg.n_steps + 1) * M * (n_modes - n_modes // 2)
-    return total
+        inverses *= 2
+    return total + 8 * inverses

@@ -5,10 +5,16 @@ The smoothing signature is measured on two abscissas:
 
 * velocity side: log S_n against sqrt(2n+3), the square root of the
   harmonic-oscillator scale of level n.  Exponential decay on this axis is
-  the Hermite-side analyticity gauge (a surrogate for the half-Laplacian
-  functional, which is not diagonal on Hermite levels).  Every eigenvalue of
-  L at level k >= 3 is 2k + l(l+1) >= 2k, so the linear flow alone damps
-  level n at least like exp(-2nt): exponentially in n, not in sqrt(2n+3).
+  a surrogate for the paper's analyticity gauge in v (its half-Laplacian
+  functional is not diagonal on Hermite levels); it is not the decay the
+  march shows.  Every eigenvalue of L at level n >= 3 is 2n + l(l+1) >= 2n
+  (`landau_ops.closed_form_level_spectrum`), so at eta = 0 without the
+  bilinear term each implicit step, (I + dt L)^-1, divides the norm of
+  level n by at least 1 + 2n dt: S_n(k dt) <= (1 + 2n dt)^-k S_n(0), about
+  exp(-2n t) for small dt (`tests/test_diagnostics.py` asserts it on a
+  rough datum).  On the level abscissa n that decay is linear; on
+  sqrt(2n+3) it is curved, so a rate fitted there depends on the levels
+  fitted, and c_v / t is not constant in t.
 * space side: log R_m against the shell radius m (analytic gauge).  A
   Gaussian profile, such as the exact kinetic-transport oracle's, is fitted
   on m^2 by passing that abscissa to `fit_decay_rate`.

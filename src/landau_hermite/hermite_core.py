@@ -22,12 +22,22 @@ Coefficient actions (exact, up to Galerkin truncation at the cap):
 Truncation policy: ladder output beyond the cap is dropped.  Compositions of
 p ladder factors are therefore exact on inputs of degree <= N - p; callers
 that need exact identities restrict inputs accordingly.
+
+Slots: alpha's coefficient sits at its canonical rank
+C(n+2, 3) + a1 (n+1) - a1 (a1-1)/2 + a2, n = |alpha|, so the ladder tables
+are built by index arithmetic.  Parity: the reflection v_j -> -v_j maps
+Phi_alpha to (-1)^{alpha_j} Phi_alpha.  Each ladder factor on axis j flips
+the parity of alpha_j, so a product keeps every alpha_j mod 2 exactly when
+it has an even number of factors on each axis: the number operator, the
+squares L[k,j]^2 and the sphere Laplacian do, and keep each level's four
+classes of (a1, a2, a3) mod 2 apart.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -66,32 +76,55 @@ def enumerate_indices(N: int) -> list[MultiIndex]:
     Canonical order is ascending by level |alpha|, lexicographic within a
     level.  The position of an index in this list is its coefficient slot.
     """
+    return list(map(tuple, _index_array(N).tolist()))
+
+
+def _canonical_rank(alpha: np.ndarray) -> np.ndarray:
+    """Slots of the multi-indices in the rows of an integer array (..., 3):
+    the C(n+2, 3) indices below level n = |alpha|, then, within the level,
+    the a1 (n+1) - a1 (a1-1)/2 indices of smaller a1 and a2 of equal a1."""
+    a1, a2 = alpha[..., 0], alpha[..., 1]
+    n = alpha.sum(axis=-1)
+    return n * (n + 1) * (n + 2) // 6 + a1 * (n + 1) - a1 * (a1 - 1) // 2 + a2
+
+
+def _index_array(N: int) -> np.ndarray:
+    """The multi-indices |alpha| <= N as the rows of an int64 (M, 3) array
+    in canonical order, each put at its `_canonical_rank`."""
     if N < 0:
         raise ValueError("degree cap must be >= 0")
-    out: list[MultiIndex] = []
-    for level in range(N + 1):
-        for a1 in range(level + 1):
-            for a2 in range(level - a1 + 1):
-                out.append((a1, a2, level - a1 - a2))
+    grid = np.indices((N + 1,) * 3, dtype=np.int64).reshape(3, -1).T
+    grid = grid[grid.sum(axis=1) <= N]
+    out = np.empty_like(grid)
+    out[_canonical_rank(grid)] = grid
     return out
+
+
+def _one_per_row(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int):
+    """The (size, size) csr matrix with vals at (rows, cols), for strictly
+    increasing rows: at most one entry per row, so the row pointers count
+    the rows below each index."""
+    indptr = np.searchsorted(rows, np.arange(size + 1))
+    return sp.csr_matrix((vals, cols, indptr), shape=(size, size))
 
 
 class HermiteBasis:
     """Precomputed index tables and sparse operator matrices for one cap N.
 
     Instances are cached by :func:`get_basis` (the `CACHED_CAPS` caps used
-    last); they are immutable after construction.  The derived operators
-    are built on first use and cached per instance, so a repeated call
-    returns the same matrix.
+    last), which hands out one instance per cap; they are immutable after
+    construction.  The derived operators are built on first use and cached
+    per instance, so a repeated call returns the same matrix.
     """
 
     def __init__(self, N: int):
         self.N = N
-        self.indices = enumerate_indices(N)
+        self.alpha = _index_array(N)  # the indices as an int64 (M, 3) array
+        self.indices = list(map(tuple, self.alpha.tolist()))
         self.size = len(self.indices)
         assert self.size == basis_size(N)
-        self.index_of = {a: i for i, a in enumerate(self.indices)}
-        self.levels = np.array([sum(a) for a in self.indices], dtype=np.int64)
+        self.index_of = dict(zip(self.indices, range(self.size)))
+        self.levels = self.alpha.sum(axis=1)
         # slices of the canonical ordering, one per level
         self.level_slices = []
         start = 0
@@ -99,27 +132,24 @@ class HermiteBasis:
             width = (n + 1) * (n + 2) // 2
             self.level_slices.append(slice(start, start + width))
             start += width
-        self._raising = [self._build_raising(axis) for axis in range(3)]
-        self._lowering = [R.T.tocsr() for R in self._raising]
+        # a[+,j] takes column alpha (|alpha| < N; the top level is pushed
+        # past the cap and dropped) to row alpha + e_j with sqrt(alpha_j + 1),
+        # and a[-,j] is its transpose; alpha + e_j keeps the canonical order,
+        # so each holds at most one entry per row
+        below = np.flatnonzero(self.levels < N)
+        self._raising, self._lowering = [], []
+        for axis in range(3):
+            up = self.alpha[below]
+            vals = np.sqrt(up[:, axis] + 1.0)
+            up[:, axis] += 1
+            above = _canonical_rank(up)
+            self._raising.append(_one_per_row(above, below, vals, self.size))
+            self._lowering.append(_one_per_row(below, above, vals, self.size))
         # the caches live on the instance: functools.cache on the methods
         # would live on the class and keep every basis alive
         for name in ("coordinate", "derivative", "rotation", "number_operator",
                      "sphere_laplacian"):
             setattr(self, name, cache(getattr(self, name)))
-
-    def _build_raising(self, axis: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for col, alpha in enumerate(self.indices):
-            if sum(alpha) == self.N:
-                continue  # pushed past the cap, dropped
-            up = list(alpha)
-            up[axis] += 1
-            rows.append(self.index_of[tuple(up)])
-            cols.append(col)
-            vals.append(math.sqrt(alpha[axis] + 1))
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.size, self.size), dtype=np.float64
-        )
 
     def raising(self, axis: int) -> sp.csr_matrix:
         """Matrix of a[+,axis] (0-based axis)."""
@@ -138,9 +168,12 @@ class HermiteBasis:
         return (0.5 * (self._lowering[axis] - self._raising[axis])).tocsr()
 
     def rotation(self, k: int, j: int) -> sp.csr_matrix:
-        """Matrix of L[k,j] = v_j d/dv_k - v_k d/dv_j (0-based axes, k != j)."""
+        """Matrix of L[k,j] = v_j d/dv_k - v_k d/dv_j (0-based axes, k != j).
+        L[k,j] = -L[j,k], exactly: the products are formed for k < j only."""
         if k == j:
             raise ValueError("rotation axes must differ")
+        if k > j:
+            return -self.rotation(j, k)
         A = self._raising[j] @ self._lowering[k] - self._raising[k] @ self._lowering[j]
         return A.tocsr()
 
@@ -149,11 +182,16 @@ class HermiteBasis:
         return sp.diags(self.levels.astype(np.float64)).tocsr()
 
     def sphere_laplacian(self) -> sp.csr_matrix:
-        """Matrix of the Laplace-Beltrami operator (1/2) sum_{j!=k} L[k,j]^2."""
+        """Matrix of the Laplace-Beltrami operator (1/2) sum_{j!=k} L[k,j]^2.
+        L[j,k]^2 = L[k,j]^2, so each of the three squares is formed once and
+        added twice, in the order of the sum."""
+        half_sq = {}
+        for k, j in itertools.combinations(range(3), 2):
+            A = self.rotation(k, j)
+            half_sq[k, j] = 0.5 * (A @ A)
         acc = sp.csr_matrix((self.size, self.size), dtype=np.float64)
         for k, j in itertools.permutations(range(3), 2):
-            A = self.rotation(k, j)
-            acc = acc + 0.5 * (A @ A)
+            acc = acc + half_sq[min(k, j), max(k, j)]
         return acc.tocsr()
 
 
@@ -163,9 +201,18 @@ class HermiteBasis:
 CACHED_CAPS = 8
 
 
+# every basis still alive, by cap: a cap that get_basis evicted while its
+# operators or a workspace still hold its basis gets that basis back, so
+# there is one HermiteBasis per cap
+_live_bases: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=CACHED_CAPS)
 def get_basis(N: int) -> HermiteBasis:
-    return HermiteBasis(N)
+    basis = _live_bases.get(N)
+    if basis is None:
+        basis = _live_bases[N] = HermiteBasis(N)
+    return basis
 
 
 @dataclass

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .config import SolverConfig
+from .config import _BLOCK_BYTES, SolverConfig
 from .hermite_core import get_basis
 from .landau_ops import LandauOperators, get_operators
 
@@ -343,13 +343,6 @@ def _dft_angles(K: int, L: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     mod L in integers before it is scaled."""
     theta = 2.0 * np.pi / L * (np.outer(np.arange(first, K + 1), np.arange(L)) % L)
     return np.cos(theta), np.sin(theta)
-
-
-# bytes of the intermediates of the grid transforms and of the work blocks of
-# _grid_product and _adjoint_blocks (_grid_product covers the desk grid, d_x = 1,
-# N = 16, in one block of its 25 points): larger blocks save little time but
-# add their size to RSS
-_BLOCK_BYTES = 2 << 20
 
 
 def _transform_rows(ws: _Workspace, P: int) -> int:

@@ -9,7 +9,11 @@ Hermite levels and splits as L = L1 + L2 with
 where P1, P2 project on Hermite levels 1 and 2.  L is level preserving,
 symmetric positive semidefinite, and annihilates exactly the five collision
 invariants (ground state, the three v_j modes, and the radial level-2
-combination), the rows of `LandauOperators.collision_invariants`.
+combination), the rows of `LandauOperators.collision_invariants`.  It is
+isotropic, so it commutes with every reflection v_j -> -v_j: L, and the
+dissipation form Q built from L1, never couple two of a level's four
+parity classes of alpha mod 2.  The per-level inverses are taken class by
+class and are exactly 0 between classes.
 
 The bilinear term B(f, g) (collision interaction of two perturbations) is
 trilinear in (f, g, test) and touches f only through ten low-order moments,
@@ -121,9 +125,14 @@ class LandauOperators:
         sphere = b.sphere_laplacian()
         number2 = 2.0 * b.number_operator()
         self.L1 = (number2 - sphere).tocsr()
-        p1 = sp.diags((b.levels == 1).astype(np.float64))
-        p2 = sp.diags((b.levels == 2).astype(np.float64))
-        self.L2 = ((sphere - number2) @ p1 + (-sphere - number2) @ p2).tocsr()
+        # the level-1 columns of sphere - number2 and the level-2 columns of
+        # -sphere - number2; L keeps the level, so both are in levels <= 2
+        low = b.level_slices[2].stop
+        level = b.levels[:low]
+        sph, n2 = sphere[:low, :low].toarray(), np.diag(2.0 * level)
+        block = np.where(level == 1, sph - n2, 0.0) + np.where(level == 2, -sph - n2, 0.0)
+        rows, cols = np.nonzero(block)
+        self.L2 = sp.csr_matrix((block[rows, cols], (rows, cols)), shape=(b.size, b.size))
         self.L = (self.L1 + self.L2).tocsr()
         self.moment_slots = np.array([b.index_of[m] for m in MOMENTS], dtype=np.int64)
         # [G_0 | ... | G_9] (M, 10 M), the one stored form of the G_m: read by
@@ -153,14 +162,11 @@ class LandauOperators:
                 A = b.rotation(i, a)
                 acc = acc + R[i] @ A + A @ R[i]
             ops.append(acc.tocsr())
-        # m2d[a]: sqrt(2) sum_{i != a} (a+_i)^2
+        # m2d[a]: sqrt(2) sum_{i != a} (a+_i)^2, each square formed once
+        sq = [R[i] @ R[i] for i in range(3)]
         for a in range(3):
-            acc = sp.csr_matrix((b.size, b.size), dtype=np.float64)
-            for i in range(3):
-                if i == a:
-                    continue
-                acc = acc + R[i] @ R[i]
-            ops.append((math.sqrt(2.0) * acc).tocsr())
+            i, j = (k for k in range(3) if k != a)
+            ops.append((math.sqrt(2.0) * (sq[i] + sq[j])).tocsr())
         # m2o[(a,c)]: -2 a+_a a+_c
         for a, c in MOMENT_PAIRS:
             ops.append((-2.0 * (R[a] @ R[c])).tocsr())
@@ -196,13 +202,57 @@ class LandauOperators:
         top = self.basis.levels == self.N
         return (self.L1 + sp.diags(3.0 - (self.N + 3.0) * top)).tocsr()
 
+    @cached_property
+    def _level_layout(self) -> tuple:
+        """Where the dense level blocks of a level-preserving form sit in one
+        flat buffer, block n (width w) at offsets[n] as a C-ordered (w, w)
+        array: (offsets, the position of each coefficient's row, its column
+        within its level, its parity class, and per class size s the
+        members (count, s) of every class of that size).  A class is a
+        level's indices of one (a1, a2) mod 2 (|alpha| fixes a3's parity)."""
+        b = self.basis
+        widths = np.array([sl.stop - sl.start for sl in b.level_slices])
+        offsets = np.concatenate(([0], np.cumsum(widths**2)))
+        local = np.arange(b.size) - np.array([sl.start for sl in b.level_slices])[b.levels]
+        row_at = offsets[b.levels] + local * widths[b.levels]
+        parity = 4 * b.levels + 2 * (b.alpha[:, 0] % 2) + b.alpha[:, 1] % 2
+        order = np.argsort(parity, kind="stable")
+        _, first, sizes = np.unique(parity[order], return_index=True, return_counts=True)
+        classes = [order[first[sizes == size, None] + np.arange(size)] for size in np.unique(sizes)]
+        return offsets, row_at, local, parity, classes
+
+    def _dense_levels(self, form: sp.csr_matrix, scale: float = 1.0) -> np.ndarray:
+        """scale * form's level blocks in the flat buffer of `_level_layout`,
+        read from its nonzeros in one pass.  A form that couples two levels
+        or two parity classes raises ValueError."""
+        offsets, row_at, local, parity, _ = self._level_layout
+        rows = np.repeat(np.arange(self.basis.size), np.diff(form.indptr))
+        if np.any(parity[rows] != parity[form.indices]):
+            raise ValueError("the form couples two Hermite levels or parity classes")
+        flat = np.zeros(offsets[-1])
+        flat[row_at[rows] + local[form.indices]] = scale * form.data
+        return flat
+
+    def _level_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The (w, w) level blocks of a flat buffer of `_level_layout`."""
+        offsets = self._level_layout[0]
+        return [flat[o:e].reshape(sl.stop - sl.start, -1)
+                for o, e, sl in zip(offsets, offsets[1:], self.basis.level_slices)]
+
     def level_inverses(self, form: sp.csr_matrix, scale: float) -> list[np.ndarray]:
         """Dense inverses of I + scale * form[sl, sl], one per Hermite level
-        sl, for a level-preserving form (L or Q)."""
-        return [
-            np.linalg.inv(np.eye(sl.stop - sl.start) + scale * form[sl, sl].toarray())
-            for sl in self.basis.level_slices
-        ]
+        sl, for a form that keeps each level and each parity class (L or Q):
+        each class block is inverted on its own, the classes of one size as
+        one stack, and the inverse is exactly 0 between classes."""
+        _, row_at, local, _, classes = self._level_layout
+        flat = self._dense_levels(form, scale)
+        # the flat positions (count, s, s) of the blocks of the classes of size s
+        at = [row_at[m][:, :, None] + local[m][:, None, :] for m in classes]
+        blocks = [np.eye(a.shape[-1]) + flat[a] for a in at]
+        flat[:] = 0.0  # the buffer now takes the inverses
+        for a, block in zip(at, blocks):
+            flat[a] = np.linalg.inv(block)
+        return self._level_views(flat)
 
     @cached_property
     def dissipation_metric_inverses(self) -> list[np.ndarray]:
@@ -220,7 +270,7 @@ class LandauOperators:
 
     def level_blocks(self) -> list[np.ndarray]:
         """Dense blocks of L, one per Hermite level (L is level preserving)."""
-        return [self.L[sl, sl].toarray() for sl in self.basis.level_slices]
+        return self._level_views(self._dense_levels(self.L))
 
 
 @lru_cache(maxsize=CACHED_CAPS)

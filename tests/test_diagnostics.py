@@ -238,3 +238,22 @@ def test_scaling_signature_v_side(nonlinear_run):
     ]
     assert min(ratios) > 0
     assert max(ratios) / min(ratios) <= 3.0
+
+
+def test_level_gauge_of_the_linear_march():
+    # at eta = 0 without the bilinear term each step is (I + dt L)^-1, and
+    # every eigenvalue of L at level n >= 3 is at least 2n, so each step
+    # divides the energy S_n^2 of level n by at least (1 + 2n dt)^2
+    from landau_hermite.landau_ops import closed_form_level_spectrum
+
+    cfg = SolverConfig(N=16, K=0, d_x=0, dt=1e-2, T=1.0, r=2.0, recipe="rough",
+                       g0_norm=1e-3, seed=2, record_every=10)
+    n = np.arange(3, cfg.N + 1)
+    assert all(closed_form_level_spectrum(k).min() >= 2 * k for k in n)
+    res = run(cfg, gamma_on=False)
+    S0 = hermite_level_spectrum(res.snapshots[0][1])[n]
+    assert np.all(S0 > 0)
+    for t, state in res.snapshots[1:]:
+        k = round(t / cfg.dt)
+        S = hermite_level_spectrum(state)[n]
+        assert np.all(S**2 <= (1.0 + 2.0 * n * cfg.dt) ** (-2 * k) * S0**2), t

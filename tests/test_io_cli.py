@@ -419,7 +419,7 @@ def test_cli_refuses_a_config_that_cannot_fit(tmp_path, text):
 
 def test_cli_refuses_a_config_above_physical_memory(monkeypatch, tmp_path, capsys):
     # with no address-space limit set the physical memory bounds the run:
-    # a 1 MiB machine refuses this 2 MiB config (a one-step run that would
+    # a 1 MiB machine refuses this 3 MiB config (a one-step run that would
     # fit anywhere, should the refusal fail) with exit 2 and one line
     unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     monkeypatch.setattr(cli.resource, "getrlimit", lambda which: unlimited)
@@ -433,7 +433,7 @@ def test_cli_refuses_a_config_above_physical_memory(monkeypatch, tmp_path, capsy
         cli.main(["run", "--config", str(path), "--out", str(out)])
     assert exc.value.code == 2
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("landau-hermite run: error: the config needs at least 2 MiB"), line
+    assert line.startswith("landau-hermite run: error: the config needs at least 3 MiB"), line
     assert line.endswith(" MiB, above the physical memory of 1 MiB"), line
     assert not out.exists()
 

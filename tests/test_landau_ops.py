@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from landau_hermite.hermite_core import (
     get_basis,
@@ -262,3 +263,74 @@ def test_hydrodynamic_rates_of_the_linearized_operator():
     for kind, values in want.items():
         np.testing.assert_allclose(np.sort(rates[sound == kind]), values, rtol=1e-4, atol=0)
     np.testing.assert_allclose(np.abs(lam[sound].imag) / eta, math.sqrt(5 / 3), rtol=1e-4, atol=0)
+
+
+def _same(a, b):
+    """Two sparse matrices hold the same entries, to the bit."""
+    a, b = a.tocsr(), b.tocsr()
+    a.sort_indices()
+    b.sort_indices()
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+def _ladder_reference(N):
+    """Raising and lowering tables, rotations and L1 built one index at a
+    time from a slot dictionary, every rotation from its two products and
+    the sphere Laplacian from all six squares."""
+    idx = [(a1, a2, n - a1 - a2)
+           for n in range(N + 1) for a1 in range(n + 1) for a2 in range(n - a1 + 1)]
+    slot = {a: i for i, a in enumerate(idx)}
+    M = len(idx)
+    R = []
+    for axis in range(3):
+        rows, cols, vals = [], [], []
+        for col, alpha in enumerate(idx):
+            if sum(alpha) == N:
+                continue
+            up = list(alpha)
+            up[axis] += 1
+            rows.append(slot[tuple(up)])
+            cols.append(col)
+            vals.append(math.sqrt(alpha[axis] + 1))
+        R.append(sp.csr_matrix((vals, (rows, cols)), shape=(M, M)))
+    lo = [r.T.tocsr() for r in R]
+    rot = {(k, j): (R[j] @ lo[k] - R[k] @ lo[j]).tocsr()
+           for k, j in itertools.permutations(range(3), 2)}
+    sphere = sp.csr_matrix((M, M))
+    for A in rot.values():
+        sphere = sphere + 0.5 * (A @ A)
+    levels = np.array([sum(a) for a in idx], dtype=np.float64)
+    return R, lo, rot, (2.0 * sp.diags(levels) - sphere).tocsr()
+
+
+@pytest.mark.parametrize("N", [4, 8, 12, 16])
+def test_operators_keep_the_parity_classes(N):
+    # L and Q commute with every reflection v_j -> -v_j, so they never
+    # couple two classes of alpha mod 2 within a level; the level inverses
+    # are taken class by class, exactly 0 between classes, and agree with
+    # the inverse of the whole level block; the ladder tables, rotations and
+    # L1 are those of the one-index-at-a-time construction, to the bit
+    ops = get_operators(N)
+    b = ops.basis
+    R, lo, rot, L1 = _ladder_reference(N)
+    assert all(_same(b.raising(a), R[a]) and _same(b.lowering(a), lo[a]) for a in range(3))
+    assert all(_same(b.rotation(k, j), A) for (k, j), A in rot.items())
+    assert _same(ops.L1, L1)
+
+    parity = 4 * b.levels + 2 * (b.alpha[:, 0] % 2) + b.alpha[:, 1] % 2
+    for form in (ops.L, ops.dissipation_form):
+        coo = form.tocoo()
+        assert np.array_equal(parity[coo.row], parity[coo.col])
+    dt = 2e-3
+    for form, scale, inverses in ((ops.L, dt, ops.implicit_inverses(dt)),
+                                  (ops.dissipation_form, 1.0, ops.dissipation_metric_inverses)):
+        for sl, inv in zip(b.level_slices, inverses):
+            cls = parity[sl]
+            assert np.all(inv[cls[:, None] != cls[None, :]] == 0.0)
+            whole = np.linalg.inv(np.eye(len(cls)) + scale * form[sl, sl].toarray())
+            assert np.max(np.abs(inv - whole)) <= 1e-14 * np.max(np.abs(whole))
+    # a rotation keeps the level but flips two parities; v_1 changes the level
+    for form in (b.rotation(0, 1), b.coordinate(0)):
+        with pytest.raises(ValueError, match="couples"):
+            ops.level_inverses(form, dt)

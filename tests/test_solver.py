@@ -555,6 +555,29 @@ def test_caches_keep_a_bounded_number_of_entries(monkeypatch):
     assert (4, 1, 1, 2.0) in workspace._cache and (4, 2, 1, 2.0) not in workspace._cache
 
 
+def test_one_basis_per_cap_after_eviction(monkeypatch):
+    # a cap whose basis get_basis evicted while its operators or a workspace
+    # still hold that basis gets it back: after a sweep over three times
+    # CACHED_CAPS caps, the evicted cap's operators, workspaces and get_basis
+    # share one HermiteBasis, and so do operators rebuilt after eviction
+    from landau_hermite.hermite_core import CACHED_CAPS
+    from landau_hermite.landau_ops import get_operators
+
+    workspace = kernel._Workspace
+    monkeypatch.setattr(workspace, "_cache", {})
+    ops = workspace.for_config(small_config(N=4, K=1)).ops
+    for N in range(5, 5 + 3 * CACHED_CAPS):
+        get_basis(N)
+    assert get_operators(4).basis is get_basis(4) is ops.basis
+    ws = workspace.for_config(small_config(N=4, K=2))
+    assert ws.ops.basis is ws.basis
+    for N in range(5, 5 + CACHED_CAPS):
+        get_operators(N)
+    del ops
+    ws = workspace.for_config(small_config(N=4, K=3))
+    assert get_operators(4).basis is get_basis(4) is ws.basis is ws.ops.basis
+
+
 @pytest.mark.parametrize("d_x, K", [(1, 3), (2, 2), (3, 1)])
 def test_bilinear_output_is_exactly_hermitian(d_x, K):
     # the kernel's tail, completed by _unfold, fills the lower half of the
@@ -1111,14 +1134,21 @@ def test_adjoint_memory_is_two_grids(slot):
 
 
 def test_implicit_inverses_are_keyed_by_dt_itself():
-    # two time steps that agree to 15 decimals get their own inverses
+    # two time steps that agree to 15 decimals get their own inverses: each
+    # level's inverse is, to the bit, that of I + 1e-16 L on each parity
+    # class of the level, and 0 between classes
     from landau_hermite.kernel import _Workspace
 
     ws = _Workspace(6, 1, 1, 2.0)
     ws.implicit_inverses(4e-16)
     inverses = ws.implicit_inverses(1e-16)
-    for inv, block in zip(inverses, ws.ops.level_blocks()):
-        np.testing.assert_array_equal(inv, np.linalg.inv(np.eye(len(block)) + 1e-16 * block))
+    for inv, block, sl in zip(inverses, ws.ops.level_blocks(), ws.basis.level_slices):
+        parity = ws.basis.alpha[sl, :2] % 2
+        expected = np.zeros_like(block)
+        for cls in np.unique(parity, axis=0):
+            at = np.ix_(*[np.flatnonzero((parity == cls).all(axis=1))] * 2)
+            expected[at] = np.linalg.inv(np.eye(len(at[0])) + 1e-16 * block[at])
+        np.testing.assert_array_equal(inv, expected)
 
 
 @pytest.mark.parametrize("N, seed", [(8, 2), (12, 3)])
